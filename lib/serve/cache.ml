@@ -8,6 +8,8 @@ let default_config = { max_bytes = 64 * 1024 * 1024; ttl_s = 0.; shards = 8 }
 
 type key = Wqi_store.Key.t
 
+module Tbl = Wqi_store.Key.Tbl
+
 (* Doubly-linked LRU node; [prev] points toward the most recent end. *)
 type node = {
   n_key : key;
@@ -20,7 +22,7 @@ type node = {
 
 type shard = {
   mutex : Mutex.t;
-  table : (key, node) Hashtbl.t;
+  table : node Tbl.t;
   mutable head : node option;  (* most recently used *)
   mutable tail : node option;  (* least recently used *)
   mutable bytes : int;
@@ -46,7 +48,7 @@ type t = {
   shards : shard array;
   fl_mutex : Mutex.t;  (* guards the in-flight table and [coalesced] *)
   fl_cond : Condition.t;
-  fl_table : (key, flight_entry) Hashtbl.t;
+  fl_table : flight_entry Tbl.t;
   mutable coalesced : int;  (* follower lookups answered by a leader *)
 }
 
@@ -59,7 +61,7 @@ let create ?(clock = Wqi_budget.Budget.now_s) (config : config) =
     shards =
       Array.init n (fun _ ->
           { mutex = Mutex.create ();
-            table = Hashtbl.create 64;
+            table = Tbl.create 64;
             head = None;
             tail = None;
             bytes = 0;
@@ -70,7 +72,7 @@ let create ?(clock = Wqi_budget.Budget.now_s) (config : config) =
             insertions = 0 });
     fl_mutex = Mutex.create ();
     fl_cond = Condition.create ();
-    fl_table = Hashtbl.create 16;
+    fl_table = Tbl.create 16;
     coalesced = 0 }
 
 (* ------------------------------------------------------------------ *)
@@ -88,8 +90,10 @@ let normalize = Wqi_store.Key.normalize
 let key ~html ~spec = Wqi_store.Key.make ~html ~spec
 
 let shard_of t (k : key) =
-  (* The low bits select the shard; FNV mixes well enough for that. *)
-  t.shards.(Int64.to_int k.Wqi_store.Key.hash land max_int mod t.config.shards)
+  (* The high half selects the shard: [Key.Tbl] buckets by the low
+     bits, which must stay spread within each shard. *)
+  let high = Int64.to_int (Int64.shift_right_logical k.Wqi_store.Key.hash 32) in
+  t.shards.(high mod t.config.shards)
 
 (* ------------------------------------------------------------------ *)
 (* Intrusive LRU list (shard mutex held)                              *)
@@ -115,7 +119,7 @@ let push_front sh node =
 
 let remove sh node =
   unlink sh node;
-  Hashtbl.remove sh.table node.n_key;
+  Tbl.remove sh.table node.n_key;
   sh.bytes <- sh.bytes - node.n_size
 
 let entry_size value = String.length value + 64 (* node + table slack *)
@@ -128,7 +132,7 @@ let find t k =
   let sh = shard_of t k in
   Mutex.lock sh.mutex;
   let result =
-    match Hashtbl.find_opt sh.table k with
+    match Tbl.find_opt sh.table k with
     | None ->
       sh.misses <- sh.misses + 1;
       None
@@ -157,7 +161,7 @@ let add t k value =
       if t.config.ttl_s > 0. then t.clock () +. t.config.ttl_s else infinity
     in
     Mutex.lock sh.mutex;
-    (match Hashtbl.find_opt sh.table k with
+    (match Tbl.find_opt sh.table k with
      | Some node ->
        sh.bytes <- sh.bytes - node.n_size + size;
        node.n_value <- value;
@@ -174,7 +178,7 @@ let add t k value =
            n_prev = None;
            n_next = None }
        in
-       Hashtbl.replace sh.table k node;
+       Tbl.replace sh.table k node;
        push_front sh node;
        sh.bytes <- sh.bytes + size;
        sh.insertions <- sh.insertions + 1);
@@ -196,9 +200,9 @@ type flight = Leader | Follower of string option
 
 let begin_flight t k =
   Mutex.lock t.fl_mutex;
-  match Hashtbl.find_opt t.fl_table k with
+  match Tbl.find_opt t.fl_table k with
   | None ->
-    Hashtbl.replace t.fl_table k { fe_result = None; fe_done = false };
+    Tbl.replace t.fl_table k { fe_result = None; fe_done = false };
     Mutex.unlock t.fl_mutex;
     Leader
   | Some entry ->
@@ -214,11 +218,11 @@ let begin_flight t k =
 
 let end_flight t k result =
   Mutex.lock t.fl_mutex;
-  (match Hashtbl.find_opt t.fl_table k with
+  (match Tbl.find_opt t.fl_table k with
    | Some entry ->
      entry.fe_result <- result;
      entry.fe_done <- true;
-     Hashtbl.remove t.fl_table k
+     Tbl.remove t.fl_table k
    | None -> ());
   Condition.broadcast t.fl_cond;
   Mutex.unlock t.fl_mutex
@@ -253,7 +257,7 @@ let stats t =
            evictions = acc.evictions + sh.evictions;
            expirations = acc.expirations + sh.expirations;
            insertions = acc.insertions + sh.insertions;
-           entries = acc.entries + Hashtbl.length sh.table;
+           entries = acc.entries + Tbl.length sh.table;
            bytes = acc.bytes + sh.bytes }
        in
        Mutex.unlock sh.mutex;

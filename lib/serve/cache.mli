@@ -8,9 +8,11 @@
     length and the spec string, so a lookup never touches the original
     markup.
 
-    The cache is sharded: each shard holds an LRU list and a hash
-    table behind its own mutex, so concurrent handler threads on
-    different shards never contend.  Shards are bounded by bytes (the
+    The cache is sharded: each shard holds an LRU list and a
+    {!Wqi_store.Key.Tbl} (the store index's table type) behind its own
+    mutex, so concurrent handler threads on different shards never
+    contend.  The high half of a key's hash picks its shard; the table
+    buckets by the low bits.  Shards are bounded by bytes (the
     serialized values dominate), not entry count, and entries can
     carry a TTL so a long-lived daemon eventually re-extracts content
     whose grammar or code may have changed under it.

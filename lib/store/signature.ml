@@ -11,9 +11,16 @@ let is_name_char c =
   || (c >= '0' && c <= '9')
   || c = '-' || c = '_' || c = ':'
 
+(* One FNV-1a/64 step, the one [Key.fold] takes per byte.  Repeated
+   here because modules are compiled separately: a call into [Key] per
+   byte would box the 64-bit state on every return. *)
+let[@inline] step h c =
+  Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) Key.fnv_prime
+
 (* Fold [s.[lo..hi)] into [h] with whitespace runs collapsed to one
-   space and leading/trailing whitespace dropped; returns [h] unchanged
-   when the slice is pure whitespace. *)
+   space, letters lowercased and leading/trailing whitespace dropped;
+   returns [h] unchanged when the slice is pure whitespace.  The state
+   stays in a local, so nothing is allocated per byte. *)
 let fold_collapsed h s lo hi =
   let h = ref h in
   let pending_space = ref false in
@@ -23,10 +30,10 @@ let fold_collapsed h s lo hi =
     if is_space c then (if !emitted then pending_space := true)
     else begin
       if !pending_space then begin
-        h := Key.fold !h " ";
+        h := step !h ' ';
         pending_space := false
       end;
-      h := Key.fold !h (String.make 1 (Char.lowercase_ascii c));
+      h := step !h (Char.lowercase_ascii c);
       emitted := true
     end
   done;

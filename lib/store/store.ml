@@ -19,29 +19,6 @@ type meta = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3), table-driven                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Crc32 = struct
-  let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c))
-
-  let digest s =
-    let table = Lazy.force table in
-    let c = ref 0xffffffff in
-    String.iter
-      (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-      s;
-    !c lxor 0xffffffff
-end
-
-(* ------------------------------------------------------------------ *)
 (* Manifest lines                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -246,7 +223,7 @@ type t = {
   mutable manifest_oc : out_channel option;
   man_mutex : Mutex.t;
   idx_mutex : Mutex.t;  (* guards index, sources, counters, closed *)
-  index : (Key.t, entry) Hashtbl.t;
+  index : entry Key.Tbl.t;
   sources : (string, int) Hashtbl.t;  (* live entries per source *)
   mutable bytes : int;
   mutable orphaned : int;
@@ -304,7 +281,7 @@ let read_or_write_segments dir requested =
 
 (* Accept the entry into the index (replay and put share this). *)
 let index_accept t key e =
-  (match Hashtbl.find_opt t.index key with
+  (match Key.Tbl.find_opt t.index key with
    | Some old ->
      t.bytes <- t.bytes - old.e_len;
      t.orphaned <- t.orphaned + old.e_len;
@@ -313,7 +290,7 @@ let index_accept t key e =
       | Some c -> Hashtbl.replace t.sources old.e_meta.source (c - 1)
       | None -> ())
    | None -> ());
-  Hashtbl.replace t.index key e;
+  Key.Tbl.replace t.index key e;
   t.bytes <- t.bytes + e.e_len;
   Hashtbl.replace t.sources e.e_meta.source
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.sources e.e_meta.source))
@@ -358,7 +335,7 @@ let open_ ?(segments = 16) dir =
       manifest_oc = None;
       man_mutex = Mutex.create ();
       idx_mutex = Mutex.create ();
-      index = Hashtbl.create 1024;
+      index = Key.Tbl.create 1024;
       sources = Hashtbl.create 1024;
       bytes = 0;
       orphaned = 0;
@@ -447,13 +424,13 @@ let manifest_appender t =
 
 let mem t k =
   lock_open t;
-  let r = Hashtbl.mem t.index k in
+  let r = Key.Tbl.mem t.index k in
   Mutex.unlock t.idx_mutex;
   r
 
 let meta t k =
   lock_open t;
-  let r = Option.map (fun e -> e.e_meta) (Hashtbl.find_opt t.index k) in
+  let r = Option.map (fun e -> e.e_meta) (Key.Tbl.find_opt t.index k) in
   Mutex.unlock t.idx_mutex;
   r
 
@@ -477,11 +454,11 @@ let read_value t e =
 
 let drop_corrupt t k e =
   Mutex.lock t.idx_mutex;
-  (match Hashtbl.find_opt t.index k with
+  (match Key.Tbl.find_opt t.index k with
    | Some cur when cur.e_seg = e.e_seg && cur.e_off = e.e_off ->
      t.bytes <- t.bytes - cur.e_len;
      t.orphaned <- t.orphaned + cur.e_len;
-     Hashtbl.remove t.index k;
+     Key.Tbl.remove t.index k;
      (match Hashtbl.find_opt t.sources cur.e_meta.source with
       | Some 1 -> Hashtbl.remove t.sources cur.e_meta.source
       | Some c -> Hashtbl.replace t.sources cur.e_meta.source (c - 1)
@@ -492,7 +469,7 @@ let drop_corrupt t k e =
 
 let find_entry t k =
   lock_open t;
-  let entry = Hashtbl.find_opt t.index k in
+  let entry = Key.Tbl.find_opt t.index k in
   (match entry with
    | None -> t.misses <- t.misses + 1
    | Some _ -> ());
@@ -565,7 +542,9 @@ let source_known t source =
 
 let iter t f =
   lock_open t;
-  let snapshot = Hashtbl.fold (fun k e acc -> (k, e.e_meta) :: acc) t.index [] in
+  let snapshot =
+    Key.Tbl.fold (fun k e acc -> (k, e.e_meta) :: acc) t.index []
+  in
   Mutex.unlock t.idx_mutex;
   List.iter (fun (k, m) -> f k m) snapshot
 
@@ -585,7 +564,7 @@ type stats = {
 let stats t =
   Mutex.lock t.idx_mutex;
   let s =
-    { entries = Hashtbl.length t.index;
+    { entries = Key.Tbl.length t.index;
       bytes = t.bytes;
       orphaned_bytes = t.orphaned;
       segments = t.segments;
@@ -637,7 +616,7 @@ let close t =
   if t.closed then Mutex.unlock t.idx_mutex
   else begin
     t.closed <- true;
-    let entries = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.index [] in
+    let entries = Key.Tbl.fold (fun k e acc -> (k, e) :: acc) t.index [] in
     Mutex.unlock t.idx_mutex;
     let entries =
       List.sort

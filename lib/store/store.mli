@@ -35,10 +35,17 @@
     [segments/*] deletion alongside a fresh manifest, which the store
     never does on its own.
 
+    The checksum is {!Crc32}, computed by {!put} and checked by every
+    {!find}.  Its tables are built eagerly when the program starts,
+    because a lazily built table raised when two domains made their
+    first lookups at once.
+
     {b Concurrency.}  All operations are safe from concurrent threads
     and domains of one process (per-segment mutexes for value I/O, one
-    mutex each for the manifest and the index).  The store is not
-    coordinated across processes — one writer process at a time. *)
+    mutex each for the manifest and the index).  The index is a
+    {!Key.Tbl}, the table type the serve cache's shards use too.  The
+    store is not coordinated across processes — one writer process at
+    a time. *)
 
 type t
 

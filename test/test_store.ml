@@ -7,11 +7,13 @@
 
 module Store = Wqi_store.Store
 module Key = Wqi_store.Key
+module Crc32 = Wqi_store.Crc32
 module Signature = Wqi_store.Signature
 module Cache = Wqi_serve.Cache
 module Extractor = Wqi_core.Extractor
 module Generator = Wqi_corpus.Generator
 module Pool = Wqi_parallel.Pool
+module Q = QCheck
 
 let temp_dir () =
   let d = Filename.temp_file "wqi_store" "" in
@@ -63,6 +65,111 @@ let test_spec_distinguishes () =
     (Key.equal (k "1") (k "2"));
   Alcotest.(check bool) "same version, same key" true
     (Key.equal (k "1") (k "1"))
+
+(* [Key.make] normalizes and hashes in one pass; it must agree with the
+   two-step definition on every input.  The generator is heavy in the
+   bytes normalization treats specially, and includes empty and
+   all-whitespace documents. *)
+let ws_heavy_gen =
+  let open Q.Gen in
+  let ws = oneofl [ ' '; '\t'; '\r'; '\n'; '\012' ] in
+  let any =
+    frequency [ (3, ws); (1, oneofl [ '<'; 'a'; 'Z'; '>' ]); (1, char) ]
+  in
+  frequency
+    [ (1, return "");
+      (2, string_size ~gen:ws (int_bound 12));
+      (7, string_size ~gen:any (int_bound 200)) ]
+
+let prop_make_is_fold_of_normalize =
+  Q.Test.make ~name:"Key.make = fold of normalize (one pass, no copy)"
+    ~count:1000
+    (Q.make ~print:(fun (h, s) -> Printf.sprintf "%S / %S" h s)
+       (Q.Gen.pair ws_heavy_gen ws_heavy_gen))
+    (fun (html, spec) ->
+       let k = Key.make ~html ~spec in
+       let n = Key.normalize html in
+       Int64.equal k.Key.hash
+         (Key.fold (Key.fold (Key.fingerprint spec) "\x00") n)
+       && k.Key.len = String.length n
+       && String.equal k.Key.spec spec)
+
+(* --- CRC-32 ------------------------------------------------------- *)
+
+(* Bit-at-a-time, no table: the definition the slicing tables must
+   reproduce. *)
+let crc_reference s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+       c := !c lxor Char.code ch;
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+       done)
+    s;
+  !c lxor 0xffffffff
+
+let test_crc_known_answer () =
+  Alcotest.(check int) "check value" 0xcbf43926 (Crc32.digest "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.digest "")
+
+(* Every prefix of length 0..64 covers each slicing tail (0..7 bytes
+   after whole 8-byte steps) at several step counts; the whole string
+   covers long inputs up to 8 KiB. *)
+let prop_crc_matches_reference =
+  Q.Test.make ~name:"Crc32.digest = bytewise reference (lengths 0..64, <=8KiB)"
+    ~count:200
+    (Q.make ~print:String.escaped
+       Q.Gen.(string_size ~gen:char (int_range 64 8192)))
+    (fun s ->
+       let ok = ref (Crc32.digest s = crc_reference s) in
+       for len = 0 to 64 do
+         let p = String.sub s 0 len in
+         if Crc32.digest p <> crc_reference p then ok := false
+       done;
+       !ok)
+
+(* --- allocation ceilings ------------------------------------------ *)
+
+(* Minor words allocated by one call of [f], net of the measurement
+   itself.  [Gc.minor_words] is unboxed, so reading it allocates
+   nothing. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let test_alloc_ceilings () =
+  let doc n =
+    String.init n (fun i ->
+        match i mod 40 with
+        | 0 -> '\r'
+        | 1 -> '\n'
+        | 2 -> ' '
+        | k -> Char.chr (97 + (k mod 26)))
+  in
+  let small = doc 100 and large = doc 100_000 in
+  let spec = String.make 150 's' in
+  let make html () = Key.make ~html ~spec in
+  ignore (make small ());
+  (* The key record (4 words) and its boxed hash (3 words), whatever
+     the document's size: no normalized copy, no per-byte boxing. *)
+  let w_small = minor_words (make small) in
+  let w_large = minor_words (make large) in
+  Alcotest.(check (float 0.)) "Key.make: same words at 100 B and 100 KB"
+    w_small w_large;
+  Alcotest.(check bool)
+    (Printf.sprintf "Key.make allocates <= 7 words (got %.0f)" w_small)
+    true (w_small <= 7.);
+  Alcotest.(check (float 0.)) "Crc32.digest 100 B allocates nothing" 0.
+    (minor_words (fun () -> Crc32.digest small));
+  Alcotest.(check (float 0.)) "Crc32.digest 100 KB allocates nothing" 0.
+    (minor_words (fun () -> Crc32.digest large));
+  (* Text-only markup: one text event however long, so a per-byte
+     allocation in the collapsed fold would show as a difference. *)
+  let sig_words html = minor_words (fun () -> Signature.structural html) in
+  Alcotest.(check (float 0.)) "Signature: same words at 100 B and 100 KB"
+    (sig_words small) (sig_words large)
 
 (* --- store lifecycle ---------------------------------------------- *)
 
@@ -250,6 +357,64 @@ let test_closed_store_raises () =
    | _ -> Alcotest.fail "find on closed store must raise");
   ignore (Store.stats st)  (* stats stays readable *)
 
+(* --- compatibility with stores already on disk -------------------- *)
+
+(* test/store_compat was written by the two-pass key and byte-wise CRC
+   code, before the one-pass key and slicing-by-8 CRC: 8 documents
+   covering every normalization path (CRLF, lone CR, outer
+   whitespace, empty and all-whitespace HTML) under 4 segments, values
+   of length 0..4099, one key put twice.  It must still replay and
+   verify bit for bit — keys and CRCs are on-disk formats. *)
+let compat_docs =
+  [ ("<form><input name=q></form>", "v2|grammar=std@1|name=a|budget={}");
+    ( "  \t<FORM>\r\n<label>Title</label>\r\n</FORM>\r\n\n",
+      "v2|grammar=std@1|name=b|budget={}" );
+    ("", "v2|grammar=std@1|name=empty|budget={}");
+    (" \t\r\n\012 \r\r\n", "v2|grammar=std@1|name=blank|budget={}");
+    ("a\rb\r\r\nc\n\rd", "v2|grammar=std@1|name=cr|budget={}");
+    ("\r\n<form>\r</form>\r", "v2|grammar=std@1|name=lone-cr|budget={}");
+    ("<form>x</form>", "");
+    ( "\012<table><tr><td>Author</td><td><input name=au></td></tr></table>\t",
+      "v2|grammar=alt@2|name=c|budget={\"deadline_ms\":200}" ) ]
+
+let compat_value i =
+  let len = [| 0; 1; 7; 8; 9; 63; 1200; 4099 |].(i) in
+  String.init len (fun j -> Char.chr (32 + (((i * 7) + (j * 13)) mod 95)))
+
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    Sys.mkdir dst 0o755;
+    Array.iter
+      (fun f -> copy_tree (Filename.concat src f) (Filename.concat dst f))
+      (Sys.readdir src)
+  end
+  else
+    Out_channel.with_open_bin dst (fun oc ->
+        Out_channel.output_string oc
+          (In_channel.with_open_bin src In_channel.input_all))
+
+let test_compat_store_replays () =
+  (* A copy: close compacts the manifest, and the fixture must stay as
+     it was written. *)
+  let dir = temp_dir () in
+  copy_tree "store_compat" dir;
+  let st = Store.open_ dir in
+  let s = Store.stats st in
+  Alcotest.(check int) "replayed lines" 9 s.Store.replayed;
+  Alcotest.(check int) "dropped lines" 0 s.Store.dropped;
+  Alcotest.(check int) "entries" 8 s.Store.entries;
+  List.iteri
+    (fun i (html, spec) ->
+       Alcotest.(check (option string))
+         (Printf.sprintf "doc %d: value byte-identical" i)
+         (Some (compat_value i))
+         (Store.find st (Key.make ~html ~spec)))
+    compat_docs;
+  let s = Store.stats st in
+  Alcotest.(check int) "hits" 8 s.Store.hits;
+  Alcotest.(check int) "corrupt" 0 s.Store.corrupt;
+  Store.close st
+
 (* --- structural signatures (crawl dedup) -------------------------- *)
 
 let test_signature_whitespace_invariant () =
@@ -292,10 +457,34 @@ let test_signature_shape_vs_structural () =
     (Key.to_hex (Signature.shape a))
     (Key.to_hex (Signature.shape b))
 
+(* Crawl signatures are persisted dedup identities: pinned by value,
+   as computed before the collapsed fold stopped allocating per byte. *)
+let test_signature_pinned () =
+  List.iter
+    (fun (html, structural, shape) ->
+       Alcotest.(check string) ("structural " ^ String.escaped html) structural
+         (Key.to_hex (Signature.structural html));
+       Alcotest.(check string) ("shape " ^ String.escaped html) shape
+         (Key.to_hex (Signature.shape html)))
+    [ ( "<form action=\"/q\">\n  <label>Title</label>\n  <input name=\"t\">\n\
+         </form>\n",
+        "9bed3348b75e307b", "7bb7ade673623161" );
+      ( "<FORM><Label> Author  Name </Label>\t<input name=au TYPE=text></FORM>",
+        "f5da418aa0cfb360", "7bb7ade673623161" );
+      ( "<p>x<script>if (a<b) {}</script><style> p { } </style></p>",
+        "59151eb49a0faa4b", "ab89c33a28316067" );
+      ("", "dce9a54f3157a34b", "dce9a54f3157a34b") ]
+
 let suite =
   [ ("fnv-1a/64 constants pinned", `Quick, test_fnv_pinned);
     ("cache key = store key", `Quick, test_cache_key_identity);
     ("grammar version bump changes keys", `Quick, test_spec_distinguishes);
+    QCheck_alcotest.to_alcotest prop_make_is_fold_of_normalize;
+    ("crc-32 known answer", `Quick, test_crc_known_answer);
+    QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+    ("allocation ceilings: key, crc, signature", `Quick, test_alloc_ceilings);
+    ("store written by the old key and CRC code replays", `Quick,
+     test_compat_store_replays);
     ("put/find round-trip", `Quick, test_put_find_roundtrip);
     ("reopen replays the manifest", `Quick, test_reopen_replay);
     ("appends after reopen land at the real end", `Quick,
@@ -313,4 +502,5 @@ let suite =
     ("signature: structure-sensitive", `Quick,
      test_signature_structural_sensitivity);
     ("signature: shape vs structural", `Quick,
-     test_signature_shape_vs_structural) ]
+     test_signature_shape_vs_structural);
+    ("signature: values pinned", `Quick, test_signature_pinned) ]
