@@ -11,14 +11,33 @@ let name = function
   | Element (n, _, _) -> n
   | Text _ | Comment _ -> ""
 
+(* Attribute lists are short and looked up by the layout, style and
+   token layers for every element: a typed scan, not the polymorphic
+   [List.assoc_opt]. *)
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
+
+let rec mem_assoc key = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k key || mem_assoc key rest
+
+let rec assoc_default key ~default = function
+  | [] -> default
+  | (k, v) :: rest ->
+    if String.equal k key then v else assoc_default key ~default rest
+
 let attr key = function
-  | Element (_, attrs, _) -> List.assoc_opt key attrs
+  | Element (_, attrs, _) -> assoc key attrs
   | Text _ | Comment _ -> None
 
-let attr_default key ~default node =
-  match attr key node with Some v -> v | None -> default
+let attr_default key ~default = function
+  | Element (_, attrs, _) -> assoc_default key ~default attrs
+  | Text _ | Comment _ -> default
 
-let has_attr key node = attr key node <> None
+let has_attr key = function
+  | Element (_, attrs, _) -> mem_assoc key attrs
+  | Text _ | Comment _ -> false
 
 let children = function
   | Element (_, _, cs) -> cs
@@ -27,7 +46,7 @@ let children = function
 let is_element ?named node =
   match node, named with
   | Element _, None -> true
-  | Element (n, _, _), Some wanted -> n = wanted
+  | Element (n, _, _), Some wanted -> String.equal n wanted
   | (Text _ | Comment _), _ -> false
 
 let text_content node =

@@ -1,8 +1,8 @@
-let void_elements =
-  [ "area"; "base"; "br"; "col"; "embed"; "hr"; "img"; "input"; "link";
-    "meta"; "param"; "source"; "track"; "wbr" ]
-
-let is_void name = List.mem name void_elements
+let is_void = function
+  | "area" | "base" | "br" | "col" | "embed" | "hr" | "img" | "input"
+  | "link" | "meta" | "param" | "source" | "track" | "wbr" ->
+    true
+  | _ -> false
 
 (* For an incoming open tag [name], the set of currently-open element names
    it implicitly closes (checked innermost-first, repeatedly). *)
@@ -14,7 +14,9 @@ let implicitly_closes name open_name =
   | "td" | "th" -> open_name = "td" || open_name = "th"
   | "tr" -> open_name = "td" || open_name = "th" || open_name = "tr"
   | "thead" | "tbody" | "tfoot" ->
-    List.mem open_name [ "td"; "th"; "tr"; "thead"; "tbody"; "tfoot" ]
+    (match open_name with
+     | "td" | "th" | "tr" | "thead" | "tbody" | "tfoot" -> true
+     | _ -> false)
   | "p" | "div" | "table" | "form" | "ul" | "ol" | "h1" | "h2" | "h3"
   | "h4" | "h5" | "h6" | "hr" | "pre" | "blockquote" ->
     open_name = "p"
@@ -126,9 +128,14 @@ let build ?gauge tokens =
           | Lexer.Doctype _ -> ())
        tokens
    with Out_of_budget -> ());
-  while List.length b.stack > 1 do
-    pop b
-  done;
+  let rec close_all () =
+    match b.stack with
+    | _ :: _ :: _ ->
+      pop b;
+      close_all ()
+    | [ _ ] | [] -> ()
+  in
+  close_all ();
   List.rev root.f_children
 
 let parse ?gauge ?trace html =

@@ -34,16 +34,18 @@ let ctx_spend_box ctx =
 (* Element classification                                              *)
 (* ------------------------------------------------------------------ *)
 
-let block_elements =
-  [ "address"; "article"; "aside"; "blockquote"; "center"; "dd"; "dir";
-    "div"; "dl"; "dt"; "fieldset"; "figure"; "footer"; "form"; "h1"; "h2";
-    "h3"; "h4"; "h5"; "h6"; "header"; "hr"; "li"; "main"; "menu"; "nav";
-    "ol"; "p"; "pre"; "section"; "table"; "ul"; "caption"; "legend";
-    "html"; "body" ]
+let is_block = function
+  | "address" | "article" | "aside" | "blockquote" | "center" | "dd" | "dir"
+  | "div" | "dl" | "dt" | "fieldset" | "figure" | "footer" | "form" | "h1"
+  | "h2" | "h3" | "h4" | "h5" | "h6" | "header" | "hr" | "li" | "main"
+  | "menu" | "nav" | "ol" | "p" | "pre" | "section" | "table" | "ul"
+  | "caption" | "legend" | "html" | "body" ->
+    true
+  | _ -> false
 
-let is_block name = List.mem name block_elements
-
-let skipped_elements = [ "head"; "script"; "style"; "title"; "#root" ]
+let is_skipped = function
+  | "head" | "script" | "style" | "title" | "#root" -> true
+  | _ -> false
 
 let is_widget node =
   match Dom.name node with
@@ -97,7 +99,7 @@ let rec atoms_of_inline node acc =
      | Some (w, h) -> Widget_atom (node, w, h) :: acc
      | None -> acc)
   | Dom.Element (name, _, children) ->
-    if List.mem name skipped_elements then acc
+    if is_skipped name then acc
     else List.fold_left (fun acc c -> atoms_of_inline c acc) acc children
 
 (* ------------------------------------------------------------------ *)
@@ -142,20 +144,20 @@ let close_run fs =
 
 let finish_line fs ~force =
   close_run fs;
-  if fs.line = [] then begin
-    if force then fs.line_y <- fs.line_y + Style.line_height
-  end else begin
+  (match fs.line with
+   | [] -> if force then fs.line_y <- fs.line_y + Style.line_height
+   | _ :: _ ->
     let line_height =
-      List.fold_left (fun acc e -> max acc e.e_h) Style.line_height fs.line
+      List.fold_left (fun acc e -> Int.max acc e.e_h) Style.line_height fs.line
     in
     let line_width =
-      List.fold_left (fun acc e -> max acc (e.e_x + e.e_w)) 0 fs.line
+      List.fold_left (fun acc e -> Int.max acc (e.e_x + e.e_w)) 0 fs.line
     in
     let shift =
       match fs.f_align with
       | `Left -> 0
-      | `Center -> max 0 ((fs.f_width - line_width) / 2)
-      | `Right -> max 0 (fs.f_width - line_width)
+      | `Center -> Int.max 0 ((fs.f_width - line_width) / 2)
+      | `Right -> Int.max 0 (fs.f_width - line_width)
     in
     List.iter
       (fun e ->
@@ -169,12 +171,12 @@ let finish_line fs ~force =
          end)
       fs.line;
     fs.line <- [];
-    fs.line_y <- fs.line_y + line_height + leading
-  end;
+    fs.line_y <- fs.line_y + line_height + leading);
   fs.cx <- 0;
   fs.pending_space <- false
 
-let line_is_empty fs = fs.line = [] && fs.run = None
+let line_is_empty fs =
+  match fs.line, fs.run with [], None -> true | _ -> false
 
 let add_word fs w =
   let word_width = Style.text_width w in
@@ -214,7 +216,7 @@ let add_widget fs node w h =
 (* Lay out a list of inline atoms; returns the height consumed. *)
 let flow ctx out atoms ~x ~y ~width ~align =
   let fs =
-    { f_ctx = ctx; f_width = max 40 width; f_align = align; f_out = out;
+    { f_ctx = ctx; f_width = Int.max 40 width; f_align = align; f_out = out;
       f_x0 = x; f_y0 = y; cx = 0; line_y = 0; line = [];
       pending_space = false; run = None }
   in
@@ -237,7 +239,7 @@ let flow ctx out atoms ~x ~y ~width ~align =
 
 let int_attr key ~default node =
   match Dom.attr key node with
-  | Some v -> (try max 0 (int_of_string (String.trim v)) with Failure _ -> default)
+  | Some v -> (try Int.max 0 (int_of_string (String.trim v)) with Failure _ -> default)
   | None -> default
 
 (* A child is "inline-level" for grouping purposes when it is not a block
@@ -269,7 +271,7 @@ let rec layout_children ctx out children ~x ~y ~width ~align =
        if ctx.live then
          match child with
          | Dom.Comment _ -> ()
-         | Dom.Element (name, _, _) when List.mem name skipped_elements -> ()
+         | Dom.Element (name, _, _) when is_skipped name -> ()
          | Dom.Element (name, _, _) when is_block name ->
            flush ();
            let margin = block_margin name in
@@ -290,7 +292,7 @@ and layout_block ctx out node ~x ~y ~width ~align =
   | "ul" | "ol" | "dl" ->
     let indent = 30 in
     layout_children ctx out (Dom.children node) ~x:(x + indent) ~y
-      ~width:(max 40 (width - indent)) ~align
+      ~width:(Int.max 40 (width - indent)) ~align
   | "hr" -> 10
   | _ -> layout_children ctx out (Dom.children node) ~x ~y ~width ~align
 
@@ -310,8 +312,9 @@ and layout_table ctx out node ~x ~y ~width ~align =
          | _ -> [])
       (Dom.children node)
   in
-  if rows = [] then 0
-  else begin
+  match rows with
+  | [] -> 0
+  | _ :: _ -> begin
     let padding = int_attr "cellpadding" ~default:2 node in
     let spacing = int_attr "cellspacing" ~default:2 node in
     let cells_of_row row =
@@ -319,11 +322,11 @@ and layout_table ctx out node ~x ~y ~width ~align =
         (fun c -> Dom.is_element ~named:"td" c || Dom.is_element ~named:"th" c)
         (Dom.children row)
     in
-    let colspan cell = max 1 (int_attr "colspan" ~default:1 cell) in
+    let colspan cell = Int.max 1 (int_attr "colspan" ~default:1 cell) in
     let ncols =
       List.fold_left
         (fun acc row ->
-           max acc
+           Int.max acc
              (List.fold_left (fun n c -> n + colspan c) 0 (cells_of_row row)))
         1 rows
     in
@@ -339,7 +342,7 @@ and layout_table ctx out node ~x ~y ~width ~align =
           ~align:`Left
       in
       if not mctx.live then ctx.live <- false;
-      List.fold_left (fun acc l -> max acc l.box.Geometry.x2) 0 !scratch
+      List.fold_left (fun acc l -> Int.max acc l.box.Geometry.x2) 0 !scratch
     in
     let col_widths = Array.make ncols (2 * padding) in
     (* First size single-span cells, then widen for multi-span ones. *)
@@ -351,7 +354,7 @@ and layout_table ctx out node ~x ~y ~width ~align =
               let span = colspan cell in
               if span = 1 && !col < ncols && ctx.live then
                 col_widths.(!col) <-
-                  max col_widths.(!col) (natural_width cell + (2 * padding));
+                  Int.max col_widths.(!col) (natural_width cell + (2 * padding));
               col := !col + span)
            (cells_of_row row))
       rows;
@@ -394,10 +397,10 @@ and layout_table ctx out node ~x ~y ~width ~align =
               let span = colspan cell in
               if !col < ncols && ctx.live then begin
                 let cw = ref ((span - 1) * spacing) in
-                for j = !col to min (ncols - 1) (!col + span - 1) do
+                for j = !col to Int.min (ncols - 1) (!col + span - 1) do
                   cw := !cw + col_widths.(j)
                 done;
-                let content_width = max 20 (!cw - (2 * padding)) in
+                let content_width = Int.max 20 (!cw - (2 * padding)) in
                 let h =
                   layout_children ctx out (Dom.children cell)
                     ~x:(col_x.(!col) + padding)
@@ -405,7 +408,7 @@ and layout_table ctx out node ~x ~y ~width ~align =
                     ~width:content_width
                     ~align:(alignment_of cell ~inherited:align)
                 in
-                row_height := max !row_height (h + (2 * padding))
+                row_height := Int.max !row_height (h + (2 * padding))
               end;
               col := !col + span)
            (cells_of_row row);

@@ -140,7 +140,7 @@ let sync_index col =
 let record_id t ~id ~col ~idx =
   let cap = Array.length t.id2col in
   if id >= cap then begin
-    let ncap = max (2 * cap) (id + 1) in
+    let ncap = Int.max (2 * cap) (id + 1) in
     let g a =
       let b = Array.make ncap 0 in
       Array.blit a 0 b 0 cap;

@@ -30,8 +30,8 @@ let clamp01 f = Float.max 0. (Float.min 1. f)
 let score ~outcome ~coverage ~conflicts ~tokens ~ambiguity =
   if outcome = "failed" then 0.
   else
-    let conflict_share = float_of_int conflicts /. float_of_int (max 1 tokens) in
-    let ambiguity_share = 0.02 *. float_of_int (min ambiguity 10) in
+    let conflict_share = float_of_int conflicts /. float_of_int (Int.max 1 tokens) in
+    let ambiguity_share = 0.02 *. float_of_int (Int.min ambiguity 10) in
     clamp01 (coverage -. conflict_share -. ambiguity_share)
 
 let outcome_name = function
@@ -54,14 +54,14 @@ let of_extraction ~source ~grammar ?(domain = "") (e : Extractor.extraction) =
   let outcome = outcome_name e.outcome in
   let tokens = e.diagnostics.token_count in
   let missing = List.length (Semantic_model.missing_token_ids e.model) in
-  let covered = max 0 (tokens - missing) in
+  let covered = Int.max 0 (tokens - missing) in
   let trips =
     match e.outcome with Budget.Degraded trips -> List.length trips | _ -> 0
   in
   make ~source ~grammar ~domain ~outcome ~tokens ~covered
     ~conflicts:(Semantic_model.conflict_count e.model)
     ~missing ~trees:e.diagnostics.tree_count
-    ~ambiguity:(max 0 (e.diagnostics.tree_count - 1))
+    ~ambiguity:(Int.max 0 (e.diagnostics.tree_count - 1))
     ~trips
 
 let failed ~source ~grammar ?(domain = "") () =
