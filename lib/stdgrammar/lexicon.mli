@@ -5,6 +5,10 @@
     from an ordinary label; these judgements are encoded here so guards
     stay declarative. *)
 
+val contains_substring : needle:string -> string -> bool
+(** [contains_substring ~needle haystack]: [needle] is non-empty and
+    occurs in [haystack] (byte-wise, case-sensitive). *)
+
 val is_operator_phrase : string -> bool
 (** Text that reads as a query operator or modifier: "contains words",
     "start of last name", "exact match", "greater than", ... *)

@@ -125,7 +125,7 @@ let atoms =
       ();
     prod "P-AttrBound" attr_bound [ t_text ]
       ~guard:
-        (g1 (fun s -> Lexicon.split_bound_suffix (tok_sval s) <> None))
+        (g1 (fun s -> Option.is_some (Lexicon.split_bound_suffix (tok_sval s))))
       ~build:
         (g1 (fun s ->
              match Lexicon.split_bound_suffix (tok_sval s) with
@@ -133,7 +133,8 @@ let atoms =
              | None -> Instance.S_none))
       ();
     prod "P-AttrTail" attr_tail [ t_text ]
-      ~guard:(g1 (fun s -> Lexicon.split_unit_prefix (tok_sval s) <> None))
+      ~guard:
+        (g1 (fun s -> Option.is_some (Lexicon.split_unit_prefix (tok_sval s))))
       ~build:
         (g1 (fun s ->
              match Lexicon.split_unit_prefix (tok_sval s) with
@@ -531,8 +532,8 @@ let attribute_of (i : Instance.t) =
   | _ -> ""
 
 let dirty_attribute label =
-  Lexicon.split_bound_suffix label <> None
-  || Lexicon.split_unit_prefix label <> None
+  Option.is_some (Lexicon.split_bound_suffix label)
+  || Option.is_some (Lexicon.split_unit_prefix label)
 
 let clean_range_attr sym =
   Preference.make
@@ -571,10 +572,11 @@ let is_attr_sym (i : Instance.t) =
 
 let assoc_score (i : Instance.t) =
   match i.children with
-  | a :: (_ :: _ as rest) when is_attr_sym a ->
+  | a :: (first :: rest) when is_attr_sym a ->
     let field_box =
-      Wqi_layout.Geometry.union_all
-        (List.map (fun (c : Instance.t) -> c.box) rest)
+      List.fold_left
+        (fun acc (c : Instance.t) -> Wqi_layout.Geometry.union acc c.box)
+        first.Instance.box rest
     in
     let gap = Wqi_layout.Geometry.h_gap a.box field_box in
     let vgap = Wqi_layout.Geometry.v_gap a.box field_box in
@@ -588,8 +590,9 @@ let assoc_score (i : Instance.t) =
 (* Between equally tight associations, keep the reading that explains
    more tokens (the longer list), then the more compact one. *)
 let assoc_wins v1 v2 =
-  let s1 = assoc_score v1 and s2 = assoc_score v2 in
-  if s1 <> s2 then s1 < s2
+  let r1, g1 = assoc_score v1 and r2, g2 = assoc_score v2 in
+  if r1 <> r2 then r1 < r2
+  else if g1 <> g2 then g1 < g2
   else
     let c1 = cover_size v1 and c2 = cover_size v2 in
     if c1 <> c2 then c1 > c2
