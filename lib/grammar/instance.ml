@@ -115,6 +115,12 @@ let collect_conditions inst =
   go inst;
   List.rev !out
 
+let rec count_conditions inst =
+  match inst.sem with
+  | S_cond _ -> 1
+  | S_none | S_str _ | S_ops _ | S_domain _ | S_conds _ ->
+    List.fold_left (fun n c -> n + count_conditions c) 0 inst.children
+
 let rec size inst = 1 + List.fold_left (fun acc c -> acc + size c) 0 inst.children
 
 let pp ppf inst =

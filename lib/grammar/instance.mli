@@ -89,6 +89,9 @@ val collect_conditions : t -> (Condition.t * int list) list
     descendant whose semantics is [S_cond], paired with the token ids of
     the subtree that built it.  Used by the merger. *)
 
+val count_conditions : t -> int
+(** [List.length (collect_conditions t)], without building the list. *)
+
 val size : t -> int
 (** Number of nodes in the derivation tree rooted here (counting shared
     subtrees once per occurrence, as the paper does). *)

@@ -49,12 +49,22 @@ type fprod = {
   delta_base : int;  (* offset of its delta flags (arity + 1) *)
 }
 
+(* A preference with its winner and loser interned. *)
+type fpref = {
+  pref : G.Preference.t;
+  wsid : int;
+  lsid : int;
+}
+
 type t = {
   syms : Symbol.t array;
   nsyms : int;
-  ids : (Symbol.t, int) Hashtbl.t;
+  ids : (Symbol.t, int) Hashtbl.t;  (* compile time only *)
   prods : fprod array;
   by_head : int array array;  (* symbol id -> fprod ordinals, grammar order *)
+  prefs : fpref array;  (* grammar order *)
+  prefs_by_sym : fpref array array;
+      (* symbol id -> the preferences it wins or loses, grammar order *)
   marks_len : int;
   deltas_len : int;
   max_arity : int;
@@ -65,6 +75,17 @@ let sym_id t sym = Hashtbl.find t.ids sym
 let all_token_kinds =
   [ Token.Text; Token.Textbox; Token.Selection; Token.Radio; Token.Checkbox;
     Token.Button; Token.Image ]
+
+(* Token kinds are interned first, in [all_token_kinds] order, so a
+   token's terminal id needs no lookup. *)
+let token_sid : Token.kind -> int = function
+  | Token.Text -> 0
+  | Token.Textbox -> 1
+  | Token.Selection -> 2
+  | Token.Radio -> 3
+  | Token.Checkbox -> 4
+  | Token.Button -> 5
+  | Token.Image -> 6
 
 (* A hint [rel(a, b)] becomes checkable at the later of its two slots;
    the packed tag is normalized so the candidate (the later slot) is the
@@ -99,7 +120,11 @@ let build (g : G.Grammar.t) =
       rev := sym :: !rev;
       i
   in
-  List.iter (fun k -> ignore (intern (Symbol.of_token_kind k))) all_token_kinds;
+  List.iter
+    (fun k ->
+       let id = intern (Symbol.of_token_kind k) in
+       assert (id = token_sid k))
+    all_token_kinds;
   List.iter (fun s -> ignore (intern s)) g.terminals;
   List.iter
     (fun (p : G.Production.t) ->
@@ -166,11 +191,29 @@ let build (g : G.Grammar.t) =
   let max_arity =
     Array.fold_left (fun acc fp -> max acc fp.arity) 1 prods
   in
+  let prefs =
+    Array.of_list
+      (List.map
+         (fun (r : G.Preference.t) ->
+            { pref = r;
+              wsid = Hashtbl.find ids r.winner;
+              lsid = Hashtbl.find ids r.loser })
+         g.preferences)
+  in
+  let prefs_by_sym = Array.make nsyms [] in
+  for k = Array.length prefs - 1 downto 0 do
+    let fr = prefs.(k) in
+    prefs_by_sym.(fr.wsid) <- fr :: prefs_by_sym.(fr.wsid);
+    if fr.lsid <> fr.wsid then
+      prefs_by_sym.(fr.lsid) <- fr :: prefs_by_sym.(fr.lsid)
+  done;
   { syms;
     nsyms;
     ids;
     prods;
     by_head;
+    prefs;
+    prefs_by_sym = Array.map Array.of_list prefs_by_sym;
     marks_len = max 1 !mark_base;
     deltas_len = max 1 !delta_base;
     max_arity }
