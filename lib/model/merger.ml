@@ -4,43 +4,66 @@ type parse = {
 }
 
 module Int_set = Set.Make (Int)
+module Int_map = Map.Make (Int)
+module String_set = Set.Make (String)
 
+(* Conditions that agree on normalized attribute, distinct normalized
+   operators and domain shape are one condition.  The key is one string:
+   the domain shape (no user text, no '|'), then the attribute and each
+   operator length-prefixed, so distinct triples never share a key. *)
 let condition_key (c : Condition.t) =
-  let rec domain_key = function
-    | Condition.Text -> "t"
-    | Condition.Datetime -> "d"
-    | Condition.Range d -> "r(" ^ domain_key d ^ ")"
-    | Condition.Enumeration vs -> Fmt.str "e%d" (List.length vs)
+  let b = Buffer.create 32 in
+  let rec domain = function
+    | Condition.Text -> Buffer.add_char b 't'
+    | Condition.Datetime -> Buffer.add_char b 'd'
+    | Condition.Range d ->
+      Buffer.add_string b "r(";
+      domain d;
+      Buffer.add_char b ')'
+    | Condition.Enumeration vs ->
+      Buffer.add_char b 'e';
+      Buffer.add_string b (Int.to_string (List.length vs))
   in
-  ( Condition.normalize_label c.attribute,
-    List.sort_uniq compare (List.map Condition.normalize_label c.operators),
-    domain_key c.domain )
+  let field s =
+    Buffer.add_string b (Int.to_string (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  domain c.domain;
+  Buffer.add_char b '|';
+  field (Condition.normalize_label c.attribute);
+  List.iter field
+    (List.sort_uniq String.compare
+       (List.map Condition.normalize_label c.operators));
+  Buffer.contents b
 
-let merge ~all_tokens ?(ignorable = fun _ -> false) parses =
-  (* Union of conditions, deduplicated; remember the first token-set each
-     distinct condition claims so conflicts can be detected. *)
-  let seen = Hashtbl.create 16 in
+let merge ~tokens ~id ~describe ?(ignorable = fun _ -> false) parses =
+  (* Union of conditions, deduplicated; remember the first condition that
+     claims each token so conflicts can be detected.  A condition's
+     printed label is needed only when two conditions meet on a token. *)
+  let seen = ref String_set.empty in
   let conditions = ref [] in
-  let claims : (int, string) Hashtbl.t = Hashtbl.create 64 in
+  let claims = ref Int_map.empty in
   let errors = ref [] in
   List.iter
     (fun parse ->
        List.iter
-         (fun (cond, tokens) ->
+         (fun (cond, toks) ->
             let key = condition_key cond in
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
+            if not (String_set.mem key !seen) then begin
+              seen := String_set.add key !seen;
               conditions := cond :: !conditions;
-              let label = Condition.to_string cond in
+              let label = lazy (Condition.to_string cond) in
               List.iter
                 (fun tok ->
-                   match Hashtbl.find_opt claims tok with
-                   | Some other when other <> label ->
-                     errors :=
-                       Semantic_model.Conflict (tok, other, label) :: !errors
-                   | Some _ -> ()
-                   | None -> Hashtbl.replace claims tok label)
-                tokens
+                   match Int_map.find_opt tok !claims with
+                   | Some other ->
+                     let other = Lazy.force other and label = Lazy.force label in
+                     if not (String.equal other label) then
+                       errors :=
+                         Semantic_model.Conflict (tok, other, label) :: !errors
+                   | None -> claims := Int_map.add tok label !claims)
+                toks
             end)
          parse.conditions)
     parses;
@@ -51,9 +74,10 @@ let merge ~all_tokens ?(ignorable = fun _ -> false) parses =
       Int_set.empty parses
   in
   List.iter
-    (fun (tok, descr) ->
-       if (not (Int_set.mem tok covered)) && not (ignorable tok) then
-         errors := Semantic_model.Missing (tok, descr) :: !errors)
-    all_tokens;
+    (fun t ->
+       let tok = id t in
+       if (not (Int_set.mem tok covered)) && not (ignorable t) then
+         errors := Semantic_model.Missing (tok, describe t) :: !errors)
+    tokens;
   { Semantic_model.conditions = List.rev !conditions;
     errors = List.rev !errors }

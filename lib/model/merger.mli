@@ -14,12 +14,19 @@ type parse = {
 }
 
 val merge :
-  all_tokens:(int * string) list ->
-  ?ignorable:(int -> bool) ->
+  tokens:'tok list ->
+  id:('tok -> int) ->
+  describe:('tok -> string) ->
+  ?ignorable:('tok -> bool) ->
   parse list ->
   Semantic_model.t
-(** [merge ~all_tokens parses] unions the conditions of all parses
-    (deduplicating equivalent conditions), detects conflicts, and reports
-    as missing every token of [all_tokens] not covered by any parse and
-    not deemed [ignorable] (the default ignores nothing).  [all_tokens]
-    pairs a token id with a short description used in error messages. *)
+(** [merge ~tokens ~id ~describe parses] unions the conditions of all
+    parses (deduplicating equivalent conditions), detects conflicts, and
+    reports as missing every token of [tokens] whose [id] no parse
+    covers and that is not deemed [ignorable] (the default ignores
+    nothing).  Missing reports follow the order of [tokens].
+
+    Error text is produced on demand: [describe] is called once for each
+    token reported missing and for no other, and a condition's
+    {!Condition.to_string} label is computed only when it meets another
+    condition on a token (the conflict check compares labels). *)

@@ -69,7 +69,9 @@ let test_pp () =
 
 let cond name = Condition.make ~attribute:name Condition.Text
 
-let all_tokens = List.init 6 (fun i -> (i, Printf.sprintf "token %d" i))
+let merge ?ignorable parses =
+  Merger.merge ~tokens:(List.init 6 Fun.id) ~id:Fun.id
+    ~describe:(Printf.sprintf "token %d") ?ignorable parses
 
 let test_merge_union () =
   let p1 =
@@ -78,7 +80,7 @@ let test_merge_union () =
   let p2 =
     { Merger.conditions = [ (cond "b", [ 2; 3 ]) ]; cover = [ 2; 3 ] }
   in
-  let m = Merger.merge ~all_tokens [ p1; p2 ] in
+  let m = merge [ p1; p2 ] in
   check_int "union of conditions" 2 (Semantic_model.condition_count m);
   check_int "missing tokens reported" 2 (Semantic_model.missing_count m);
   check_int "no conflicts" 0 (Semantic_model.conflict_count m)
@@ -89,7 +91,7 @@ let test_merge_dedup () =
     { Merger.conditions = [ (Condition.make ~attribute:"A:" Condition.Text, [ 0 ]) ];
       cover = [ 0 ] }
   in
-  let m = Merger.merge ~all_tokens [ p1; p2 ] in
+  let m = merge [ p1; p2 ] in
   check_int "equivalent conditions merged" 1 (Semantic_model.condition_count m)
 
 let test_merge_conflict () =
@@ -97,17 +99,17 @@ let test_merge_conflict () =
      (passengers vs adults competing for the number selection). *)
   let p1 = { Merger.conditions = [ (cond "passengers", [ 1; 2 ]) ]; cover = [ 1; 2 ] } in
   let p2 = { Merger.conditions = [ (cond "adults", [ 2; 3 ]) ]; cover = [ 2; 3 ] } in
-  let m = Merger.merge ~all_tokens [ p1; p2 ] in
+  let m = merge [ p1; p2 ] in
   check_int "conflict reported" 1 (Semantic_model.conflict_count m);
   check_int "both conditions kept" 2 (Semantic_model.condition_count m)
 
 let test_merge_ignorable () =
   let p = { Merger.conditions = [ (cond "a", [ 0 ]) ]; cover = [ 0 ] } in
-  let m = Merger.merge ~all_tokens ~ignorable:(fun t -> t >= 1) [ p ] in
+  let m = merge ~ignorable:(fun t -> t >= 1) [ p ] in
   check_int "ignorable suppressed" 0 (Semantic_model.missing_count m)
 
 let test_merge_empty () =
-  let m = Merger.merge ~all_tokens:[] [] in
+  let m = Merger.merge ~tokens:[] ~id:Fun.id ~describe:string_of_int [] in
   check_int "empty" 0 (Semantic_model.condition_count m);
   Alcotest.(check bool) "equals empty" true (m = Semantic_model.empty)
 
