@@ -45,3 +45,11 @@ val render :
 
     [trace] records a [layout.atoms] instant with the atom count and
     page width; tracing never changes the layout. *)
+
+val is_block : string -> bool
+(** Element names laid out as blocks ([div], [p], [table], [form],
+    [h1]..[h6], [li], ...); every other element flows inline. *)
+
+val is_skipped : string -> bool
+(** Element names whose subtree produces no atoms ([head], [script],
+    [style], [title]). *)
