@@ -22,7 +22,10 @@ let is_terminal = function Terminal _ -> true | Nonterminal _ -> false
 
 let of_token_kind kind = Terminal (Wqi_token.Token.kind_name kind)
 
-let equal a b = compare a b = 0
+let equal a b =
+  match a, b with
+  | Terminal x, Terminal y | Nonterminal x, Nonterminal y -> String.equal x y
+  | Terminal _, Nonterminal _ | Nonterminal _, Terminal _ -> false
 
 let pp ppf = function
   | Terminal n -> Fmt.pf ppf "'%s'" n
