@@ -37,11 +37,14 @@ let is_field t =
   | Textbox | Selection | Radio | Checkbox -> true
   | Text | Button | Image -> false
 
+(* What [%S] prints: the OCaml literal syntax of [s]. *)
+let quoted s = "\"" ^ String.escaped s ^ "\""
+
 let describe t =
   match t.kind with
-  | Text -> Fmt.str "text %S" t.sval
-  | Selection -> Fmt.str "selection list %S" t.name
+  | Text -> "text " ^ quoted t.sval
+  | Selection -> "selection list " ^ quoted t.name
   | kind ->
-    if t.sval <> "" then Fmt.str "%s %S" (kind_name kind) t.sval
-    else if t.name <> "" then Fmt.str "%s %S" (kind_name kind) t.name
+    if t.sval <> "" then kind_name kind ^ " " ^ quoted t.sval
+    else if t.name <> "" then kind_name kind ^ " " ^ quoted t.name
     else kind_name kind

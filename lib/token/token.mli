@@ -44,4 +44,6 @@ val is_field : t -> bool
     and [Image]). *)
 
 val describe : t -> string
-(** One-line description used in error reports. *)
+(** One-line description used in error reports: the kind and the
+    token's text (or field name) quoted as [%S] prints it, e.g.
+    [text "Author:"], [selection list "class"]. *)
