@@ -22,12 +22,14 @@ let named_entities =
     ("ouml", "\xc3\xb6"); ("oslash", "\xc3\xb8"); ("ugrave", "\xc3\xb9");
     ("uacute", "\xc3\xba"); ("ucirc", "\xc3\xbb"); ("uuml", "\xc3\xbc") ]
 
-let named_table : (string, string) Hashtbl.t =
-  let t = Hashtbl.create 97 in
-  List.iter (fun (k, v) -> Hashtbl.replace t k v) named_entities;
-  t
+module String_map = Map.Make (String)
 
-let lookup_named name = Hashtbl.find_opt named_table name
+let named_table =
+  List.fold_left
+    (fun m (k, v) -> String_map.add k v m)
+    String_map.empty named_entities
+
+let lookup_named name = String_map.find_opt name named_table
 
 (* Encode a Unicode scalar value as UTF-8, substituting U+FFFD for invalid
    code points, as browsers do for numeric references. *)
