@@ -4,8 +4,8 @@
    grammar is available online".
 
    Grammar-file modes:
-     --export        print the declarative standard grammar in the .wqg
-                     sexp format (the bytes of examples/grammars/std.wqg)
+     --export        reprint the standard grammar, examples/grammars/std.wqg,
+                     in its canonical .wqg form (the file's own bytes)
      --load FILE     load FILE, instantiate it against the standard
                      lexical environment, and re-print its canonical
                      dump — [--export | --load /dev/stdin] is the
@@ -17,7 +17,7 @@
 module Loader = Wqi_grammar.Loader
 module Algebra = Wqi_grammar.Algebra
 
-let env = Wqi_stdgrammar.Std_decl.env
+let env = Wqi_stdgrammar.Std.env
 
 let fail fmt = Format.kfprintf (fun _ -> exit 1) Format.err_formatter fmt
 
@@ -48,7 +48,7 @@ let legacy_dump () =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--export" :: [] ->
-    print_string (Loader.dump Wqi_stdgrammar.Std_decl.decl)
+    print_string (Loader.dump Wqi_stdgrammar.Std.decl)
   | _ :: "--load" :: file :: [] ->
     let decl, _g = load_instantiated file in
     print_string (Loader.dump decl)

@@ -304,9 +304,7 @@ let run_forms ?trace (config : Config.t) html =
       forms
 
 let load_grammar path =
-  match
-    Wqi_grammar.Loader.load_grammar ~env:Wqi_stdgrammar.Std_decl.env path
-  with
+  match Wqi_grammar.Loader.load_grammar ~env:Wqi_stdgrammar.Std.env path with
   | Error msg -> Error msg
   | Ok (decl, g) ->
     (match

@@ -129,7 +129,7 @@ val run_forms : ?trace:Wqi_obs.Trace.t -> Config.t -> string -> extraction list
 val load_grammar :
   string -> (Wqi_parser.Engine.compiled, string) result
 (** [load_grammar path] reads a [.wqg] grammar file, resolves it against
-    the standard lexical environment ({!Wqi_stdgrammar.Std_decl.env}),
+    the standard lexical environment ({!Wqi_stdgrammar.Std.env}),
     and compiles it into a pack carrying the file's declared
     name/version — ready for {!Config.with_compiled}.  Errors (I/O,
     malformed file, failed validation) come back as one printable

@@ -89,7 +89,7 @@ let empty_env =
   { text_classes = []; options_classes = []; splitters = []; combos = [] }
 
 (* ------------------------------------------------------------------ *)
-(* Semantic access — same readings as the hand-written grammar uses.   *)
+(* Semantic access                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let tok_sval (i : Instance.t) =
@@ -323,8 +323,7 @@ let unit_distance (i : Instance.t) =
 let attribute_of (i : Instance.t) =
   match i.sem with Instance.S_cond c -> c.Condition.attribute | _ -> ""
 
-(* Association scoring, shared with the hand-written grammar's
-   semantics: left-of is the strongest labelling convention, then
+(* Association scoring: left-of is the strongest labelling convention, then
    above/below, then anything else; ties break toward the reading that
    explains more tokens, then the more compact one. *)
 let assoc_score ~is_attr_sym (i : Instance.t) =

@@ -17,7 +17,7 @@
     phrase, a bound marker, a plausible attribute label) stays in code:
     an {!env} maps names to the judgement functions, and the algebra
     references them by name.  The standard environment built over
-    [Wqi_stdgrammar.Lexicon] lives in [Wqi_stdgrammar.Std_decl].
+    [Wqi_stdgrammar.Lexicon] is [Wqi_stdgrammar.Std.env].
 
     {b Hints are derived, not declared.}  Because guards are data, the
     spatial conjuncts the candidate index can see through
@@ -34,8 +34,8 @@ type slot = int
 type text_src = Token_text | Sem_str
 
 (** Guard predicates: conjunctions over spatial relations between two
-    slots, named lexical classes, and structural tests — mirroring
-    exactly what the hand-written [std.ml] guards check. *)
+    slots, named lexical classes, and structural tests — everything the
+    standard grammar's guards check. *)
 type pred =
   | P_true
   | P_and of pred list
@@ -155,8 +155,7 @@ val derived_hints : pred -> Hint.t list
 val compile_guard :
   env -> arity:int -> pred -> (Instance.t array -> bool, string) result
 (** Resolve names against [env] and slots against [arity] once,
-    returning a closure that evaluates the predicate exactly as the
-    equivalent hand-written guard would.  [Error] names the offending
+    returning a closure that evaluates the predicate.  [Error] names the offending
     construct. *)
 
 val compile_build :

@@ -120,11 +120,6 @@ let date_component options =
     else if all is_hour_or_minute then `Time
     else `None
 
-let is_dateish_options options =
-  match date_component options with
-  | `None -> false
-  | `Month | `Day | `Year | `Time -> true
-
 let plausible_date_combo option_lists =
   let components = List.map date_component option_lists in
   match components with

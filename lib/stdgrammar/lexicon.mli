@@ -25,10 +25,6 @@ val is_bound_marker : string -> bool
 (** Range-bound wording: "from", "to", "min", "max", "between", "under",
     "over", "at least", "at most", "and". *)
 
-val is_dateish_options : string list -> bool
-(** Option labels that look like a date/time component: month names,
-    day-of-month numbers, plausible years, hours or minutes. *)
-
 val date_component : string list -> [ `Month | `Day | `Year | `Time | `None ]
 (** Classify a selection list's options as one date/time component. *)
 

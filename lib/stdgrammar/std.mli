@@ -4,7 +4,11 @@
     (21 recurring condition patterns; 82 productions, 39 nonterminals, 16
     terminals) and shows it generalizes to new sources, new domains and
     random sources.  This module is our derivation of that grammar for
-    the same pattern vocabulary.
+    the same pattern vocabulary.  Its productions and preferences live
+    in [examples/grammars/std.wqg], the only copy, embedded at build
+    time and loaded against {!env} when the module initialises; a file
+    that fails to load raises [Invalid_argument] there.  Production
+    hints are {!Wqi_grammar.Algebra.derived_hints} of the guards.
 
     Nonterminal inventory (paper names kept where they exist):
 
@@ -22,8 +26,19 @@
     precedence such as TextOp over TextVal; and closest-pairing for
     equal-type conflicts). *)
 
+val env : Wqi_grammar.Algebra.env
+(** The standard lexical environment: {!Lexicon} judgements under
+    stable names — text classes [plausible-attribute], [bound-marker],
+    [unit-word], [operator-phrase]; options class
+    [all-operator-options]; splitters [bound-suffix], [unit-prefix];
+    combo [date-combo].  Grammar files are resolved against these
+    names. *)
+
+val decl : Wqi_grammar.Algebra.grammar
+(** [std.wqg] parsed against {!env}: name ["std"], version ["1"]. *)
+
 val grammar : Wqi_grammar.Grammar.t
-(** The derived grammar; passes [Grammar.validate]. *)
+(** [decl] instantiated against {!env}; passes [Grammar.validate]. *)
 
 val start : Wqi_grammar.Symbol.t
 (** The start symbol [QI]. *)
