@@ -7,10 +7,11 @@
              ablation-components baseline.  No arguments = all.
 
    --json FILE writes the measurements of the perf and batch120 sections
-   (Bechamel OLS ns/run per size, batch wall-clock at jobs=1 and jobs=N,
-   instance counters) as a machine-readable regression record; --smoke
-   shrinks the Bechamel quota so the harness itself can be exercised
-   from the test suite (see bench/validate_bench_json.ml). *)
+   (Bechamel OLS ns/run per size, the lowest of 5 fits on full runs,
+   batch wall-clock at jobs=1 and jobs=N, instance counters) as a
+   machine-readable regression record; --smoke shrinks the Bechamel
+   quota so the harness itself can be exercised from the test suite
+   (see bench/validate_bench_json.ml). *)
 
 module Dataset = Wqi_corpus.Dataset
 module Generator = Wqi_corpus.Generator
@@ -246,15 +247,31 @@ let perf () =
   let cfg =
     Benchmark.cfg ~limit:100 ~stabilize:true ~quota:(Time.second quota) ()
   in
-  let raw = Benchmark.all cfg instances test in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  (* One OLS fit is one sample of a host whose speed drifts between
+     runs, so full runs measure the ladder [repeats] times and keep each
+     row's lowest estimate, with that run's r^2. *)
+  let repeats = if !smoke then 1 else 5 in
+  let best = Hashtbl.create 8 in
+  for _ = 1 to repeats do
+    let raw = Benchmark.all cfg instances test in
+    Hashtbl.iter
+      (fun name result ->
+         let estimate =
+           match Analyze.OLS.estimates result with
+           | Some (e :: _) -> e
+           | _ -> nan
+         in
+         let r2 = Option.value ~default:nan (Analyze.OLS.r_square result) in
+         match Hashtbl.find_opt best name with
+         | Some (e, _) when not (estimate < e || Float.is_nan e) -> ()
+         | _ -> Hashtbl.replace best name (estimate, r2))
+      (Analyze.all ols Toolkit.Instance.monotonic_clock raw)
+  done;
   let rows =
-    Hashtbl.fold
-      (fun name result acc -> (name, result) :: acc)
-      results []
+    Hashtbl.fold (fun name fit acc -> (name, fit) :: acc) best []
     |> List.sort compare
   in
   (* One plain run per size for the instance counters the OLS fit
@@ -295,13 +312,7 @@ let perf () =
     "minor w" "guards hinted/unhinted (admit rate)";
   let collected =
     List.filter_map
-      (fun (name, result) ->
-         let estimate =
-           match Analyze.OLS.estimates result with
-           | Some (e :: _) -> e
-           | _ -> nan
-         in
-         let r2 = Option.value ~default:nan (Analyze.OLS.r_square result) in
+      (fun (name, (estimate, r2)) ->
          match List.assoc_opt name stats_by_name with
          | None ->
            Format.printf "  %-22s %9.3f ms %8.4f@." name (estimate /. 1e6) r2;
