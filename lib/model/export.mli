@@ -32,6 +32,9 @@ val source_description :
 val string : string -> string
 (** A JSON string literal with escaping. *)
 
+val add_string : Buffer.t -> string -> unit
+(** {!string}, appended to a buffer instead of returned. *)
+
 val array : string list -> string
 (** A JSON array of pre-rendered values. *)
 

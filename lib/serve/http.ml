@@ -147,6 +147,29 @@ let parse_header_line line =
     if name = "" then raise (Malformed "empty header name");
     (name, value)
 
+(* RFC 9110 §8.6: one or more ASCII digits, nothing else ([int_of_string]
+   would also take "0x10", "+5" and "1_0").  A value too long for an
+   int is a body too large to accept.  Repeated headers must agree: two
+   different lengths leave the message's framing ambiguous. *)
+let content_length headers =
+  let parse v =
+    let digit = function '0' .. '9' -> true | _ -> false in
+    if v = "" || not (String.for_all digit v) then
+      raise (Malformed "bad content-length");
+    match int_of_string_opt v with
+    | Some n -> n
+    | None -> raise (Too_large "body")
+  in
+  List.fold_left
+    (fun acc (name, v) ->
+       if name <> "content-length" then acc
+       else
+         let n = parse v in
+         match acc with
+         | Some m when m <> n -> raise (Malformed "conflicting content-length")
+         | _ -> Some n)
+    None headers
+
 let read_request c ~max_body =
   match read_line c ~budget:max_head_bytes with
   | None -> None
@@ -178,17 +201,12 @@ let read_request c ~max_body =
      | Some _ -> raise (Malformed "transfer-encoding not supported")
      | None -> ());
     let body =
-      match find "content-length" with
+      match content_length headers with
       | None ->
         if meth = "POST" || meth = "PUT" then
           raise (Malformed "missing content-length")
         else ""
-      | Some v ->
-        let n =
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 -> n
-          | _ -> raise (Malformed "bad content-length")
-        in
+      | Some n ->
         if n > max_body then raise (Too_large "body");
         read_exact c n
     in

@@ -41,7 +41,13 @@ val read_request : conn -> max_body:int -> request option
     byte of a request; raises {!Malformed} on protocol errors (including
     EOF mid-request), {!Too_large} when headers exceed 32 KiB or the
     body exceeds [max_body].  [Unix.Unix_error] from the socket (e.g. a
-    receive timeout) passes through. *)
+    receive timeout) passes through.
+
+    The body is framed by [Content-Length], whose value must be ASCII
+    digits only (RFC 9110 §8.6: no sign, [0x] prefix or [_]); a
+    repeated header must repeat the same length.  Anything else is
+    {!Malformed}, as is a body shorter than its length; a length past
+    the [int] range is {!Too_large}. *)
 
 val write_response :
   ?scratch:Buffer.t ->

@@ -36,173 +36,413 @@ type entry = {
   e_meta : meta;
 }
 
-(* Floats (quality score/coverage) render integer-valued without a
-   decimal point; the parser accepts both forms. *)
-let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+(* --- writer ------------------------------------------------------- *)
 
-let render_line (k : Key.t) e =
-  let str = Wqi_model.Export.string in
-  let quality =
-    match e.e_meta.quality with
-    | None -> ""
-    | Some q ->
-      Printf.sprintf ",\"score\":%s,\"coverage\":%s,\"conflicts\":%d"
-        (float_repr q.q_score) (float_repr q.q_coverage) q.q_conflicts
-  in
-  Printf.sprintf
-    "{\"k\":%s,\"len\":%d,\"spec\":%s,\"seg\":%d,\"off\":%d,\"bytes\":%d,\
-     \"crc\":%d,\"src\":%s,\"grammar\":%s,\"outcome\":%s,\"domain\":%s%s}"
-    (str (Key.to_hex k.Key.hash))
-    k.Key.len (str k.Key.spec) e.e_seg e.e_off e.e_len e.e_crc
-    (str e.e_meta.source) (str e.e_meta.grammar) (str e.e_meta.outcome)
-    (str e.e_meta.domain) quality
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Non-negative integers digit by digit, with no intermediate string. *)
+let rec add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* Floats (quality score/coverage) render integer-valued without a
+   decimal point; the reader accepts both forms. *)
+let add_float b f =
+  Buffer.add_string b
+    (format_float
+       (if Float.is_integer f && Float.abs f < 1e15 then "%.0f" else "%.12g")
+       f)
+
+let add_line b (k : Key.t) e =
+  let str = Wqi_model.Export.add_string in
+  Buffer.add_string b "{\"k\":\"";
+  for i = 15 downto 0 do
+    Buffer.add_char b
+      "0123456789abcdef".[Int64.to_int
+                            (Int64.shift_right_logical k.Key.hash (4 * i))
+                          land 15]
+  done;
+  Buffer.add_string b "\",\"len\":";
+  add_int b k.Key.len;
+  Buffer.add_string b ",\"spec\":";
+  str b k.Key.spec;
+  Buffer.add_string b ",\"seg\":";
+  add_int b e.e_seg;
+  Buffer.add_string b ",\"off\":";
+  add_int b e.e_off;
+  Buffer.add_string b ",\"bytes\":";
+  add_int b e.e_len;
+  Buffer.add_string b ",\"crc\":";
+  add_int b e.e_crc;
+  Buffer.add_string b ",\"src\":";
+  str b e.e_meta.source;
+  Buffer.add_string b ",\"grammar\":";
+  str b e.e_meta.grammar;
+  Buffer.add_string b ",\"outcome\":";
+  str b e.e_meta.outcome;
+  Buffer.add_string b ",\"domain\":";
+  str b e.e_meta.domain;
+  (match e.e_meta.quality with
+   | None -> ()
+   | Some q ->
+     Buffer.add_string b ",\"score\":";
+     add_float b q.q_score;
+     Buffer.add_string b ",\"coverage\":";
+     add_float b q.q_coverage;
+     Buffer.add_string b ",\"conflicts\":";
+     add_int b q.q_conflicts);
+  Buffer.add_char b '}'
+
+let render_line k e =
+  let b = Buffer.create 256 in
+  add_line b k e;
+  Buffer.contents b
+
+(* --- reader ------------------------------------------------------- *)
+
+(* One pass over [line.[lo .. hi)], in the grammar the writer emits:
+   an object of string and number members, spaces and tabs between
+   tokens.  Field names are matched where they lie and each member's
+   value lands in its field's slot, so a duplicated key's last value is
+   the one that counts, whatever kind it is; unknown keys are skipped
+   once their value has been checked.  A string is one [String.sub]
+   unless it holds an escape; a plain run of at most 18 digits is
+   decoded in place, and any other number goes through
+   [int_of_string_opt], then [float_of_string_opt], as a substring. *)
 
 exception Bad_line
 
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else raise Bad_line in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then raise Bad_line;
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise Bad_line;
-      match line.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        (match peek () with
-         | 'n' -> Buffer.add_char b '\n'; incr pos
-         | 't' -> Buffer.add_char b '\t'; incr pos
-         | 'r' -> Buffer.add_char b '\r'; incr pos
-         | '"' -> Buffer.add_char b '"'; incr pos
-         | '\\' -> Buffer.add_char b '\\'; incr pos
-         | '/' -> Buffer.add_char b '/'; incr pos
-         | 'u' ->
-           if !pos + 4 >= n then raise Bad_line;
-           let hex = String.sub line (!pos + 1) 4 in
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 256 -> Buffer.add_char b (Char.chr code)
-            | Some _ -> raise Bad_line  (* never emitted *)
-            | None -> raise Bad_line);
-           pos := !pos + 5
-         | _ -> raise Bad_line);
-        go ()
+(* Field ids: the strings, then the integers, then the floats.  -1 is a
+   key the reader skips. *)
+let f_k = 0
+let f_spec = 1
+let f_src = 2
+let f_grammar = 3
+let f_outcome = 4
+let f_domain = 5
+let f_len = 6
+let f_seg = 7
+let f_off = 8
+let f_bytes = 9
+let f_crc = 10
+let f_conflicts = 11
+let f_score = 12
+let f_coverage = 13
+
+let required = 0x7ff         (* k .. crc *)
+let quality_fields = 0x3800  (* conflicts, score, coverage *)
+
+type reader = {
+  line : string;
+  hi : int;
+  mutable pos : int;
+  mutable ok : int;  (* bit f: field f's last value was of its kind *)
+  mutable has_score : bool;  (* a "score" key occurred, of any kind *)
+  strs : string array;   (* by field id ([f_k] unused) *)
+  ints : int array;      (* by field id - [f_len] *)
+  nums : Float.Array.t;  (* by field id - [f_score] *)
+  mutable k_text : string;  (* the last "k": [k_len] bytes of [k_text] *)
+  mutable k_at : int;       (* from [k_at] *)
+  mutable k_len : int;
+}
+
+let[@inline] bad () = raise_notrace Bad_line
+
+let[@inline] mark r f good =
+  r.ok <- (if good then r.ok lor (1 lsl f) else r.ok land lnot (1 lsl f))
+
+let[@inline] peek r =
+  if r.pos < r.hi then String.unsafe_get r.line r.pos else bad ()
+
+let skip_ws r =
+  while
+    r.pos < r.hi
+    && (match String.unsafe_get r.line r.pos with
+        | ' ' | '\t' -> true
+        | _ -> false)
+  do r.pos <- r.pos + 1 done
+
+let expect r c =
+  skip_ws r;
+  if peek r <> c then bad ();
+  r.pos <- r.pos + 1
+
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* The value of [n] hex digits at [s.[i]], as [int_of_string] reads
+   them after a "0x": the first a digit, each later one a digit or an
+   ignored '_'.  -1 when they are not. *)
+let hex_run s i n =
+  if hex_digit (String.unsafe_get s i) < 0 then -1
+  else begin
+    let v = ref 0 and ok = ref true in
+    for j = i to i + n - 1 do
+      match String.unsafe_get s j with
+      | '_' -> ()
       | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    let numeric = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && numeric line.[!pos] do incr pos done;
-    if !pos = start then raise Bad_line;
-    let s = String.sub line start (!pos - start) in
-    match int_of_string_opt s with
-    | Some v -> `Int v
+        let d = hex_digit c in
+        if d < 0 then ok := false else v := (!v lsl 4) lor d
+    done;
+    if !ok then !v else -1
+  end
+
+(* The 16 digits of a key hash, read by the same rule (as
+   [Int64.of_string] does). *)
+let hash_of s i =
+  if hex_digit (String.unsafe_get s i) < 0 then bad ();
+  let h = ref 0L in
+  for j = i to i + 15 do
+    match String.unsafe_get s j with
+    | '_' -> ()
+    | c ->
+      let d = hex_digit c in
+      if d < 0 then bad ();
+      h := Int64.logor (Int64.shift_left !h 4) (Int64.of_int d)
+  done;
+  !h
+
+(* Advance past the string whose opening quote is at [r.pos]; true when
+   it holds an escape.  Escapes are checked here, decoded by
+   [unescape]. *)
+let scan_string r =
+  if peek r <> '"' then bad ();
+  let s = r.line and hi = r.hi in
+  let i = ref (r.pos + 1) and esc = ref false in
+  while
+    if !i >= hi then bad ();
+    String.unsafe_get s !i <> '"'
+  do
+    if String.unsafe_get s !i = '\\' then begin
+      esc := true;
+      incr i;
+      if !i >= hi then bad ();
+      match String.unsafe_get s !i with
+      | 'n' | 't' | 'r' | '"' | '\\' | '/' -> ()
+      | 'u' ->
+        if !i + 4 >= hi then bad ();
+        let code = hex_run s (!i + 1) 4 in
+        if code < 0 || code >= 256 then bad ();
+        i := !i + 4
+      | _ -> bad ()
+    end;
+    incr i
+  done;
+  r.pos <- !i + 1;
+  !esc
+
+(* The bytes of a checked string body [s.[lo .. hi)] with its escapes
+   decoded. *)
+let unescape s lo hi =
+  let b = Buffer.create (hi - lo) in
+  let i = ref lo in
+  while !i < hi do
+    (match String.unsafe_get s !i with
+     | '\\' ->
+       incr i;
+       (match String.unsafe_get s !i with
+        | 'n' -> Buffer.add_char b '\n'
+        | 't' -> Buffer.add_char b '\t'
+        | 'r' -> Buffer.add_char b '\r'
+        | 'u' ->
+          Buffer.add_char b (Char.chr (hex_run s (!i + 1) 4));
+          i := !i + 4
+        | c -> Buffer.add_char b c)
+     | c -> Buffer.add_char b c);
+    incr i
+  done;
+  Buffer.contents b
+
+let rec same s at name j =
+  j = String.length name
+  || (String.unsafe_get s (at + j) = String.unsafe_get name j
+      && same s at name (j + 1))
+
+let is s at name = same s at name 0
+
+let field_id s at len =
+  match len with
+  | 1 -> if is s at "k" then f_k else -1
+  | 3 ->
+    if is s at "len" then f_len
+    else if is s at "seg" then f_seg
+    else if is s at "off" then f_off
+    else if is s at "crc" then f_crc
+    else if is s at "src" then f_src
+    else -1
+  | 4 -> if is s at "spec" then f_spec else -1
+  | 5 ->
+    if is s at "bytes" then f_bytes
+    else if is s at "score" then f_score
+    else -1
+  | 6 -> if is s at "domain" then f_domain else -1
+  | 7 ->
+    if is s at "grammar" then f_grammar
+    else if is s at "outcome" then f_outcome
+    else -1
+  | 8 -> if is s at "coverage" then f_coverage else -1
+  | 9 -> if is s at "conflicts" then f_conflicts else -1
+  | _ -> -1
+
+let int_value r f v =
+  if f >= f_score then begin
+    mark r f true;
+    Float.Array.set r.nums (f - f_score) (float_of_int v)
+  end
+  else if f >= f_len then begin
+    mark r f (v >= 0);
+    r.ints.(f - f_len) <- v
+  end
+  else if f >= 0 then mark r f false
+
+let float_value r f x =
+  if f >= f_score then begin
+    mark r f true;
+    Float.Array.set r.nums (f - f_score) x
+  end
+  else if f >= 0 then mark r f false
+
+(* A number token into field [f]: the bytes [0-9+-.eE] the old reader
+   took, decoded as [int_of_string_opt], else [float_of_string_opt],
+   would decode them.  [int_of_string] reads only a sign and digits, so
+   a token with '.', 'e' or 'E' goes straight to [float_of_string_opt]. *)
+let number r f =
+  let start = r.pos in
+  let shape = ref 0 (* 0 digits, 1 and a sign, 2 not an int *) in
+  let v = ref 0 in
+  while
+    r.pos < r.hi
+    &&
+    match String.unsafe_get r.line r.pos with
+    | '0' .. '9' as c ->
+      v := (!v * 10) + (Char.code c - 48);
+      true
+    | '-' | '+' ->
+      shape := max !shape 1;
+      true
+    | '.' | 'e' | 'E' ->
+      shape := 2;
+      true
+    | _ -> false
+  do r.pos <- r.pos + 1 done;
+  let n = r.pos - start in
+  if n = 0 then bad ();
+  if !shape = 0 && n <= 18 then int_value r f !v
+  else begin
+    let s = String.sub r.line start n in
+    match if !shape = 2 then None else int_of_string_opt s with
+    | Some v -> int_value r f v
     | None ->
       (match float_of_string_opt s with
-       | Some v -> `Num v
-       | None -> raise Bad_line)
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = '}' then incr pos
-  else begin
-    let rec members () =
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let value =
-        if peek () = '"' then `Str (parse_string ()) else parse_number ()
-      in
-      fields := (key, value) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' -> incr pos; skip_ws (); members ()
-      | '}' -> incr pos
-      | _ -> raise Bad_line
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then raise Bad_line;
-  !fields
+       | Some x -> float_value r f x
+       | None -> bad ())
+  end
 
-let parse_line line =
-  match parse_fields line with
+(* A string value, body [line.[lo .. hi)], into field [f]. *)
+let string_value r f lo hi esc =
+  if f = f_k then begin
+    mark r f true;
+    if esc then begin
+      let d = unescape r.line lo hi in
+      r.k_text <- d;
+      r.k_at <- 0;
+      r.k_len <- String.length d
+    end
+    else begin
+      r.k_text <- r.line;
+      r.k_at <- lo;
+      r.k_len <- hi - lo
+    end
+  end
+  else if f > f_k && f < f_len then begin
+    mark r f true;
+    r.strs.(f) <-
+      (if esc then unescape r.line lo hi else String.sub r.line lo (hi - lo))
+  end
+  else if f >= 0 then mark r f false
+
+let rec members r =
+  skip_ws r;
+  let lo = r.pos + 1 in
+  let esc = scan_string r in
+  let f =
+    if esc then
+      let name = unescape r.line lo (r.pos - 1) in
+      field_id name 0 (String.length name)
+    else field_id r.line lo (r.pos - 1 - lo)
+  in
+  if f = f_score then r.has_score <- true;
+  expect r ':';
+  skip_ws r;
+  if peek r = '"' then begin
+    let lo = r.pos + 1 in
+    let esc = scan_string r in
+    string_value r f lo (r.pos - 1) esc
+  end
+  else number r f;
+  skip_ws r;
+  match peek r with
+  | ',' ->
+    r.pos <- r.pos + 1;
+    members r
+  | '}' -> r.pos <- r.pos + 1
+  | _ -> bad ()
+
+let int r f = r.ints.(f - f_len)
+let num r f = Float.Array.get r.nums (f - f_score)
+
+let result r =
+  if r.ok land required <> required || r.k_len <> 16 then bad ();
+  let quality =
+    if not r.has_score then None
+    else if r.ok land quality_fields = quality_fields then
+      Some
+        { q_score = num r f_score;
+          q_coverage = num r f_coverage;
+          q_conflicts = int r f_conflicts }
+    else bad ()
+  in
+  ( { Key.hash = hash_of r.k_text r.k_at; len = int r f_len;
+      spec = r.strs.(f_spec) },
+    { e_seg = int r f_seg;
+      e_off = int r f_off;
+      e_len = int r f_bytes;
+      e_crc = int r f_crc;
+      e_meta =
+        { source = r.strs.(f_src);
+          grammar = r.strs.(f_grammar);
+          outcome = r.strs.(f_outcome);
+          domain = r.strs.(f_domain);
+          quality } } )
+
+(* [line.[lo .. hi)] is only read, and nothing returned shares it, so
+   replay can hand in a window of a reused read buffer. *)
+let parse_range line lo hi =
+  let r =
+    { line; hi; pos = lo; ok = 0; has_score = false;
+      strs = Array.make (f_domain + 1) "";
+      ints = Array.make (f_conflicts - f_len + 1) 0;
+      nums = Float.Array.make 2 0.;
+      k_text = ""; k_at = 0; k_len = 0 }
+  in
+  match
+    expect r '{';
+    skip_ws r;
+    if peek r = '}' then r.pos <- r.pos + 1 else members r;
+    skip_ws r;
+    if r.pos <> hi then bad ();
+    result r
+  with
+  | pair -> Some pair
   | exception Bad_line -> None
-  | fields ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (`Str s) -> s
-      | _ -> raise Bad_line
-    in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (`Int v) when v >= 0 -> v
-      | _ -> raise Bad_line
-    in
-    let num k =
-      match List.assoc_opt k fields with
-      | Some (`Num v) -> v
-      | Some (`Int v) -> float_of_int v
-      | _ -> raise Bad_line
-    in
-    (* Quality provenance appeared in a later store revision: absent on
-       older manifests, so its absence is a None, never a Bad_line. *)
-    let quality () =
-      if List.mem_assoc "score" fields then
-        Some
-          { q_score = num "score";
-            q_coverage = num "coverage";
-            q_conflicts = int "conflicts" }
-      else None
-    in
-    (match
-       let hash =
-         match Key.of_hex (str "k") with
-         | Some h -> h
-         | None -> raise Bad_line
-       in
-       let key = { Key.hash; len = int "len"; spec = str "spec" } in
-       let e =
-         { e_seg = int "seg";
-           e_off = int "off";
-           e_len = int "bytes";
-           e_crc = int "crc";
-           e_meta =
-             { source = str "src";
-               grammar = str "grammar";
-               outcome = str "outcome";
-               domain = str "domain";
-               quality = quality () } }
-       in
-       (key, e)
-     with
-     | pair -> Some pair
-     | exception Bad_line -> None)
+
+let parse_line line = parse_range line 0 (String.length line)
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                              *)
@@ -221,7 +461,8 @@ type t = {
   segs : seg array;
   manifest_path : string;
   mutable manifest_oc : out_channel option;
-  man_mutex : Mutex.t;
+  man_mutex : Mutex.t;  (* guards manifest_oc and line *)
+  line : Buffer.t;      (* reused for each manifest line *)
   idx_mutex : Mutex.t;  (* guards index, sources, counters, closed *)
   index : entry Key.Tbl.t;
   sources : (string, int) Hashtbl.t;  (* live entries per source *)
@@ -295,26 +536,62 @@ let index_accept t key e =
   Hashtbl.replace t.sources e.e_meta.source
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.sources e.e_meta.source))
 
+(* What [String.trim] would empty ('\n' never occurs inside a line). *)
+let blank s lo hi =
+  let i = ref lo in
+  while
+    !i < hi
+    && (match String.unsafe_get s !i with
+        | ' ' | '\t' | '\r' | '\012' -> true
+        | _ -> false)
+  do incr i done;
+  !i = hi
+
+let replay_line t s lo hi =
+  if not (blank s lo hi) then
+    match parse_range s lo hi with
+    | Some (key, e) when e.e_seg < t.segments ->
+      index_accept t key e;
+      t.replayed <- t.replayed + 1
+    | Some _ | None -> t.dropped <- t.dropped + 1
+
+(* The manifest is read in 64 KiB blocks and parsed line by line where
+   it lies in the block; only a line that straddles two blocks is moved
+   (to the front, before the next read).  A line longer than the block
+   doubles it.  Blank lines are skipped without counting. *)
 let replay t =
-  if Sys.file_exists t.manifest_path then begin
-    let ic = open_in_bin t.manifest_path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-         let rec go () =
-           match input_line ic with
-           | exception End_of_file -> ()
-           | line ->
-             (if String.trim line <> "" then
-                match parse_line line with
-                | Some (key, e) when e.e_seg < t.segments ->
-                  index_accept t key e;
-                  t.replayed <- t.replayed + 1
-                | Some _ | None -> t.dropped <- t.dropped + 1);
-             go ()
-         in
-         go ())
-  end
+  if Sys.file_exists t.manifest_path then
+    In_channel.with_open_bin t.manifest_path (fun ic ->
+        let buf = ref (Bytes.create 65536) and held = ref 0 in
+        let eof = ref false in
+        while not !eof do
+          if !held = Bytes.length !buf then buf := Bytes.extend !buf 0 !held;
+          let got =
+            In_channel.input ic !buf !held (Bytes.length !buf - !held)
+          in
+          eof := got = 0;
+          held := !held + got;
+          (* The parser copies what it keeps, so the block may be read
+             as a string until the next read overwrites it. *)
+          let s = Bytes.unsafe_to_string !buf in
+          let lo = ref 0 and more = ref true in
+          while !more do
+            let nl = ref !lo in
+            while !nl < !held && String.unsafe_get s !nl <> '\n' do
+              incr nl
+            done;
+            if !nl < !held then begin
+              replay_line t s !lo !nl;
+              lo := !nl + 1
+            end
+            else begin
+              if !eof then replay_line t s !lo !held;
+              more := false
+            end
+          done;
+          Bytes.blit !buf !lo !buf 0 (!held - !lo);
+          held := !held - !lo
+        done)
 
 let open_ ?(segments = 16) dir =
   let requested = max 1 segments in
@@ -334,6 +611,7 @@ let open_ ?(segments = 16) dir =
       manifest_path = Filename.concat dir "manifest.jsonl";
       manifest_oc = None;
       man_mutex = Mutex.create ();
+      line = Buffer.create 512;
       idx_mutex = Mutex.create ();
       index = Key.Tbl.create 1024;
       sources = Hashtbl.create 1024;
@@ -421,6 +699,13 @@ let manifest_appender t =
     in
     t.manifest_oc <- Some oc;
     oc
+
+(* man_mutex held *)
+let output_line t oc k e =
+  Buffer.clear t.line;
+  add_line t.line k e;
+  Buffer.add_char t.line '\n';
+  Buffer.output_buffer oc t.line
 
 let mem t k =
   lock_open t;
@@ -520,8 +805,7 @@ let put t k ~meta value =
   Mutex.lock t.man_mutex;
   (match
      let oc = manifest_appender t in
-     output_string oc (render_line k e);
-     output_char oc '\n';
+     output_line t oc k e;
      flush oc
    with
    | () -> Mutex.unlock t.man_mutex
@@ -597,11 +881,7 @@ let compact_manifest t entries =
   let tmp = t.manifest_path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (match
-     List.iter
-       (fun (k, e) ->
-          output_string oc (render_line k e);
-          output_char oc '\n')
-       entries;
+     List.iter (fun (k, e) -> output_line t oc k e) entries;
      Stdlib.flush oc;
      close_out oc
    with

@@ -35,10 +35,21 @@
     [segments/*] deletion alongside a fresh manifest, which the store
     never does on its own.
 
-    The checksum is {!Crc32}, computed by {!put} and checked by every
-    {!find}.  Its tables are built eagerly when the program starts,
-    because a lazily built table raised when two domains made their
-    first lookups at once.
+    The checksum is {!Crc32}, a C slicing-by-8 stub, computed by {!put}
+    and checked by every {!find}.  Its tables are built when the
+    program is loaded, because a lazily built table raised when two
+    domains made their first lookups at once.
+
+    {b Manifest codec.}  {!open_} reads the manifest in 64 KiB blocks
+    and parses each line where it lies in the block, in one pass: field
+    names are matched in place into per-field slots, a string value is
+    one [String.sub] unless it holds an escape, and plain integers and
+    the key's 16 hex digits are decoded without a substring.  {!put}
+    and {!close} write each line into one reused buffer.  The reader
+    accepts and rejects exactly the lines the earlier
+    [List.assoc]-based reader did, and the writer emits the same bytes
+    as the earlier [Printf] one, so manifests of either build replay
+    under the other ({!parse_line}, {!render_line}).
 
     {b Concurrency.}  All operations are safe from concurrent threads
     and domains of one process (per-segment mutexes for value I/O, one
@@ -69,6 +80,33 @@ type meta = {
       (** [None] on entries written before quality records existed —
           old manifests replay with [quality = None], never fail *)
 }
+
+(** {1 Manifest lines}
+
+    The manifest codec, exposed so its tests can hold it to a reference.
+    A line is one JSON object:
+    [{"k":HEX16,"len":N,"spec":S,"seg":N,"off":N,"bytes":N,"crc":N,
+    "src":S,"grammar":S,"outcome":S,"domain":S}], with
+    [,"score":F,"coverage":F,"conflicts":N] before the brace when the
+    entry has a quality record.  The writer emits exactly that; the
+    reader takes any member order, spaces and tabs between tokens,
+    JSON escapes ([\u] up to [00ff]), unknown members (skipped) and
+    duplicated ones (the last counts). *)
+
+type entry = {
+  e_seg : int;   (** segment shard *)
+  e_off : int;   (** byte offset of the value in its segment *)
+  e_len : int;   (** value byte count *)
+  e_crc : int;   (** {!Crc32.digest} of the value bytes *)
+  e_meta : meta;
+}
+
+val render_line : Key.t -> entry -> string
+(** The manifest line for an entry, without its newline. *)
+
+val parse_line : string -> (Key.t * entry) option
+(** The entry a manifest line records; [None] when the line is not one
+    (torn, edited, or missing a field).  Never raises. *)
 
 type stats = {
   entries : int;   (** live keys *)

@@ -21,6 +21,7 @@ let () =
       ("fixtures", Test_fixtures.suite);
       ("export-golden", Test_export_golden.suite);
       ("serve-cache", Test_serve_cache.suite);
+      ("http", Test_http.suite);
       ("store", Test_store.suite);
       ("obs", Test_obs.suite);
       ("telemetry", Test_telemetry.suite);

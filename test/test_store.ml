@@ -129,6 +129,411 @@ let prop_crc_matches_reference =
        done;
        !ok)
 
+(* --- manifest codec ----------------------------------------------- *)
+
+(* The Printf writer and the closure-based reader the manifest codec
+   replaced, kept verbatim as the reference: the codec must accept and
+   reject exactly the lines these did, decode them to the same entries,
+   and write the same bytes. *)
+module Old = struct
+  open Store
+
+  let float_repr f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.12g" f
+
+  let render_line (k : Key.t) e =
+    let str = Wqi_model.Export.string in
+    let quality =
+      match e.e_meta.quality with
+      | None -> ""
+      | Some q ->
+        Printf.sprintf ",\"score\":%s,\"coverage\":%s,\"conflicts\":%d"
+          (float_repr q.q_score) (float_repr q.q_coverage) q.q_conflicts
+    in
+    Printf.sprintf
+      "{\"k\":%s,\"len\":%d,\"spec\":%s,\"seg\":%d,\"off\":%d,\"bytes\":%d,\
+       \"crc\":%d,\"src\":%s,\"grammar\":%s,\"outcome\":%s,\"domain\":%s%s}"
+      (str (Key.to_hex k.Key.hash))
+      k.Key.len (str k.Key.spec) e.e_seg e.e_off e.e_len e.e_crc
+      (str e.e_meta.source) (str e.e_meta.grammar) (str e.e_meta.outcome)
+      (str e.e_meta.domain) quality
+
+  exception Bad_line
+
+  let parse_fields line =
+    let n = String.length line in
+    let pos = ref 0 in
+    let peek () = if !pos < n then line.[!pos] else raise Bad_line in
+    let skip_ws () =
+      while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
+      do incr pos done
+    in
+    let expect c =
+      skip_ws ();
+      if peek () <> c then raise Bad_line;
+      incr pos
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then raise Bad_line;
+        match line.[!pos] with
+        | '"' -> incr pos
+        | '\\' ->
+          incr pos;
+          (match peek () with
+           | 'n' -> Buffer.add_char b '\n'; incr pos
+           | 't' -> Buffer.add_char b '\t'; incr pos
+           | 'r' -> Buffer.add_char b '\r'; incr pos
+           | '"' -> Buffer.add_char b '"'; incr pos
+           | '\\' -> Buffer.add_char b '\\'; incr pos
+           | '/' -> Buffer.add_char b '/'; incr pos
+           | 'u' ->
+             if !pos + 4 >= n then raise Bad_line;
+             let hex = String.sub line (!pos + 1) 4 in
+             (match int_of_string_opt ("0x" ^ hex) with
+              | Some code when code < 256 -> Buffer.add_char b (Char.chr code)
+              | Some _ -> raise Bad_line  (* never emitted *)
+              | None -> raise Bad_line);
+             pos := !pos + 5
+           | _ -> raise Bad_line);
+          go ()
+        | c ->
+          Buffer.add_char b c;
+          incr pos;
+          go ()
+      in
+      go ();
+      Buffer.contents b
+    in
+    let parse_number () =
+      skip_ws ();
+      let start = !pos in
+      let numeric = function
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && numeric line.[!pos] do incr pos done;
+      if !pos = start then raise Bad_line;
+      let s = String.sub line start (!pos - start) in
+      match int_of_string_opt s with
+      | Some v -> `Int v
+      | None ->
+        (match float_of_string_opt s with
+         | Some v -> `Num v
+         | None -> raise Bad_line)
+    in
+    expect '{';
+    let fields = ref [] in
+    skip_ws ();
+    if peek () = '}' then incr pos
+    else begin
+      let rec members () =
+        let key = parse_string () in
+        expect ':';
+        skip_ws ();
+        let value =
+          if peek () = '"' then `Str (parse_string ()) else parse_number ()
+        in
+        fields := (key, value) :: !fields;
+        skip_ws ();
+        match peek () with
+        | ',' -> incr pos; skip_ws (); members ()
+        | '}' -> incr pos
+        | _ -> raise Bad_line
+      in
+      members ()
+    end;
+    skip_ws ();
+    if !pos <> n then raise Bad_line;
+    !fields
+
+  let parse_line line =
+    match parse_fields line with
+    | exception Bad_line -> None
+    | fields ->
+      let str k =
+        match List.assoc_opt k fields with
+        | Some (`Str s) -> s
+        | _ -> raise Bad_line
+      in
+      let int k =
+        match List.assoc_opt k fields with
+        | Some (`Int v) when v >= 0 -> v
+        | _ -> raise Bad_line
+      in
+      let num k =
+        match List.assoc_opt k fields with
+        | Some (`Num v) -> v
+        | Some (`Int v) -> float_of_int v
+        | _ -> raise Bad_line
+      in
+      (* Quality provenance appeared in a later store revision: absent on
+         older manifests, so its absence is a None, never a Bad_line. *)
+      let quality () =
+        if List.mem_assoc "score" fields then
+          Some
+            { q_score = num "score";
+              q_coverage = num "coverage";
+              q_conflicts = int "conflicts" }
+        else None
+      in
+      (match
+         let hash =
+           match Key.of_hex (str "k") with
+           | Some h -> h
+           | None -> raise Bad_line
+         in
+         let key = { Key.hash; len = int "len"; spec = str "spec" } in
+         let e =
+           { e_seg = int "seg";
+             e_off = int "off";
+             e_len = int "bytes";
+             e_crc = int "crc";
+             e_meta =
+               { source = str "src";
+                 grammar = str "grammar";
+                 outcome = str "outcome";
+                 domain = str "domain";
+                 quality = quality () } }
+         in
+         (key, e)
+       with
+       | pair -> Some pair
+       | exception Bad_line -> None)
+end
+
+(* Entries heavy in what the codec treats specially: escapes, control
+   and high bytes in the strings; integers past 18 digits; integer-
+   valued, fractional, exponent and non-finite floats. *)
+let text_gen =
+  let open Q.Gen in
+  let special =
+    oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; 'u' ]
+  in
+  string_size
+    ~gen:(frequency [ (6, printable); (2, special); (1, char) ])
+    (int_range 0 24)
+
+let nonneg_gen =
+  Q.Gen.(
+    frequency
+      [ (6, int_bound 100_000); (1, int_range 0 max_int);
+        (1, oneofl [ 0; 999_999_999_999_999_999; max_int ]) ])
+
+let float_gen =
+  Q.Gen.(
+    frequency
+      [ (3, map float_of_int (int_range (-5) 1000));
+        (3, float_bound_inclusive 1.);
+        (2, float);
+        (1, oneofl [ 1e14; 1e15; 1e16; -0.; 1e-7; 3.2e20; 0.1; nan;
+                     infinity; neg_infinity ]) ])
+
+let entry_gen =
+  let open Q.Gen in
+  let* hash =
+    map2
+      (fun a b -> Int64.(logor (shift_left (of_int a) 32) (of_int b)))
+      (int_bound 0xffffffff) (int_bound 0xffffffff)
+  and* len = nonneg_gen
+  and* spec = text_gen
+  and* ints = quad nonneg_gen nonneg_gen nonneg_gen nonneg_gen
+  and* strs = quad text_gen text_gen text_gen text_gen
+  and* quality =
+    opt
+      (map3
+         (fun q_score q_coverage q_conflicts ->
+            { Store.q_score; q_coverage; q_conflicts })
+         float_gen float_gen
+         (frequency [ (5, nonneg_gen); (1, int_range (-3) (-1)) ]))
+  in
+  let e_seg, e_off, e_len, e_crc = ints
+  and source, grammar, outcome, domain = strs in
+  return
+    ( { Key.hash; len; spec },
+      { Store.e_seg; e_off; e_len; e_crc;
+        e_meta = { Store.source; grammar; outcome; domain; quality } } )
+
+(* A line's members as (name, value) JSON texts, in writer order: their
+   plain join is the written line, and the mutations below work on
+   them. *)
+let members_of line =
+  let n = String.length line in
+  let rec split i acc =
+    (* [i] at the opening quote of a name; values hold no unescaped
+       '"' outside strings, and strings no unescaped '"'. *)
+    let name_end = String.index_from line (i + 1) '"' in
+    let name = String.sub line i (name_end - i + 1) in
+    let v0 = name_end + 2 in
+    let v1 =
+      if line.[v0] = '"' then begin
+        let j = ref (v0 + 1) in
+        while line.[!j] <> '"' do
+          if line.[!j] = '\\' then incr j;
+          incr j
+        done;
+        !j + 1
+      end
+      else begin
+        let j = ref v0 in
+        while line.[!j] <> ',' && line.[!j] <> '}' do incr j done;
+        !j
+      end
+    in
+    let acc = (name, String.sub line v0 (v1 - v0)) :: acc in
+    if v1 >= n - 1 then List.rev acc else split (v1 + 1) acc
+  in
+  split 1 []
+
+let json_alphabet =
+  List.of_seq
+    (String.to_seq "{}\":,\\ \t0123456789abcdefABCDEFnrtu_-+.eExk/\000\255")
+
+let ws_gen = Q.Gen.(string_size ~gen:(oneofl [ ' '; '\t' ]) (int_range 0 2))
+
+let insert_at at x l =
+  List.filteri (fun i _ -> i < at) l
+  @ (x :: List.filteri (fun i _ -> i >= at) l)
+
+(* One mutation of a written line, structural or bytewise. *)
+let mutant_gen line =
+  let open Q.Gen in
+  let n = String.length line in
+  let members = members_of line in
+  let join ?(sep = fun () -> return "") ms =
+    let* parts =
+      flatten_l
+        (List.map
+           (fun (k, v) ->
+              let* a = sep () and* b = sep () and* c = sep ()
+              and* d = sep () in
+              return (a ^ k ^ b ^ ":" ^ c ^ v ^ d))
+           ms)
+    in
+    let* a = sep () and* b = sep () in
+    return (a ^ "{" ^ String.concat "," parts ^ b ^ "}" ^ a)
+  in
+  let alt_value =
+    oneofl
+      [ "0"; "-0"; "+5"; "-5"; "5.0"; "5e0"; "05"; "1e999"; "1.5"; "-2.5e-3";
+        "4611686018427387903"; "4611686018427387904"; "99999999999999999999";
+        "\"x\""; "\"\""; "\"0123456789abcdef\""; "\"\\u0041\""; "."; "e";
+        "1e"; "--1"; "0x10"; "true" ]
+  in
+  frequency
+    [ (2, map (fun i -> String.sub line 0 i) (int_bound n));
+      ( 3,
+        let* k = int_range 1 4 in
+        let* subs =
+          list_repeat k (pair (int_bound (n - 1)) (oneofl json_alphabet))
+        in
+        let b = Bytes.of_string line in
+        List.iter (fun (i, c) -> Bytes.set b i c) subs;
+        return (Bytes.to_string b) );
+      ( 1,
+        let* i = int_bound n in
+        let* len = int_bound (min 12 (n - i)) in
+        return
+          (String.sub line 0 i ^ String.sub line (i + len) (n - i - len)) );
+      ( 1,
+        let* i = int_bound n in
+        let* len = int_bound (min 12 (n - i)) in
+        return (String.sub line 0 (i + len) ^ String.sub line i (n - i)) );
+      (1, shuffle_l members >>= join);
+      ( 2,
+        let* m = oneofl members and* v = alt_value
+        and* at = int_bound (List.length members) in
+        join (insert_at at (fst m, v) members) );
+      ( 1,
+        let* m = oneofl members and* at = int_bound (List.length members) in
+        join (insert_at at m members) );
+      ( 1,
+        let* name =
+          oneofl [ "\"zz\""; "\"\""; "\"K\""; "\"scor\""; "\"score\"" ]
+        and* v = alt_value in
+        shuffle_l ((name, v) :: members) >>= join );
+      ( 1,
+        (* A name spelled with an escape: "\u006ben" is "len". *)
+        let* i = int_bound (List.length members - 1) in
+        join
+          (List.mapi
+             (fun j (k, v) ->
+                if j <> i || String.length k < 3 then (k, v)
+                else
+                  ( Printf.sprintf "\"\\u%04x%s" (Char.code k.[1])
+                      (String.sub k 2 (String.length k - 2)),
+                    v ))
+             members) );
+      (1, join ~sep:(fun () -> ws_gen) members);
+      (1, return (line ^ "\r"));
+      (1, return line) ]
+
+let same_parse a b = compare a b = 0
+
+let prop_codec_matches_reference =
+  Q.Test.make
+    ~name:"manifest codec = old reader and writer, never raises" ~count:2000
+    (Q.make
+       ~print:(fun (_, lines) ->
+           String.concat "\n" (List.map String.escaped lines))
+       Q.Gen.(
+         let* (k, e) = entry_gen in
+         let line = Old.render_line k e in
+         let* lines = list_repeat 8 (mutant_gen line) in
+         return ((k, e), line :: lines)))
+    (fun ((k, e), lines) ->
+       let written = Store.render_line k e in
+       String.equal written (Old.render_line k e)
+       && List.for_all
+         (fun l ->
+            match Store.parse_line l with
+            | r -> same_parse r (Old.parse_line l)
+            | exception _ -> false)
+         lines)
+
+(* Hand-picked edges of the old reader's number and escape rules. *)
+let test_codec_edges () =
+  let k = key_of 7 in
+  let e =
+    { Store.e_seg = 3; e_off = 1234; e_len = 56; e_crc = 0xdeadbeef;
+      e_meta =
+        { meta with
+          quality =
+            Some { Store.q_score = 0.75; q_coverage = 1.; q_conflicts = 2 } } }
+  in
+  let line = Old.render_line k e in
+  let members = members_of line in
+  let join ms =
+    "{" ^ String.concat "," (List.map (fun (a, b) -> a ^ ":" ^ b) ms) ^ "}"
+  in
+  let set name v =
+    join (List.map (fun (a, b) -> if a = name then (a, v) else (a, b)) members)
+  in
+  let cases =
+    [ line; set "\"len\"" "-0"; set "\"len\"" "+7"; set "\"len\"" "-7";
+      set "\"len\"" "7.0"; set "\"seg\"" "4611686018427387903";
+      set "\"seg\"" "4611686018427387904"; set "\"score\"" "1e2";
+      set "\"score\"" "\"1\""; set "\"coverage\"" "-3";
+      set "\"conflicts\"" "-1";
+      set "\"k\"" "\"0_23456789abcdef\""; set "\"k\"" "\"_123456789abcdef\"";
+      set "\"k\"" "\"0123456789ABCDE_\""; set "\"k\"" "\"0123456789abcde\"";
+      set "\"k\"" "\"\\u0030123456789abcdef\"";
+      set "\"src\"" "\"\\u00e9\\u0_4_\\u1___\""; set "\"src\"" "\"\\u_041\"";
+      set "\"src\"" "\"\\u0100\""; set "\"src\"" "\"\\u00\"";
+      set "\"src\"" "\"\\x\""; set "\"src\"" "5";
+      " \t" ^ line ^ "\t "; "{}"; "{ }"; ""; "{"; "\"k\"" ]
+  in
+  List.iter
+    (fun l ->
+       Alcotest.(check bool) (String.escaped l) true
+         (same_parse (Store.parse_line l) (Old.parse_line l)))
+    cases;
+  Alcotest.(check bool) "canonical line parses" true
+    (same_parse (Store.parse_line line) (Some (k, e)))
+
 (* --- allocation ceilings ------------------------------------------ *)
 
 (* Minor words allocated by one call of [f], net of the measurement
@@ -169,7 +574,25 @@ let test_alloc_ceilings () =
      allocation in the collapsed fold would show as a difference. *)
   let sig_words html = minor_words (fun () -> Signature.structural html) in
   Alcotest.(check (float 0.)) "Signature: same words at 100 B and 100 KB"
-    (sig_words small) (sig_words large)
+    (sig_words small) (sig_words large);
+  (* One canonical manifest line with a quality record: the ~66 words
+     of strings, boxes and records the entry keeps, the reader's 29
+     words of slots, and the fractional score's substring, option and
+     box.  The reader it replaced allocated 829 words on this line. *)
+  let line =
+    Store.render_line (Key.make ~html:small ~spec)
+      { Store.e_seg = 3; e_off = 123_456; e_len = 2048; e_crc = 0xcbf43926;
+        e_meta =
+          { Store.source = "corpus/books/form-0042.html"; grammar = "std@1";
+            outcome = "complete"; domain = "books";
+            quality = Some { Store.q_score = 0.8125; q_coverage = 1.;
+                             q_conflicts = 0 } } }
+  in
+  ignore (Store.parse_line line);
+  let w_line = minor_words (fun () -> Store.parse_line line) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Store.parse_line allocates <= 101 words (got %.0f)" w_line)
+    true (w_line <= 101.)
 
 (* --- store lifecycle ---------------------------------------------- *)
 
@@ -264,6 +687,43 @@ let test_torn_manifest_tail () =
   let st = Store.open_ dir in
   Alcotest.(check int) "clean after recompaction" 0 (Store.stats st).Store.dropped;
   Alcotest.(check int) "all entries" 11 (Store.stats st).Store.entries;
+  Store.close st
+
+(* Replay reads the manifest in 64 KiB blocks: lines that straddle a
+   block boundary, a line longer than a block, blank lines (skipped,
+   not counted), a CRLF-terminated line (dropped, as it always was) and
+   a last line without its newline must all read as line-at-a-time
+   reading saw them. *)
+let test_replay_blocks () =
+  let dir = temp_dir () in
+  let st = Store.open_ dir in
+  let key i =
+    let spec = if i mod 97 = 5 then String.make 70_000 's' else "s" in
+    Key.make ~html:(Printf.sprintf "<form>doc %d</form>" i) ~spec
+  in
+  for i = 0 to 499 do
+    Store.put st (key i) ~meta (Printf.sprintf "value %d" i)
+  done;
+  Store.close st;
+  let manifest = Filename.concat dir "manifest.jsonl" in
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin manifest In_channel.input_all)
+  in
+  let last = List.nth lines (List.length lines - 2) in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 manifest
+    (fun oc ->
+       output_string oc ("\n \t\r\012\n" ^ last ^ "\r\n\n" ^ last));
+  let st = Store.open_ dir in
+  let s = Store.stats st in
+  Alcotest.(check int) "replayed" 501 s.Store.replayed;
+  Alcotest.(check int) "dropped (the CRLF line)" 1 s.Store.dropped;
+  Alcotest.(check int) "entries" 500 s.Store.entries;
+  for i = 0 to 499 do
+    Alcotest.(check (option string)) (Printf.sprintf "value %d" i)
+      (Some (Printf.sprintf "value %d" i))
+      (Store.find st (key i))
+  done;
   Store.close st
 
 (* Bit rot (or a partial value append from a crash that never reached
@@ -482,6 +942,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_make_is_fold_of_normalize;
     ("crc-32 known answer", `Quick, test_crc_known_answer);
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+    QCheck_alcotest.to_alcotest prop_codec_matches_reference;
+    ("manifest codec: number and escape edges", `Quick, test_codec_edges);
     ("allocation ceilings: key, crc, signature", `Quick, test_alloc_ceilings);
     ("store written by the old key and CRC code replays", `Quick,
      test_compat_store_replays);
@@ -491,6 +953,8 @@ let suite =
      test_append_after_reopen);
     ("torn manifest tail dropped, store usable", `Quick,
      test_torn_manifest_tail);
+    ("replay across 64 KiB blocks, blank and CRLF lines", `Quick,
+     test_replay_blocks);
     ("corrupt value reads as a miss", `Quick, test_corrupt_value_is_a_miss);
     ("concurrent pool writers", `Quick, test_concurrent_writers);
     ("stored bytes = fresh extraction (60 sources)", `Quick,
