@@ -1,5 +1,5 @@
 (* Minimal recursive-descent JSON parser shared by the bench-record
-   validators (validate_bench_json, validate_serve_json).  The build
+   validators (validate_bench_json, validate_trace_json).  The build
    environment has no JSON library; this handles exactly the subset the
    emitters produce. *)
 
@@ -165,13 +165,6 @@ let field obj name =
     (match List.assoc_opt name fields with
      | Some v -> v
      | None -> bad "missing field %S" name)
-  | _ -> bad "expected object while looking for %S" name
-
-(* For fields later schema revisions added behind a flag (e.g. the
-   --grammar-dir run): absent is fine, present must validate. *)
-let field_opt obj name =
-  match obj with
-  | Obj fields -> List.assoc_opt name fields
   | _ -> bad "expected object while looking for %S" name
 
 let num ctx = function Num f -> f | _ -> bad "%s: expected number" ctx

@@ -2,7 +2,7 @@
    by main.exe --json.  Wired into the test alias so a change that
    breaks the emitter (or the schema) fails `dune runtest` instead of
    silently rotting the perf trajectory.  JSON parsing lives in
-   Json_min (shared with validate_serve_json). *)
+   Json_min (shared with validate_trace_json). *)
 
 open Json_min
 

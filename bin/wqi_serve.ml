@@ -59,8 +59,9 @@ let run host port jobs accept_mode max_inflight max_body cache_bytes
   match
     Serve.run config ~on_listen:(fun t ->
         (* The listening banner must stay the first stdout line, with
-           no colon in the parenthesized part: bench/loadgen and the
-           smoke tests parse the port as the text after the last ':'. *)
+           no colon in the parenthesized part: perfbench's serve-mix
+           client and the serve smoke test parse the port as the text
+           after the last ':'. *)
         Printf.printf
           "wqi_serve: listening on %s:%d (jobs=%d, accept=%s, \
            max-inflight=%d)\n"

@@ -323,9 +323,6 @@ let config_of ?grammar ?options ?width () =
 let extract_tokens ?grammar ?options tokens =
   run (config_of ?grammar ?options ()) (Tokens tokens)
 
-let extract_document ?grammar ?options ?width doc =
-  run (config_of ?grammar ?options ?width ()) (Document doc)
-
 let extract ?grammar ?options ?width html =
   run (config_of ?grammar ?options ?width ()) (Html html)
 

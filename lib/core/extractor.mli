@@ -159,14 +159,6 @@ val extract :
     width.
     @deprecated Prefer {!Config} + {!run}. *)
 
-val extract_document :
-  ?grammar:Wqi_grammar.Grammar.t ->
-  ?options:Wqi_parser.Engine.options ->
-  ?width:int ->
-  Wqi_html.Dom.t ->
-  extraction
-(** @deprecated Prefer {!Config} + {!run} with {!Document}. *)
-
 val extract_forms :
   ?grammar:Wqi_grammar.Grammar.t ->
   ?options:Wqi_parser.Engine.options ->

@@ -136,16 +136,26 @@ let parse_query q =
                 percent_decode
                   (String.sub pair (i + 1) (String.length pair - i - 1)) ))
 
+(* RFC 9110 §5.6.2 tchar: a field name is one or more of these, so
+   "Content-Length : 5" (a space before the colon) and an obs-fold line
+   (leading SP/HTAB) are malformed (RFC 9112 §5.1-5.2) rather than
+   headers named "content-length " or " x". *)
+let is_tchar = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '!' | '#' | '$' | '%' | '&'
+  | '\'' | '*' | '+' | '-' | '.' | '^' | '_' | '`' | '|' | '~' -> true
+  | _ -> false
+
 let parse_header_line line =
   match String.index_opt line ':' with
   | None -> raise (Malformed "header without colon")
   | Some i ->
-    let name = String.lowercase_ascii (String.sub line 0 i) in
+    let name = String.sub line 0 i in
+    if name = "" || not (String.for_all is_tchar name) then
+      raise (Malformed "bad header name");
     let value =
       String.trim (String.sub line (i + 1) (String.length line - i - 1))
     in
-    if name = "" then raise (Malformed "empty header name");
-    (name, value)
+    (String.lowercase_ascii name, value)
 
 (* RFC 9110 §8.6: one or more ASCII digits, nothing else ([int_of_string]
    would also take "0x10", "+5" and "1_0").  A value too long for an

@@ -39,9 +39,11 @@ val conn : Unix.file_descr -> conn
 val read_request : conn -> max_body:int -> request option
 (** Read one request.  [None] on a clean end-of-stream before the first
     byte of a request; raises {!Malformed} on protocol errors (including
-    EOF mid-request), {!Too_large} when headers exceed 32 KiB or the
-    body exceeds [max_body].  [Unix.Unix_error] from the socket (e.g. a
-    receive timeout) passes through.
+    EOF mid-request, and a header whose field name is not an RFC 9110
+    token, such as ["Name : v"] or an obs-fold line), {!Too_large} when
+    headers exceed 32 KiB or the body exceeds [max_body].
+    [Unix.Unix_error] from the socket (e.g. a receive timeout) passes
+    through.
 
     The body is framed by [Content-Length], whose value must be ASCII
     digits only (RFC 9110 §8.6: no sign, [0x] prefix or [_]); a

@@ -10,6 +10,9 @@
        method/path errors (405/404);
      - /metrics merge-on-scrape exposition (request counters, latency
        histogram, per-domain request split, accept-mode info);
+     - a cold then a warm pass over the tractable fixtures on one
+       keep-alive connection: every warm response a cache hit,
+       byte-identical to its cold response;
      - deterministic 503 load-shedding once the global max_inflight is
        reached, from any domain;
      - SIGTERM graceful drain across all domains: the in-flight
@@ -22,7 +25,10 @@
        two grammars misses twice; the default and ?grammar=std share
        one key), deterministic 404 for unknown names listing the
        available grammars, wqi_grammar_info rows and the
-       grammar-labelled wqi_requests_total split in /metrics.
+       grammar-labelled wqi_requests_total split in /metrics; and
+       identity across servers: books.html under this server's
+       default (directory-loaded) grammar is byte-identical to the
+       --jobs 4 built-in server's body.
 
    usage: serve_smoke SERVER_EXE FIXTURES_DIR GRAMMARS_DIR *)
 
@@ -393,6 +399,36 @@ let () =
     fail "merge mismatch: %g requests by code, %g by domain" by_code by_domain;
   note "metrics ok (merge: %g requests across 4 domains)" by_domain;
 
+  (* Cold then warm pass over the tractable fixtures on one keep-alive
+     connection (one domain, one cache shard): every warm response is a
+     hit, byte-identical to its cold response. *)
+  let pass_fixtures =
+    [ "airfare"; "books"; "jobs"; "malformed"; "nested_deep"; "truncated" ]
+  in
+  let pass_conn = kconnect port in
+  let pass () =
+    List.map
+      (fun f ->
+         let body = read_file (Filename.concat fixtures (f ^ ".html")) in
+         let r =
+           krequest pass_conn ~meth:"POST" ~target:("/extract?name=pass-" ^ f)
+             ~body ()
+         in
+         if r.status <> 200 then fail "pass %s: %d" f r.status;
+         (f, r))
+      pass_fixtures
+  in
+  let cold = pass () in
+  List.iter2
+    (fun (f, c) (_, w) ->
+       if header w "x-wqi-cache" <> Some "hit" then
+         fail "warm %s: cache %s (want hit)" f
+           (Option.value ~default:"-" (header w "x-wqi-cache"));
+       if w.body <> c.body then fail "warm %s is not byte-identical to cold" f)
+    cold (pass ());
+  (try Unix.close pass_conn with Unix.Unix_error _ -> ());
+  note "warm pass ok (%d fixtures, all hits)" (List.length pass_fixtures);
+
   (* Deterministic 503: park a slow extraction (the wide form under a
      wall-clock deadline; ungoverned it runs for tens of seconds) in
      the single admission slot, wait until /metrics shows it admitted,
@@ -572,6 +608,17 @@ let () =
   expect_cache "std aliases default" r_std "hit";
   if header r_std "x-wqi-grammar" <> Some "std" then
     fail "std request did not echo x-wqi-grammar: std";
+  (* The registry's std.wqg, loaded from the directory, shadows the
+     built-in pack: across servers and jobs counts, the same document
+     must come back byte-identical. *)
+  let r =
+    request port2 ~meth:"POST" ~target:"/extract?name=books" ~body:books ()
+  in
+  if r.status <> 200 then fail "grammar-dir books: %d" r.status;
+  if r.body <> books_body then
+    fail "books under --grammar-dir --jobs 1 differs from the built-in \
+          --jobs 4 body";
+  note "identity across servers ok (grammar-dir std = built-in std)";
   (* Unknown names are a deterministic 404 listing what is loaded. *)
   let r = extract ~grammar:"nope" books in
   if r.status <> 404 then fail "unknown grammar: %d (want 404)" r.status;
