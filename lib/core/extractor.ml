@@ -320,9 +320,6 @@ let config_of ?grammar ?options ?width () =
   let c = match options with Some options -> { c with Config.options } | None -> c in
   match width with Some width -> { c with Config.width } | None -> c
 
-let extract_tokens ?grammar ?options tokens =
-  run (config_of ?grammar ?options ()) (Tokens tokens)
-
 let extract ?grammar ?options ?width html =
   run (config_of ?grammar ?options ?width ()) (Html html)
 

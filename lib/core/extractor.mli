@@ -174,14 +174,6 @@ val extract_forms :
     tags).
     @deprecated Prefer {!run_forms}. *)
 
-val extract_tokens :
-  ?grammar:Wqi_grammar.Grammar.t ->
-  ?options:Wqi_parser.Engine.options ->
-  Wqi_token.Token.t list ->
-  extraction
-(** Skip the front-end: parse an already-tokenized interface.
-    @deprecated Prefer {!Config} + {!run} with {!Tokens}. *)
-
 val conditions : extraction -> Wqi_model.Condition.t list
 (** Shorthand for [extraction.model.conditions]. *)
 

@@ -34,6 +34,14 @@ let of_token ~id ~universe (tok : Wqi_token.Token.t) =
     alive = true;
     parents = [] }
 
+(* A direct walk instead of [List.iter] over a closure capturing [inst]:
+   instance creation is the parser's hottest allocation site. *)
+let rec register_parent inst = function
+  | [] -> ()
+  | c :: rest ->
+    c.parents <- inst :: c.parents;
+    register_parent inst rest
+
 let make ~id ~sym ~prod ~children ~sem =
   let cover =
     match children with
@@ -51,7 +59,7 @@ let make ~id ~sym ~prod ~children ~sem =
     { id; sym; prod = Some prod; children; cover; box; sem; token = None;
       alive = true; parents = [] }
   in
-  List.iter (fun c -> c.parents <- inst :: c.parents) children;
+  register_parent inst children;
   inst
 
 (* Arena fast path: the parser already tracked the cover as a raw word
@@ -65,7 +73,7 @@ let prebuilt ~id ~sym ~prod ~children ~sem ~cover ~box =
     { id; sym; prod = Some prod; children; cover; box; sem; token = None;
       alive = true; parents = [] }
   in
-  List.iter (fun c -> c.parents <- inst :: c.parents) children;
+  register_parent inst children;
   inst
 
 let kill inst = inst.alive <- false
@@ -85,14 +93,20 @@ let rollback ?(on_kill = fun _ -> ()) inst =
 
 let conflicts a b = not (Bitset.disjoint a.cover b.cover)
 
+(* [id] occurs in (or strictly below) [children]; a top-level walk, so
+   the test allocates nothing.  Ids grow with creation and children exist
+   before their parents, so a subtree whose root id is below [id] cannot
+   hold it and is skipped. *)
+let rec occurs_below id = function
+  | [] -> false
+  | c :: rest ->
+    c.id = id
+    || (c.id > id && occurs_below id c.children)
+    || occurs_below id rest
+
 let is_descendant d ~of_ =
   (* Quick rejection: a descendant's cover is contained in the ancestor's. *)
-  Bitset.subset d.cover of_.cover
-  &&
-  let rec go a =
-    List.exists (fun c -> c.id = d.id || go c) a.children
-  in
-  go of_
+  Bitset.subset d.cover of_.cover && occurs_below d.id of_.children
 
 let subsumes a b = Bitset.subset b.cover a.cover
 

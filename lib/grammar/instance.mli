@@ -75,7 +75,9 @@ val is_descendant : t -> of_:t -> bool
 (** [is_descendant d ~of_:a]: [d] occurs in [a]'s derivation (strictly
     below [a]).  Preference enforcement must spare such losers: the
     winner is built from them (e.g. a length-3 RBList contains the
-    length-2 RBList it subsumes). *)
+    length-2 RBList it subsumes).  Assumes ids grow with creation, so
+    every child's id is below its parent's — true of every instance the
+    parser builds; the walk skips subtrees rooted below [d]'s id. *)
 
 val subsumes : t -> t -> bool
 (** [subsumes a b]: [a]'s cover is a superset of [b]'s. *)

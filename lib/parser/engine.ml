@@ -120,14 +120,21 @@ let charge_instance st =
   | None -> ()
   | Some g -> if not (Budget.instance g) then raise Truncated
 
+(* The children list of a binding row, in component order.  The row
+   itself is the arena's reusable scratch: builds read it eagerly and
+   keep nothing of it, so no instance needs a private copy. *)
+let rec row_children (row : Instance.t array) i acc =
+  if i < 0 then acc
+  else row_children row (i - 1) (Array.unsafe_get row i :: acc)
+
 (* Boxed creation path (naive oracle and big universes): cover and box
    recomputed from the children by [Instance.make], exactly as the
    reference semantics specify. *)
-let create_instance st (fp : Dispatch.fprod) arr =
+let create_instance st (fp : Dispatch.fprod) row =
   charge_instance st;
   let p = fp.Dispatch.prod in
-  let children = Array.to_list arr in
-  let sem = p.G.Production.build arr in
+  let children = row_children row (fp.Dispatch.arity - 1) [] in
+  let sem = p.G.Production.build row in
   let inst =
     Instance.make ~id:(fresh_id st) ~sym:p.head ~prod:p.name ~children ~sem
   in
@@ -142,9 +149,8 @@ let create_instance st (fp : Dispatch.fprod) arr =
 let create_instance_small st (fp : Dispatch.fprod) chosen cover_bits =
   charge_instance st;
   let p = fp.Dispatch.prod in
-  let arr = Array.copy chosen in
-  let children = Array.to_list arr in
-  let sem = p.G.Production.build arr in
+  let children = row_children chosen (fp.Dispatch.arity - 1) [] in
+  let sem = p.G.Production.build chosen in
   let a = st.arena in
   let mb = fp.Dispatch.mark_base in
   let x1 = ref a.Arena.sx1.(mb) and y1 = ref a.Arena.sy1.(mb) in
@@ -507,7 +513,7 @@ let apply_production_big st (fp : Dispatch.fprod) =
       probe st;
       if i = arity then begin
         if guard_admits st fp chosen then begin
-          create_instance st fp (Array.copy chosen);
+          create_instance st fp chosen;
           added := true
         end
       end
@@ -710,126 +716,168 @@ let instantiate st sid =
 (* Preference enforcement                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Above this many winner×loser pairs, [enforce] buckets the winners by
-   covered token so each loser only meets the winners it can actually
-   conflict with.  Bucketing pays only when covers are sparse relative
-   to the universe — many-row interfaces, where most winner/loser pairs
-   share no token.  On narrow universes nearly every pair conflicts, so
-   bucketing would reproduce the quadratic scan with allocation on top;
-   word-cover universes take the column scan below instead. *)
+(* Above this many winner×loser pairs, [enforce_boxed] buckets the
+   winners by covered token so each loser only meets the winners it can
+   actually conflict with.  Bucketing pays only when covers are sparse
+   relative to the universe — many-row interfaces, where most
+   winner/loser pairs share no token.  On narrow universes nearly every
+   pair conflicts, so bucketing would reproduce the quadratic scan with
+   allocation on top; word-cover universes take the column scan below
+   instead. *)
 let enforce_bucket_min_pairs = 2048
 
-(* Enforce one preference over the current instances (procedure
-   [enforce]).  Enforcement only ever kills instances, so scanning the
-   columns with per-pair [alive] re-checks is equivalent to
-   re-filtering the store after every rollback — a rollback can
-   invalidate entries but never add new ones.  Losers are visited in
-   creation order, winners in creation order within each loser, so
-   kills (and their order) are identical across engine variants.
+(* The reference pair test and kill of procedure [enforce].  A kill
+   rolls the loser back with every live ancestor built on it; what it
+   kills, and so what it adds to [pruned] and [rolled_back], depends
+   only on the loser and the live set, never on the winner. *)
+let kill_loser st (v2 : Instance.t) =
+  let killed = Instance.rollback ~on_kill:st.on_kill v2 in
+  st.pruned <- st.pruned + 1;
+  st.rolled_back <- st.rolled_back + (killed - 1)
 
-   The word-cover path pre-filters pairs by cover-word intersection
-   straight off the columns: skipped pairs satisfy
-   [not (Instance.conflicts v1 v2)], which the reference scan would
-   have rejected anyway. *)
 let try_kill st (r : G.Preference.t) (v1 : Instance.t) (v2 : Instance.t) =
   if v1.alive && v2.alive && v1.id <> v2.id
   && Instance.conflicts v1 v2
   && r.conflict v1 v2 && r.wins v1 v2
   && not (Instance.is_descendant v2 ~of_:v1)
-  then begin
-    let killed = Instance.rollback ~on_kill:st.on_kill v2 in
-    st.pruned <- st.pruned + 1;
-    st.rolled_back <- st.rolled_back + (killed - 1)
-  end
+  then kill_loser st v2
 
-let enforce st (fr : Dispatch.fpref) =
+(* Boxed enforcement (the naive oracle and universes past one word):
+   losers in creation order, each meeting the winners in creation order
+   through [try_kill].  Enforcement only ever kills instances, so
+   snapshotting both sides and re-checking [alive] per pair is
+   equivalent to re-filtering the store after every rollback — a
+   rollback can invalidate entries but never add new ones.  Large fronts
+   bucket the winners by covered token so each loser scans the merged
+   (creation-ordered, deduplicated) buckets of its own tokens instead of
+   the full winner list. *)
+let enforce_boxed st (fr : Dispatch.fpref) =
   let r = fr.Dispatch.pref in
-  let wsid = fr.Dispatch.wsid and lsid = fr.Dispatch.lsid in
-  if st.small then begin
-    let wcol = st.arena.Arena.cols.(wsid) in
-    let lcol = st.arena.Arena.cols.(lsid) in
-    let wlen = wcol.Arena.len and llen = lcol.Arena.len in
-    if wlen > 0 then begin
-      let winsts = wcol.Arena.inst and wbits = wcol.Arena.bits in
-      let linsts = lcol.Arena.inst and lbits = lcol.Arena.bits in
-      for li = 0 to llen - 1 do
-        let v2 = Array.unsafe_get linsts li in
-        if v2.Instance.alive then begin
-          probe st;
-          let lb = Array.unsafe_get lbits li in
-          for wi = 0 to wlen - 1 do
-            if Array.unsafe_get wbits wi land lb <> 0 then
-              try_kill st r (Array.unsafe_get winsts wi) v2
-          done
-        end
-      done
-    end
-  end
+  let winners = live_instances st fr.Dispatch.wsid in
+  let losers = live_instances st fr.Dispatch.lsid in
+  let nw = List.length winners in
+  if nw = 0 || nw * List.length losers < enforce_bucket_min_pairs then
+    List.iter
+      (fun (v2 : Instance.t) ->
+         probe st;
+         if v2.alive then
+           List.iter (fun (v1 : Instance.t) -> try_kill st r v1 v2) winners)
+      losers
   else begin
-    (* Boxed covers: snapshot both sides (equivalent, see above), and
-       bucket the winners by covered token for large fronts so each
-       loser scans the merged (creation-ordered, deduplicated) buckets
-       of its own tokens instead of the full winner list. *)
-    let winners = live_instances st wsid in
-    let losers = live_instances st lsid in
-    let nw = List.length winners in
-    if nw = 0 || nw * List.length losers < enforce_bucket_min_pairs then
-      List.iter
-        (fun (v2 : Instance.t) ->
-           probe st;
-           if v2.alive then
-             List.iter (fun (v1 : Instance.t) -> try_kill st r v1 v2) winners)
-        losers
-    else begin
-      let warr = Array.of_list winners in
-      let buckets = Array.make st.universe [] in
-      Array.iteri
-        (fun ord (w : Instance.t) ->
+    let warr = Array.of_list winners in
+    let buckets = Array.make st.universe [] in
+    Array.iteri
+      (fun ord (w : Instance.t) ->
+         List.iter
+           (fun t -> buckets.(t) <- ord :: buckets.(t))
+           (Bitset.elements w.cover))
+      warr;
+    (* Per-loser dedup by marking winner ordinals: each bucket entry is
+       visited once, and only the (usually few) marked ordinals are
+       sorted back into creation order — never the full winner list. *)
+    let marked = Bytes.make nw '\000' in
+    List.iter
+      (fun (v2 : Instance.t) ->
+         probe st;
+         if v2.alive then begin
+           let touched = ref [] in
            List.iter
-             (fun t -> buckets.(t) <- ord :: buckets.(t))
-             (Bitset.elements w.cover))
-        warr;
-      (* Per-loser dedup by marking winner ordinals: each bucket entry
-         is visited once, and only the (usually few) marked ordinals are
-         sorted back into creation order — never the full winner list. *)
-      let marked = Bytes.make nw '\000' in
-      List.iter
-        (fun (v2 : Instance.t) ->
-           probe st;
-           if v2.alive then begin
-             let touched = ref [] in
-             List.iter
-               (fun t ->
-                  List.iter
-                    (fun ord ->
-                       if Bytes.unsafe_get marked ord = '\000' then begin
-                         Bytes.unsafe_set marked ord '\001';
-                         touched := ord :: !touched
-                       end)
-                    buckets.(t))
-               (Bitset.elements v2.cover);
-             let cands = List.sort Int.compare !touched in
-             List.iter
-               (fun ord ->
-                  Bytes.unsafe_set marked ord '\000';
-                  try_kill st r (Array.unsafe_get warr ord) v2)
-               cands
-           end)
-        losers
-    end
+             (fun t ->
+                List.iter
+                  (fun ord ->
+                     if Bytes.unsafe_get marked ord = '\000' then begin
+                       Bytes.unsafe_set marked ord '\001';
+                       touched := ord :: !touched
+                     end)
+                  buckets.(t))
+             (Bitset.elements v2.cover);
+           let cands = List.sort Int.compare !touched in
+           List.iter
+             (fun ord ->
+                Bytes.unsafe_set marked ord '\000';
+                try_kill st r (Array.unsafe_get warr ord) v2)
+             cands
+         end)
+      losers
   end
 
-(* Rollback annotation: one span per enforcement that actually killed
-   something, naming the preference and its kill counts.  Silent
-   enforcements (no conflict on the current front) are not recorded —
-   a trace shows where trees died, not every scan. *)
-let enforce_traced st (fr : Dispatch.fpref) =
+(* Column enforcement for word-cover universes: [try_kill] on the arena
+   columns.  Liveness is the [alive] bytes, identity is (column, index),
+   conflict is a cover-word intersection, and descent — which needs the
+   loser's cover inside the winner's and, since children are created
+   before their parents, the loser's id below the winner's — is walked
+   only when both word tests pass.
+
+   Each loser meets the winners newest first and its scan stops at its
+   first kill.  Winner order is free: until the loser dies nothing is
+   killed, so every pair of its scan sees the same live set; the pair
+   tests are pure functions of the two instances; and a kill's effect
+   depends on the loser alone (see [kill_loser]).  So whichever winner
+   strikes first, the loser dies exactly when some winner would kill it
+   in the creation-order scan, with the same rollback — the kills, their
+   order and every counter match [enforce_boxed].  Newest first finds
+   the killer early: a subsumption winner is usually the latest, widest
+   instance of its symbol. *)
+let enforce_columns st (fr : Dispatch.fpref) =
+  let r = fr.Dispatch.pref in
+  let a = st.arena in
+  let wcol = a.Arena.cols.(fr.Dispatch.wsid) in
+  let lcol = a.Arena.cols.(fr.Dispatch.lsid) in
+  let same = fr.Dispatch.wsid = fr.Dispatch.lsid in
+  let wlen = wcol.Arena.len and llen = lcol.Arena.len in
+  if wlen > 0 then begin
+    let winsts = wcol.Arena.inst and wbits = wcol.Arena.bits in
+    let walive = wcol.Arena.alive in
+    let linsts = lcol.Arena.inst and lbits = lcol.Arena.bits in
+    let lalive = lcol.Arena.alive in
+    for li = 0 to llen - 1 do
+      if Bytes.unsafe_get lalive li <> '\000' then begin
+        probe st;
+        let lb = Array.unsafe_get lbits li in
+        let v2 = Array.unsafe_get linsts li in
+        let wi = ref (wlen - 1) in
+        while !wi >= 0 do
+          let w = !wi in
+          let wb = Array.unsafe_get wbits w in
+          if
+            wb land lb <> 0
+            && Bytes.unsafe_get walive w <> '\000'
+            && not (same && w = li)
+            &&
+            let v1 = Array.unsafe_get winsts w in
+            r.conflict v1 v2 && r.wins v1 v2
+            && not
+                 (lb land lnot wb = 0
+                  && v2.Instance.id < v1.Instance.id
+                  && Instance.is_descendant v2 ~of_:v1)
+          then begin
+            kill_loser st v2;
+            wi := -1
+          end
+          else wi := w - 1
+        done
+      end
+    done
+  end
+
+(* Enforce one preference over the current instances (procedure
+   [enforce]).  Under a trace, an enforcement that killed something
+   becomes one span naming the preference and its kill counts; silent
+   enforcements (no conflict on the current front) are not recorded — a
+   trace shows where trees died, not every scan.  The oracle enforces
+   through the boxed reference scan on every universe, so the
+   equivalence suite checks the column scan against it. *)
+let enforce st (fr : Dispatch.fpref) =
+  let scan =
+    if st.small && st.options.semi_naive then enforce_columns
+    else enforce_boxed
+  in
   match st.trace with
-  | None -> enforce st fr
+  | None -> scan st fr
   | Some _ ->
     let t0 = Budget.now_s () in
     let pruned0 = st.pruned and rolled0 = st.rolled_back in
-    enforce st fr;
+    scan st fr;
     if st.pruned > pruned0 || st.rolled_back > rolled0 then
       Trace.span st.trace ~cat:"parser.enforce"
         fr.Dispatch.pref.G.Preference.name ~t0
@@ -1056,15 +1104,15 @@ let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
                 m "instantiating %a" Symbol.pp tables.Dispatch.syms.(sid));
             instantiate st sid;
             if options.use_preferences && options.use_scheduling then
-              Array.iter (enforce_traced st) tables.Dispatch.prefs_by_sym.(sid))
+              Array.iter (enforce st) tables.Dispatch.prefs_by_sym.(sid))
          order;
        (* Late pruning when scheduling is off; also a final sweep in the
           scheduled mode for relaxed preferences whose loser precedes its
           winner. *)
        if options.use_preferences then
          if not options.use_scheduling then
-           Array.iter (enforce_traced st) tables.Dispatch.prefs
-         else Array.iter (enforce_traced st) compiled.relaxed
+           Array.iter (enforce st) tables.Dispatch.prefs
+         else Array.iter (enforce st) compiled.relaxed
      end
    with Truncated -> truncated := true);
   if !truncated then

@@ -102,6 +102,44 @@ let test_corpus_equivalence () =
        check_equivalent s.id fast slow)
     (corpus_sources ())
 
+(* Slow-tail sources: Rich forms over every domain, with the benchmark's
+   noise and header rates, kept when their parse creates at least 200
+   instances on a single-word universe.  These are the parses where long
+   QI chains meet R-subsume-QI, so the column enforcement scan faces its
+   largest winner and loser fronts — and the oracle, which enforces
+   through the boxed creation-order scan, checks every kill it makes. *)
+let slow_tail_sources n =
+  let g = Wqi_corpus.Prng.create 0x5107AL in
+  let grammar = Wqi_stdgrammar.Std.grammar in
+  let rec go acc k i =
+    if k = n || i = 2_000 then List.rev acc
+    else
+      let s =
+        Generator.generate g
+          ~id:(Printf.sprintf "tail-%04d" i)
+          ~domain:(Wqi_corpus.Prng.pick g Wqi_corpus.Vocabulary.all)
+          ~complexity:`Rich ~oog_prob:0.1 ~header_prob:0.2 ()
+      in
+      let tokens = Tokenize.of_html s.Generator.html in
+      if
+        List.length tokens <= Bitset.bits_per_word
+        && (Engine.parse grammar tokens).Engine.stats.created >= 200
+      then go (s :: acc) (k + 1) (i + 1)
+      else go acc k (i + 1)
+  in
+  go [] 0 0
+
+let test_slow_tail_equivalence () =
+  let grammar = Wqi_stdgrammar.Std.grammar in
+  let sources = slow_tail_sources 12 in
+  check_int "slow-tail sources found" 12 (List.length sources);
+  List.iter
+    (fun (s : Generator.source) ->
+       let tokens = Tokenize.of_html s.html in
+       let fast, slow = parse_both grammar tokens in
+       check_equivalent s.id fast slow)
+    sources
+
 (* The ablation configurations let instances breed before pruning, and
    the naive oracle's cost explodes with the instance count (that is the
    point of the delta engine) — so these stick to Simple sources and a
@@ -343,6 +381,8 @@ let test_random_hint_subsets () =
 
 let suite =
   [ ("delta = naive on 60 corpus sources", `Quick, test_corpus_equivalence);
+    ("delta = naive on slow-tail sources", `Quick,
+     test_slow_tail_equivalence);
     ("delta = naive without scheduling", `Quick,
      test_corpus_equivalence_unscheduled);
     ("delta = naive exhaustive", `Quick, test_corpus_equivalence_exhaustive);
