@@ -380,8 +380,21 @@ let batch120 () =
     in
     (elapsed, created)
   in
+  (* Best of five: validate_bench_json's timing gates compare sweeps
+     of 20-30 ms, where one preemption or GC major is several
+     percent. *)
+  let best f =
+    let b = ref (f ()) in
+    for _ = 2 to 5 do
+      b := Float.min !b (f ())
+    done;
+    !b
+  in
   let jobs_n = Domain.recommended_domain_count () in
   let seconds_jobs1, created = run_with ~jobs:1 in
+  let seconds_jobs1 =
+    Float.min seconds_jobs1 (best (fun () -> fst (run_with ~jobs:1)))
+  in
   let seconds_jobsn, _ =
     if jobs_n = 1 then (seconds_jobs1, created) else run_with ~jobs:jobs_n
   in
@@ -395,9 +408,9 @@ let batch120 () =
   note "instances created: %d" created;
   (* Tracing overhead (schema 4): the identical jobs=1 sweep with the
      tracer explicitly disabled, then with a fresh per-document trace —
-     the pattern wqi_batch --trace-dir and the server use.  Best of two
-     so one GC major cannot poison the record; the validator gates the
-     disabled sweep at 2% of the baseline above. *)
+     the pattern wqi_batch --trace-dir and the server use.  Best of five
+     like the baseline above, which the validator gates the disabled
+     sweep against at 2%. *)
   let sweep ~traced =
     let t0 = Unix.gettimeofday () in
     Pool.run ~jobs:1 (fun pool ->
@@ -411,7 +424,6 @@ let batch120 () =
              tokenized));
     Unix.gettimeofday () -. t0
   in
-  let best f = min (f ()) (f ()) in
   let trace_off_seconds = best (fun () -> sweep ~traced:false) in
   let trace_on_seconds = best (fun () -> sweep ~traced:true) in
   note "tracing: off %.3f s, on %.3f s (enabled overhead %+.1f%%)"
@@ -420,7 +432,7 @@ let batch120 () =
   (* Quality-record overhead (schema 6): the full pipeline (HTML up)
      over the same corpus, bare vs. computing and rendering one
      Wqi_quality record per document — what --quality-jsonl adds to a
-     batch.  Same best-of-two discipline as the trace sweep; the
+     batch.  Same best-of-five discipline as the trace sweep; the
      validator gates enabled records at 3% of the bare sweep. *)
   let qsweep ~quality =
     let config = Wqi_core.Extractor.Config.default in

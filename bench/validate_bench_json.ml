@@ -117,9 +117,9 @@ let check_governed g =
 
 (* Tracing must be free when off (schema 4): the disabled sweep re-runs
    the exact jobs=1 loop, so anything beyond 2% over the recorded
-   baseline means a `?trace` branch leaked onto the hot path.  The gate
-   is one-sided — the best-of-two disabled sweep runs warm and is
-   allowed to beat the cold baseline by any margin.  The 5 ms absolute
+   baseline means a `?trace` branch leaked onto the hot path.  Both
+   sides are best of five sweeps.  The gate is one-sided — the disabled
+   sweep may beat the baseline by any margin.  The 5 ms absolute
    slack matters since the arena engine: the whole 120-document sweep
    now takes ~30 ms, so a relative-only gate would sit below scheduler
    jitter. *)
@@ -138,7 +138,8 @@ let check_trace ~seconds_jobs1 t =
    rendering one record per document is a few list walks over the model
    errors, so the enabled sweep may cost at most 3% over the bare
    full-pipeline sweep (plus the same 5 ms absolute slack as the trace
-   gate — the sweeps are tens of milliseconds). *)
+   gate — the sweeps are tens of milliseconds, each side best of
+   five). *)
 let check_quality q =
   let off = positive "batch120.quality.off_seconds" (field q "off_seconds") in
   let on = positive "batch120.quality.on_seconds" (field q "on_seconds") in

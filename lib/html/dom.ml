@@ -49,15 +49,19 @@ let is_element ?named node =
   | Element (n, _, _), Some wanted -> String.equal n wanted
   | (Text _ | Comment _), _ -> false
 
-let text_content node =
-  let b = Buffer.create 64 in
-  let rec go = function
-    | Text s -> Buffer.add_string b s
-    | Comment _ -> ()
-    | Element (_, _, cs) -> List.iter go cs
-  in
-  go node;
-  Buffer.contents b
+let text_content = function
+  (* A text node or an element holding one text run: no copy. *)
+  | Text s | Element (_, _, [ Text s ]) -> s
+  | Comment _ | Element (_, _, []) -> ""
+  | node ->
+    let b = Buffer.create 64 in
+    let rec go = function
+      | Text s -> Buffer.add_string b s
+      | Comment _ -> ()
+      | Element (_, _, cs) -> List.iter go cs
+    in
+    go node;
+    Buffer.contents b
 
 let fold f acc node =
   let rec go acc node =

@@ -61,11 +61,16 @@ let is_digit c = c >= '0' && c <= '9'
 let is_hex_digit c =
   is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
-(* Parse one reference starting at [i] (s.[i] = '&').  Returns
-   [Some (expansion, next_index)] or [None] when the text after '&' does not
-   form a reference. *)
-let parse_reference s i =
-  let n = String.length s in
+(* The longest name in [named_entities]: no longer name can match, so
+   neither the whole-name lookup nor the prefix fallback looks past it. *)
+let max_name_length =
+  List.fold_left (fun m (k, _) -> Int.max m (String.length k)) 0 named_entities
+
+(* Parse one reference starting at [i] (s.[i] = '&'), reading no byte at
+   or past [stop].  Returns [Some (expansion, next_index)] or [None] when
+   the text after '&' does not form a reference. *)
+let parse_reference s i stop =
+  let n = stop in
   if i + 1 >= n then None
   else if s.[i + 1] = '#' then begin
     let hex = i + 2 < n && (s.[i + 2] = 'x' || s.[i + 2] = 'X') in
@@ -85,16 +90,17 @@ let parse_reference s i =
   end else begin
     let j = ref (i + 1) in
     while !j < n && is_alnum s.[!j] do incr j done;
-    if !j = i + 1 then None
+    let len = !j - (i + 1) in
+    if len = 0 then None
     else
-      let name = String.sub s (i + 1) (!j - (i + 1)) in
-      let lookup n =
+      let lookup k =
+        let n = String.sub s (i + 1) k in
         match lookup_named n with
         | Some _ as r -> r
         (* Browsers also try the lowercase form of legacy references. *)
         | None -> lookup_named (String.lowercase_ascii n)
       in
-      match lookup name with
+      match if len <= max_name_length then lookup len else None with
       | Some expansion ->
         let next = if !j < n && s.[!j] = ';' then !j + 1 else !j in
         Some (expansion, next)
@@ -104,35 +110,37 @@ let parse_reference s i =
         let rec prefix k =
           if k < 2 then None
           else
-            match lookup (String.sub name 0 k) with
+            match lookup k with
             | Some expansion -> Some (expansion, i + 1 + k)
             | None -> prefix (k - 1)
         in
-        prefix (String.length name - 1)
+        prefix (Int.min (len - 1) max_name_length)
   end
+
+let decode_sub s ~pos ~len =
+  let b = Buffer.create len in
+  let stop = pos + len in
+  let i = ref pos in
+  while !i < stop do
+    let c = String.unsafe_get s !i in
+    if c = '&' then
+      match parse_reference s !i stop with
+      | Some (expansion, next) ->
+        Buffer.add_string b expansion;
+        i := next
+      | None ->
+        Buffer.add_char b '&';
+        incr i
+    else begin
+      Buffer.add_char b c;
+      incr i
+    end
+  done;
+  Buffer.contents b
 
 let decode s =
   if not (String.contains s '&') then s
-  else begin
-    let n = String.length s in
-    let b = Buffer.create n in
-    let i = ref 0 in
-    while !i < n do
-      if s.[!i] = '&' then
-        match parse_reference s !i with
-        | Some (expansion, next) ->
-          Buffer.add_string b expansion;
-          i := next
-        | None ->
-          Buffer.add_char b '&';
-          incr i
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents b
-  end
+  else decode_sub s ~pos:0 ~len:(String.length s)
 
 let encode_with escapes s =
   let needs_escape c = List.mem_assoc c escapes in

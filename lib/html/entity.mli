@@ -14,6 +14,10 @@ val decode : string -> string
     Decoding is single-pass: expansions are not re-scanned, so
     ["&amp;amp;"] decodes to ["&amp;"]. *)
 
+val decode_sub : string -> pos:int -> len:int -> string
+(** [decode_sub s ~pos ~len] is [decode (String.sub s pos len)] without
+    the intermediate copy: no reference reads past [pos + len]. *)
+
 val encode_text : string -> string
 (** [encode_text s] escapes [&], [<] and [>] for safe inclusion as HTML
     text content. *)

@@ -59,7 +59,8 @@ let ascii ?(columns = 100) items =
          in
          match item with
          | Engine.Text_run s -> draw row col s
-         | Engine.Widget node -> draw row col (widget_sketch node cell_width))
+         | Engine.Widget w ->
+           draw row col (widget_sketch w.Style.node cell_width))
       items;
     let b = Buffer.create (rows * (columns + 1)) in
     Array.iter

@@ -14,18 +14,25 @@
       in the corpus never rely on it);
     - intrinsic widget sizes from {!Style}.
 
+    A render first reduces the DOM, in one pass, to the inline atoms,
+    blocks and tables layout reads; a table cell's natural width is then
+    measured once per render, so nested tables lay out in time linear
+    in the document.
+
     Invisible content ([<input type="hidden">], [head], [script],
     [style], option lists inside [select]) produces no atoms. *)
 
 type item =
   | Text_run of string
       (** A maximal run of inline text on a single line, whitespace
-          collapsed.  Runs break at widgets, line breaks and block
-          boundaries — exactly the granularity of the paper's [text]
-          terminals (Figure 5). *)
-  | Widget of Wqi_html.Dom.t
-      (** A form widget or image; the DOM node is kept so the tokenizer
-          can read its attributes and option list. *)
+          collapsed and never empty: its words joined by single spaces,
+          with no space at either end.  Runs break at widgets, line
+          breaks and block boundaries — exactly the granularity of the
+          paper's [text] terminals (Figure 5). *)
+  | Widget of Style.widget
+      (** A form widget or image, classified once at layout: the
+          tokenizer reads its kind, label, attributes and option list
+          from here. *)
 
 type laid = { item : item; box : Geometry.box }
 

@@ -1,58 +1,27 @@
-module Dom = Wqi_html.Dom
 module Engine = Wqi_layout.Engine
 
-let option_labels node =
-  Dom.find_all (Dom.is_element ~named:"option") node
-  |> List.map (fun opt -> String.trim (Dom.text_content opt))
-  |> List.filter (fun label -> label <> "")
+let kind_of : Wqi_layout.Style.widget_kind -> Token.kind = function
+  | Textbox -> Token.Textbox
+  | Selection -> Token.Selection
+  | Radio -> Token.Radio
+  | Checkbox -> Token.Checkbox
+  | Button -> Token.Button
+  | Image -> Token.Image
 
-let classify_widget node =
-  match Dom.name node with
-  | "input" ->
-    let input_type =
-      String.lowercase_ascii (Dom.attr_default "type" ~default:"text" node)
-    in
-    (match input_type with
-     | "radio" -> Some (Token.Radio, "")
-     | "checkbox" -> Some (Token.Checkbox, "")
-     | "submit" | "reset" | "button" ->
-       Some (Token.Button, Dom.attr_default "value" ~default:"Submit" node)
-     | "image" ->
-       Some (Token.Button, Dom.attr_default "alt" ~default:"" node)
-     | "hidden" -> None
-     | _ -> Some (Token.Textbox, ""))
-  | "textarea" -> Some (Token.Textbox, "")
-  | "select" -> Some (Token.Selection, "")
-  | "button" -> Some (Token.Button, String.trim (Dom.text_content node))
-  | "img" -> Some (Token.Image, Dom.attr_default "alt" ~default:"" node)
-  | _ -> None
-
+(* Layout has already classified widgets and trimmed text runs: a token
+   copies what it needs. *)
 let classify_atom ~fresh { Engine.item; box } =
   match item with
+  | Engine.Text_run "" -> None
   | Engine.Text_run s ->
-    let s = String.trim s in
-    if s = "" then None
-    else
-      Some
-        { Token.id = fresh (); kind = Token.Text; box; sval = s;
-          name = ""; options = []; value = ""; checked = false;
-          multiple = false }
-  | Engine.Widget node ->
-    (match classify_widget node with
-     | None -> None
-     | Some (kind, sval) ->
-       let options =
-         match kind with
-         | Token.Selection -> option_labels node
-         | _ -> []
-       in
-       Some
-         { Token.id = fresh (); kind; box; sval;
-           name = Dom.attr_default "name" ~default:"" node;
-           options;
-           value = Dom.attr_default "value" ~default:"" node;
-           checked = Dom.has_attr "checked" node;
-           multiple = Dom.has_attr "multiple" node })
+    Some
+      { Token.id = fresh (); kind = Token.Text; box; sval = s; name = "";
+        options = []; value = ""; checked = false; multiple = false }
+  | Engine.Widget w ->
+    Some
+      { Token.id = fresh (); kind = kind_of w.kind; box; sval = w.label;
+        name = w.name; options = w.options; value = w.value;
+        checked = w.checked; multiple = w.multiple }
 
 let of_atoms ?gauge ?trace atoms =
   let next_id = ref 0 in

@@ -788,7 +788,10 @@ let test_concurrent_writers () =
    pass again.  The resumed pass, replay included, answers every
    document from the store and runs at least 1.5x faster than the cold
    one: the floor that catches a resume that silently re-extracts,
-   loose enough for the fixed open and replay costs of a small corpus. *)
+   loose enough for the fixed open and replay costs of a small corpus.
+   Both sides are passes of a few tens of milliseconds, so each is
+   timed best of five: every cold pass into a fresh store, every
+   resumed pass reopening the last of them. *)
 let test_resume_faster_than_cold () =
   let config = Extractor.Config.default in
   let g = Wqi_corpus.Prng.create 42L in
@@ -804,11 +807,10 @@ let test_resume_faster_than_cold () =
         in
         (name, src.html, Key.make ~html:src.html ~spec:name))
   in
-  (* Open the store, then probe, and extract and put on a miss: the
-     wqi_batch --store loop.  Returns the seconds, the number of
-     extractions and the open store. *)
-  let dir = temp_dir () in
-  let pass () =
+  (* Open the store in [dir], then probe, and extract and put on a
+     miss: the wqi_batch --store loop.  Returns the seconds, the number
+     of extractions and the store's stats, and closes it. *)
+  let pass dir =
     let t0 = Unix.gettimeofday () in
     let st = Store.open_ dir in
     let extracted =
@@ -824,26 +826,38 @@ let test_resume_faster_than_cold () =
                  1)
             docs)
     in
-    (Unix.gettimeofday () -. t0, Array.fold_left ( + ) 0 extracted, st)
+    let seconds = Unix.gettimeofday () -. t0 in
+    let stats = Store.stats st in
+    Store.close st;
+    (seconds, Array.fold_left ( + ) 0 extracted, stats)
   in
   (* One untimed extraction first, so the cold pass does not also pay
      the process's first-use costs: a re-extracting resume then reads
      about 1x, not 1.5x. *)
   (let _, html, _ = docs.(0) in
    ignore (Extractor.run config (Extractor.Html html)));
-  let cold_s, cold_extracted, st = pass () in
-  Store.close st;
-  let resumed_s, resumed_extracted, st = pass () in
-  let stats = Store.stats st in
-  Store.close st;
+  let best passes =
+    List.fold_left (fun m (s, _, _) -> Float.min m s) infinity passes
+  in
+  let dirs = List.init 5 (fun _ -> temp_dir ()) in
+  let cold = List.map pass dirs in
+  let dir = List.nth dirs 4 in
+  let resumed = List.init 5 (fun _ -> pass dir) in
+  let cold_s = best cold and resumed_s = best resumed in
+  let _, resumed_extracted, stats = List.nth resumed 4 in
   let speedup = cold_s /. resumed_s in
   if speedup < 1.5 then
     Alcotest.failf
       "resumed pass %.1f ms (%d extracted) is only %.2fx faster than cold \
-       %.1f ms (want >= 1.5x)"
+       %.1f ms (want >= 1.5x, best of 5 each)"
       (1000. *. resumed_s) resumed_extracted speedup (1000. *. cold_s);
-  Alcotest.(check int) "cold extracted every document" 120 cold_extracted;
-  Alcotest.(check int) "resumed extracted none" 0 resumed_extracted;
+  List.iter
+    (fun (_, n, _) ->
+       Alcotest.(check int) "cold extracted every document" 120 n)
+    cold;
+  List.iter
+    (fun (_, n, _) -> Alcotest.(check int) "resumed extracted none" 0 n)
+    resumed;
   Alcotest.(check int) "replayed every line" 120 stats.Store.replayed;
   Alcotest.(check int) "dropped none" 0 stats.Store.dropped;
   Alcotest.(check int) "entries" 120 stats.Store.entries;
