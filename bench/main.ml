@@ -191,7 +191,7 @@ let sized_interfaces () =
     List.map
       (fun (s : Generator.source) ->
          let tokens = Tokenize.of_html s.html in
-         let r = Engine.parse_compiled Wqi_stdgrammar.Std.compiled tokens in
+         let r = Engine.parse Wqi_stdgrammar.Std.compiled tokens in
          (tokens, s, r.Engine.stats.Engine.created))
       sources
   in
@@ -238,7 +238,7 @@ let perf () =
          Test.make
            ~name:(Printf.sprintf "parse/%02d-tokens" (List.length tokens))
            (Staged.stage (fun () ->
-                ignore (Engine.parse_compiled pack tokens))))
+                ignore (Engine.parse pack tokens))))
       interfaces
   in
   let test = Test.make_grouped ~name:"parse" ~fmt:"%s %s" tests in
@@ -286,13 +286,13 @@ let perf () =
   let alloc_per_parse tokens =
     (* Warm-up seeds the arena pool so growth is not billed to the
        measured iterations. *)
-    ignore (Engine.parse_compiled pack tokens);
+    ignore (Engine.parse pack tokens);
     let iters = if !smoke then 5 else 50 in
     (* [Gc.counters], not [quick_stat]: only the former includes the
        words allocated since the last minor collection. *)
     let m0, _, j0 = Gc.counters () in
     for _ = 1 to iters do
-      ignore (Engine.parse_compiled pack tokens)
+      ignore (Engine.parse pack tokens)
     done;
     let m1, _, j1 = Gc.counters () in
     let per c0 c1 = (c1 -. c0) /. float_of_int iters in
@@ -301,8 +301,8 @@ let perf () =
   let stats_by_name =
     List.map
       (fun (tokens, _s) ->
-         let r = Engine.parse_compiled pack tokens in
-         let r0 = Engine.parse_compiled ~options:nohints pack tokens in
+         let r = Engine.parse pack tokens in
+         let r0 = Engine.parse ~options:nohints pack tokens in
          let minor, major = alloc_per_parse tokens in
          ( Printf.sprintf "parse parse/%02d-tokens" (List.length tokens),
            (List.length tokens, r.Engine.stats, r0.Engine.stats, minor, major) ))
@@ -369,7 +369,7 @@ let batch120 () =
       Pool.run ~jobs (fun pool ->
           Pool.map_array pool
             (fun tokens ->
-               Engine.parse_compiled Wqi_stdgrammar.Std.compiled tokens)
+               Engine.parse Wqi_stdgrammar.Std.compiled tokens)
             tokenized)
     in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -420,7 +420,7 @@ let batch120 () =
                 let trace =
                   if traced then Some (Wqi_obs.Trace.create ()) else None
                 in
-                Engine.parse_compiled ?trace Wqi_stdgrammar.Std.compiled tokens)
+                Engine.parse ?trace Wqi_stdgrammar.Std.compiled tokens)
              tokenized));
     Unix.gettimeofday () -. t0
   in
@@ -460,7 +460,7 @@ let batch120 () =
   let deadline_ms = 100 in
   let governed_max_instances = 300 in
   let budget =
-    Wqi_core.Budget.make ~deadline_ms ~max_instances:governed_max_instances ()
+    Wqi_budget.Budget.make ~deadline_ms ~max_instances:governed_max_instances ()
   in
   let config = Wqi_core.Extractor.Config.(default |> with_budget budget) in
   let tg0 = Unix.gettimeofday () in
@@ -475,13 +475,13 @@ let batch120 () =
   let complete_n = ref 0 and degraded_n = ref 0 and failed_n = ref 0 in
   let trips_n = ref 0 in
   List.iter
-    (fun (o : Wqi_core.Budget.outcome) ->
+    (fun (o : Wqi_budget.Budget.outcome) ->
        match o with
-       | Wqi_core.Budget.Complete -> incr complete_n
-       | Wqi_core.Budget.Degraded trips ->
+       | Wqi_budget.Budget.Complete -> incr complete_n
+       | Wqi_budget.Budget.Degraded trips ->
          incr degraded_n;
          trips_n := !trips_n + List.length trips
-       | Wqi_core.Budget.Failed _ -> incr failed_n)
+       | Wqi_budget.Budget.Failed _ -> incr failed_n)
     outcomes;
   note
     "governed (deadline %d ms, max %d instances): %.3f s, %d complete, \
@@ -535,9 +535,8 @@ let ablation_ambiguity () =
      temporary) vs 1 correct tree of 42 instances; expect the same\n\
      blow-up shape under our grammar";
   let tokens = Tokenize.of_html amazon_fragment in
-  let g = Wqi_stdgrammar.Std.grammar in
   let run name options =
-    let result = Engine.parse ~options g tokens in
+    let result = Engine.parse ~options Wqi_stdgrammar.Std.compiled tokens in
     Format.printf
       "  %-22s created=%5d live=%5d temporary=%5d pruned=%4d rolled=%4d \
        trees=%3d complete=%b@."
@@ -568,7 +567,7 @@ let ablation_components () =
     let created = ref 0 in
     let extract html =
       let tokens = Tokenize.of_html html in
-      let result = Engine.parse ~options Wqi_stdgrammar.Std.grammar tokens in
+      let result = Engine.parse ~options Wqi_stdgrammar.Std.compiled tokens in
       created := !created + result.Engine.stats.created;
       List.concat_map
         (fun tree ->
@@ -626,7 +625,7 @@ let refinement () =
        let extractions =
          List.map
            (fun (s : Generator.source) ->
-              (s, Wqi_core.Extractor.extract s.html))
+              (s, Wqi_core.Extractor.(run Config.default (Html s.html))))
            ds.sources
        in
        let by_domain = Hashtbl.create 8 in
@@ -683,9 +682,12 @@ let derivation () =
        let training = List.filteri (fun i _ -> i < n) basic.sources in
        let g = Wqi_eval.Derive.grammar_from_sources training in
        let _, _, prods, prefs = Wqi_grammar.Grammar.stats g in
+       let config =
+         Wqi_core.Extractor.Config.(
+           default |> with_compiled (Wqi_parser.Engine.compile g))
+       in
        let extract html =
-         Wqi_core.Extractor.conditions
-           (Wqi_core.Extractor.extract ~grammar:g html)
+         Wqi_core.Extractor.(conditions (run config (Html html)))
        in
        let r = Eval.run ~extract random in
        Format.printf "  %-5d %-6d %-6d %9.3f %9.3f@." n prods prefs
@@ -707,7 +709,8 @@ let clustering () =
       (fun (s : Generator.source) ->
          { Wqi_match.Interface_match.source = s.id;
            conditions =
-             Wqi_core.Extractor.conditions (Wqi_core.Extractor.extract s.html) })
+             Wqi_core.Extractor.(
+               conditions (run Config.default (Html s.html))) })
       ds.sources
   in
   let domain_of =

@@ -26,7 +26,7 @@
 
 module Pool = Wqi_parallel.Pool
 module Extractor = Wqi_core.Extractor
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 module Trace = Wqi_obs.Trace
 module Store = Wqi_store.Store
 module Key = Wqi_store.Key
@@ -82,18 +82,11 @@ let write_doc_trace trace_dir file ~key trace =
          output_char oc '\n')
   | _ -> ()
 
-let outcome_label = function
-  | Budget.Complete -> "complete"
-  | Budget.Degraded _ -> "degraded"
-  | Budget.Failed _ -> "failed"
-
 let process config ?store ?trace_dir dir file =
   let t0 = Budget.now_s () in
   let name = Filename.remove_extension file in
   let pack = config.Extractor.Config.grammar in
-  let grammar_id =
-    pack.Wqi_parser.Engine.name ^ "@" ^ pack.Wqi_parser.Engine.version
-  in
+  let grammar_id = Quality.grammar_id pack in
   match read_file (Filename.concat dir file) with
   | exception e ->
     { d_file = file;
@@ -130,15 +123,7 @@ let process config ?store ?trace_dir dir file =
          d_store = `Hit;
          d_conditions = 0;
          d_errors = false;
-         d_quality =
-           Option.map
-             (fun q ->
-                Quality.of_rollup ~source:m.Store.source
-                  ~grammar:m.Store.grammar ~domain:m.Store.domain
-                  ~outcome:m.Store.outcome ~score:q.Store.q_score
-                  ~coverage:q.Store.q_coverage
-                  ~conflicts:q.Store.q_conflicts)
-             m.Store.quality;
+         d_quality = Quality.of_meta m;
          d_seconds = Budget.now_s () -. t0 }
      | None ->
        (* One trace per document; workers write distinct files, so
@@ -167,7 +152,7 @@ let process config ?store ?trace_dir dir file =
             d_errors = false;
             d_quality = Some q;
             d_seconds = seconds }
-        | (Budget.Complete | Budget.Degraded _) as outcome ->
+        | Budget.Complete | Budget.Degraded _ ->
           let model = e.Extractor.model in
           let line =
             match (store, key) with
@@ -175,24 +160,13 @@ let process config ?store ?trace_dir dir file =
               let bytes = Extractor.export ~timings:false ~name e in
               (* Value first, manifest line second, all flushed: a kill
                  between put and exit still leaves a resumable store. *)
-              Store.put st k
-                ~meta:
-                  { Store.source = file;
-                    grammar = grammar_id;
-                    outcome = outcome_label outcome;
-                    domain = "";
-                    quality =
-                      Some
-                        { Store.q_score = q.Quality.score;
-                          q_coverage = q.Quality.coverage;
-                          q_conflicts = q.Quality.conflicts } }
-                bytes;
+              Store.put st k ~meta:(Quality.to_meta q) bytes;
               bytes
             | _ -> Wqi_model.Export.source_description ~name model
           in
           { d_file = file;
             d_disposition = Emit line;
-            d_outcome = outcome_label outcome;
+            d_outcome = q.Quality.outcome;
             d_store = store_kind;
             d_conditions =
               List.length model.Wqi_model.Semantic_model.conditions;

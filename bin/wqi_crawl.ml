@@ -25,7 +25,7 @@
 
 module Pool = Wqi_parallel.Pool
 module Extractor = Wqi_core.Extractor
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 module Store = Wqi_store.Store
 module Key = Wqi_store.Key
 module Signature = Wqi_store.Signature
@@ -158,9 +158,7 @@ type cres = {
 
 let process config store ~no_classify doc =
   let pack = config.Extractor.Config.grammar in
-  let grammar_id =
-    pack.Wqi_parser.Engine.name ^ "@" ^ pack.Wqi_parser.Engine.version
-  in
+  let grammar_id = Quality.grammar_id pack in
   match read_file doc.f_path with
   | exception e ->
     { r_doc = doc;
@@ -184,15 +182,7 @@ let process config store ~no_classify doc =
        { r_doc = doc;
          r_kind = R_hit;
          r_domain = m.Store.domain;
-         r_quality =
-           Option.map
-             (fun q ->
-                Quality.of_rollup ~source:m.Store.source
-                  ~grammar:m.Store.grammar ~domain:m.Store.domain
-                  ~outcome:m.Store.outcome ~score:q.Store.q_score
-                  ~coverage:q.Store.q_coverage
-                  ~conflicts:q.Store.q_conflicts)
-             m.Store.quality }
+         r_quality = Quality.of_meta m }
      | None ->
        let domain = if no_classify then "" else classify html in
        let e = Extractor.run config (Extractor.Html html) in
@@ -216,21 +206,7 @@ let process config store ~no_classify doc =
               ~name:(Filename.basename doc.f_id)
               e
           in
-          Store.put store key
-            ~meta:
-              { Store.source = doc.f_id;
-                grammar = grammar_id;
-                outcome =
-                  (match tag with
-                   | `Complete -> "complete"
-                   | `Degraded -> "degraded");
-                domain;
-                quality =
-                  Some
-                    { Store.q_score = q.Quality.score;
-                      q_coverage = q.Quality.coverage;
-                      q_conflicts = q.Quality.conflicts } }
-            bytes;
+          Store.put store key ~meta:(Quality.to_meta q) bytes;
           { r_doc = doc;
             r_kind = R_extracted tag;
             r_domain = domain;

@@ -3,7 +3,7 @@
    set, the parse trees, and parsing diagnostics. *)
 
 module Extractor = Wqi_core.Extractor
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 module Trace = Wqi_obs.Trace
 module Quality = Wqi_quality.Quality
 

@@ -8,7 +8,7 @@
    regression this alias exists to catch. *)
 
 module Extractor = Wqi_core.Extractor
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 
 let aggressive =
   Budget.make ~deadline_ms:200 ~max_html_nodes:20_000 ~max_boxes:20_000

@@ -59,14 +59,8 @@ let load_store dir =
   let records = ref [] in
   let skipped = ref 0 in
   Store.iter st (fun _key m ->
-      match m.Store.quality with
-      | Some q ->
-        records :=
-          Quality.of_rollup ~source:m.Store.source ~grammar:m.Store.grammar
-            ~domain:m.Store.domain ~outcome:m.Store.outcome
-            ~score:q.Store.q_score ~coverage:q.Store.q_coverage
-            ~conflicts:q.Store.q_conflicts
-          :: !records
+      match Quality.of_meta m with
+      | Some r -> records := r :: !records
       | None -> incr skipped);
   Store.close st;
   if !skipped > 0 then

@@ -10,9 +10,9 @@
 module Serve = Wqi_serve.Serve
 module Cache = Wqi_serve.Cache
 module Extractor = Wqi_core.Extractor
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 
-let run host port jobs accept_mode max_inflight max_body cache_bytes
+let run host port jobs max_inflight max_body cache_bytes
     cache_ttl_s cache_shards store grammar_dir deadline_ms max_instances
     cap_deadline_ms cap_instances idle_timeout_s drain_grace_s trace_sample
     trace_dir slow_ms access_log quality_exemplars quality_window =
@@ -39,7 +39,6 @@ let run host port jobs accept_mode max_inflight max_body cache_bytes
     { Serve.host;
       port;
       jobs;
-      accept_mode;
       max_inflight;
       max_body;
       cache;
@@ -63,10 +62,8 @@ let run host port jobs accept_mode max_inflight max_body cache_bytes
            client and the serve smoke test parse the port as the text
            after the last ':'. *)
         Printf.printf
-          "wqi_serve: listening on %s:%d (jobs=%d, accept=%s, \
-           max-inflight=%d)\n"
-          host (Serve.port t) (Serve.domain_count t)
-          (Serve.accept_mode_name t) max_inflight;
+          "wqi_serve: listening on %s:%d (jobs=%d, max-inflight=%d)\n"
+          host (Serve.port t) (Serve.domain_count t) max_inflight;
         Printf.printf "wqi_serve: grammars loaded: %s\n"
           (String.concat ", " (Serve.grammar_names t));
         flush stdout)
@@ -96,19 +93,6 @@ let jobs =
      telemetry arena (default: the machine's recommended domain count)."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let accept_mode =
-  let doc =
-    "How connections reach serving domains: $(b,reuseport) = one \
-     SO_REUSEPORT listening socket per domain (kernel load-balances), \
-     $(b,dispatch) = a single listener plus a round-robin fd-passing \
-     dispatcher thread, $(b,auto) = reuseport with fallback to dispatch \
-     where the socket option is unsupported."
-  in
-  let modes =
-    [ ("auto", `Auto); ("reuseport", `Reuseport); ("dispatch", `Dispatch) ]
-  in
-  Arg.(value & opt (enum modes) `Auto & info [ "accept" ] ~docv:"MODE" ~doc)
 
 let max_inflight =
   let doc =
@@ -273,7 +257,7 @@ let cmd =
   in
   let term =
     Term.(
-      const run $ host $ port $ jobs $ accept_mode $ max_inflight $ max_body
+      const run $ host $ port $ jobs $ max_inflight $ max_body
       $ cache_bytes $ cache_ttl_s $ cache_shards $ store $ grammar_dir
       $ deadline_ms
       $ max_instances $ cap_deadline_ms $ cap_instances $ idle_timeout_s

@@ -39,7 +39,7 @@ let aa = {|
 </form>|}
 
 let () =
-  let e = Wqi_core.Extractor.extract aa in
+  let e = Wqi_core.Extractor.(run Config.default (Html aa)) in
   Format.printf "== Extracted query capabilities ==@.%a@."
     Wqi_model.Semantic_model.pp e.model;
 
@@ -65,7 +65,7 @@ let () =
 <p>Adults <select name="n"><option>1</option><option>2</option><option>3</option></select></p>
 </form>|}
   in
-  let e2 = Wqi_core.Extractor.extract confusing in
+  let e2 = Wqi_core.Extractor.(run Config.default (Html confusing)) in
   Format.printf "@.== Conflict-prone fragment ==@.%a@."
     Wqi_model.Semantic_model.pp e2.model;
   if e2.model.errors = [] then

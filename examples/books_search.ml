@@ -35,7 +35,7 @@ let amazon = {|
 </form>|}
 
 let () =
-  let e = Wqi_core.Extractor.extract amazon in
+  let e = Wqi_core.Extractor.(run Config.default (Html amazon)) in
 
   Format.printf "== Tokens (the visual language's terminals) ==@.";
   List.iter (fun t -> Format.printf "  %a@." Wqi_token.Token.pp t) e.tokens;

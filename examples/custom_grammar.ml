@@ -98,7 +98,9 @@ let entry_page = {|
 
 let () =
   let tokens = Wqi_token.Tokenize.of_html entry_page in
-  let result = Wqi_parser.Engine.parse nav_grammar tokens in
+  let result =
+    Wqi_parser.Engine.parse (Wqi_parser.Engine.compile nav_grammar) tokens
+  in
   Format.printf "tokens: %d; instances created: %d@." (List.length tokens)
     result.Wqi_parser.Engine.stats.created;
   List.iter

@@ -29,7 +29,7 @@ let () =
 
   Format.printf "@.== extractor vs ground truth on this source ==@.";
   let extracted =
-    Wqi_core.Extractor.conditions (Wqi_core.Extractor.extract sample.html)
+    Wqi_core.Extractor.(conditions (run Config.default (Html sample.html)))
   in
   List.iter (fun c -> Format.printf "  %a@." Wqi_model.Condition.pp c) extracted;
   let counts = Metrics.count ~truth:sample.truth ~extracted in

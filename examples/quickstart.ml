@@ -21,7 +21,7 @@ let form = {|
 let () =
   (* The whole pipeline — HTML parsing, layout, tokenization, best-effort
      2P parsing, merging — behind one call: *)
-  let extraction = Wqi_core.Extractor.extract form in
+  let extraction = Wqi_core.Extractor.(run Config.default (Html form)) in
 
   Format.printf "This interface supports %d query conditions:@."
     (List.length (Wqi_core.Extractor.conditions extraction));

@@ -60,7 +60,8 @@ let () =
       (fun (s : Wqi_corpus.Generator.source) ->
          { Match.source = s.id;
            conditions =
-             Wqi_core.Extractor.conditions (Wqi_core.Extractor.extract s.html) })
+             Wqi_core.Extractor.(
+               conditions (run Config.default (Html s.html))) })
       sources
   in
   Format.printf "== Input schemas ==@.";
@@ -100,7 +101,7 @@ let () =
   print_string (Wqi_layout.Debug.ascii_of_html html);
 
   (* 4. Dogfood: extract our own unified interface. *)
-  let roundtrip = Wqi_core.Extractor.extract html in
+  let roundtrip = Wqi_core.Extractor.(run Config.default (Html html)) in
   Format.printf "@.== Re-extracted from the generated markup ==@.";
   List.iter
     (fun c -> Format.printf "  %a@." Condition.pp c)

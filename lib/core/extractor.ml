@@ -14,8 +14,8 @@ module Config = struct
     budget : Budget.t;
   }
 
-  (* The one remaining reference to the compiled-in standard grammar in
-     lib/core: the legacy default.  [run] itself is grammar-parametric —
+  (* The one reference to the compiled-in standard grammar in lib/core:
+     the default pack.  [run] itself is grammar-parametric —
      it only ever consults [t.grammar].  The pack is the process-wide
      shared one: its arena pool then serves every default-config caller
      rather than one pool per compile site. *)
@@ -28,7 +28,6 @@ module Config = struct
       budget = Budget.unlimited }
 
   let with_compiled grammar t = { t with grammar }
-  let with_grammar grammar t = { t with grammar = Engine.compile grammar }
   let with_options options t = { t with options }
   let with_width width t = { t with width }
   let with_budget budget t = { t with budget }
@@ -52,7 +51,6 @@ type diagnostics = {
   parse_stats : Engine.stats;
   tree_count : int;
   complete : bool;
-  tokenize_seconds : float;
   parse_seconds : float;
   html_seconds : float;
   layout_seconds : float;
@@ -120,7 +118,6 @@ let empty_diagnostics budget =
     parse_stats = zero_stats;
     tree_count = 0;
     complete = false;
-    tokenize_seconds = 0.;
     parse_seconds = 0.;
     html_seconds = 0.;
     layout_seconds = 0.;
@@ -206,7 +203,7 @@ let run ?trace (config : Config.t) input =
     stage := Budget.Parse;
     let result, parse_seconds =
       timed trace "parse" (fun () ->
-          Engine.parse_compiled ?gauge ?trace ~options:config.options
+          Engine.parse ?gauge ?trace ~options:config.options
             config.grammar tokens)
     in
     stage := Budget.Merge;
@@ -244,7 +241,6 @@ let run ?trace (config : Config.t) input =
           parse_stats = result.Engine.stats;
           tree_count = List.length trees;
           complete = Option.is_some result.Engine.complete;
-          tokenize_seconds = layout_seconds +. classify_seconds;
           parse_seconds;
           html_seconds;
           layout_seconds;
@@ -313,18 +309,6 @@ let load_grammar path =
      with
      | pack -> Ok pack
      | exception Invalid_argument msg -> Error (path ^ ": " ^ msg))
-
-let config_of ?grammar ?options ?width () =
-  let c = Config.default in
-  let c = match grammar with Some g -> Config.with_grammar g c | None -> c in
-  let c = match options with Some options -> { c with Config.options } | None -> c in
-  match width with Some width -> { c with Config.width } | None -> c
-
-let extract ?grammar ?options ?width html =
-  run (config_of ?grammar ?options ?width ()) (Html html)
-
-let extract_forms ?grammar ?options ?width html =
-  run_forms (config_of ?grammar ?options ?width ()) html
 
 let conditions e = e.model.Semantic_model.conditions
 

@@ -46,11 +46,6 @@ module Config : sig
   (** Install a prebuilt pack — e.g. one from a grammar-file registry —
       without recompiling. *)
 
-  val with_grammar : Wqi_grammar.Grammar.t -> t -> t
-  (** Legacy setter: compiles the grammar on the spot (identity
-      [anonymous]/[0], raising [Invalid_argument] if it fails
-      validation).  Prefer {!with_compiled} when the pack is reused. *)
-
   val with_options : Wqi_parser.Engine.options -> t -> t
   val with_width : int -> t -> t
   val with_budget : Wqi_budget.Budget.t -> t -> t
@@ -79,9 +74,6 @@ type diagnostics = {
   parse_stats : Wqi_parser.Engine.stats;
   tree_count : int;      (** maximal partial trees selected by the parser *)
   complete : bool;       (** a single parse covered every token *)
-  tokenize_seconds : float;
-      (** front-end time (layout + classification), kept for
-          compatibility; equals [layout_seconds +. classify_seconds] *)
   parse_seconds : float;
   html_seconds : float;     (** HTML tree construction *)
   layout_seconds : float;   (** box layout *)
@@ -139,40 +131,6 @@ val failed : ?stage:Wqi_budget.Budget.stage -> string -> extraction
 (** [failed msg] is an empty extraction with [outcome = Failed _]; for
     drivers that must represent errors arising outside [run] (e.g. a
     batch worker whose file read failed). *)
-
-(** {1 Legacy entry points}
-
-    Thin wrappers over {!run} with [Config.default] and an unlimited
-    budget, kept so existing call sites compile unchanged.  New code
-    should prefer {!Config} + {!run}, which expose the budget. *)
-
-val extract :
-  ?grammar:Wqi_grammar.Grammar.t ->
-  ?options:Wqi_parser.Engine.options ->
-  ?width:int ->
-  string ->
-  extraction
-(** [extract html] is [run config (Html html)] with an unlimited budget.
-    [grammar] defaults to the derived global grammar
-    [Wqi_stdgrammar.Std.grammar]; [options] to
-    [Wqi_parser.Engine.default_options]; [width] to the default page
-    width.
-    @deprecated Prefer {!Config} + {!run}. *)
-
-val extract_forms :
-  ?grammar:Wqi_grammar.Grammar.t ->
-  ?options:Wqi_parser.Engine.options ->
-  ?width:int ->
-  string ->
-  extraction list
-(** [extract_forms html] extracts each [<form>] element of the page
-    separately — real pages often carry several independent interfaces
-    (a site-wide keyword box plus an advanced search form).  Each form
-    is laid out in isolation, so a page returns one extraction per form,
-    in document order.  Pages with no [<form>] element yield a single
-    whole-page extraction (some interfaces are built without form
-    tags).
-    @deprecated Prefer {!run_forms}. *)
 
 val conditions : extraction -> Wqi_model.Condition.t list
 (** Shorthand for [extraction.model.conditions]. *)

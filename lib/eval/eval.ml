@@ -20,7 +20,8 @@ type report = {
   overall_recall : float;
 }
 
-let parser_extract html = Wqi_core.Extractor.conditions (Wqi_core.Extractor.extract html)
+let parser_extract html =
+  Wqi_core.Extractor.(conditions (run Config.default (Html html)))
 
 let run ?(extract = parser_extract) (dataset : Wqi_corpus.Dataset.t) =
   let results =

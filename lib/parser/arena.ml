@@ -46,7 +46,6 @@ type t = {
   sy2 : int array;
   deltas : Bytes.t;  (* delta-from flags, offset by fprod.delta_base *)
   qbufs : int array ref array;  (* per-slot-depth index probe buffers *)
-  dedup : (string * int array, unit) Hashtbl.t;  (* naive oracle only *)
   mutable id2col : int array;  (* instance id -> owning symbol id *)
   mutable id2idx : int array;  (* instance id -> index in its column *)
   filler : Instance.t;
@@ -173,7 +172,6 @@ let create (tables : Dispatch.t) =
     sy2 = Array.make tables.marks_len 0;
     deltas = Bytes.make tables.deltas_len '\000';
     qbufs = Array.init tables.max_arity (fun _ -> ref (Array.make 64 0));
-    dedup = Hashtbl.create 64;
     id2col = Array.make 256 0;
     id2idx = Array.make 256 0;
     filler;
@@ -202,8 +200,7 @@ let reset t =
     (fun row -> Array.fill row 0 (Array.length row) t.filler)
     t.chosen;
   Array.fill t.marks 0 (Array.length t.marks) 0;
-  Bytes.fill t.deltas 0 (Bytes.length t.deltas) '\000';
-  Hashtbl.reset t.dedup
+  Bytes.fill t.deltas 0 (Bytes.length t.deltas) '\000'
 
 type pool = t list Atomic.t
 

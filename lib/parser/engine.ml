@@ -15,13 +15,12 @@ type options = {
   use_preferences : bool;
   use_scheduling : bool;
   max_instances : int;
-  semi_naive : bool;
   use_hints : bool;
 }
 
 let default_options =
   { use_preferences = true; use_scheduling = true; max_instances = 200_000;
-    semi_naive = true; use_hints = true }
+    use_hints = true }
 
 type stats = {
   created : int;
@@ -55,7 +54,6 @@ exception Truncated
    paper's corpus); larger universes run the same algorithm on boxed
    covers. *)
 type state = {
-  grammar : G.Grammar.t;
   tables : Dispatch.t;
   arena : Arena.t;
   universe : int;
@@ -92,8 +90,8 @@ let probe st =
    downstream derivations then inherit the priority that production
    order established (earlier productions yield smaller ids, and
    maximal-tree selection prefers smaller ids on ties).  List-building
-   is off the fast path — the naive oracle and the big-universe
-   preference scan use it; the word-cover engine walks columns. *)
+   is off the fast path — only the big-universe preference scan uses
+   it; the word-cover engine walks columns. *)
 let live_instances st sid =
   let col = st.arena.Arena.cols.(sid) in
   let out = ref [] in
@@ -127,9 +125,9 @@ let rec row_children (row : Instance.t array) i acc =
   if i < 0 then acc
   else row_children row (i - 1) (Array.unsafe_get row i :: acc)
 
-(* Boxed creation path (naive oracle and big universes): cover and box
-   recomputed from the children by [Instance.make], exactly as the
-   reference semantics specify. *)
+(* Boxed creation path (big universes): cover and box recomputed from
+   the children by [Instance.make], exactly as the reference semantics
+   specify. *)
 let create_instance st (fp : Dispatch.fprod) row =
   charge_instance st;
   let p = fp.Dispatch.prod in
@@ -308,6 +306,34 @@ let probe_region (a : Arena.t) mb (checks : int array) =
    the BENCH_parse parse/20 anomaly). *)
 let probe_min_scan = 4
 
+(* Decide how slot [i] enumerates its candidates in [start, stop): when
+   the slot carries hints, the scan is long enough and a hint bounds y,
+   query the row-band index into the slot's probe buffer and return the
+   candidate count (the indices, ascending, are the buffer's prefix);
+   otherwise return -1 and the caller scans the range itself.  Either
+   way one candidate body serves both walks, with no closure — a
+   closure would capture the per-recursion cover and be allocated on
+   every slot visit of every partial binding. *)
+let probe_candidates st (col : Arena.col) i mb checks ~start ~stop =
+  let a = st.arena in
+  if
+    Array.length checks = 0
+    || stop - start < probe_min_scan
+    || not (probe_region a mb checks)
+  then -1
+  else begin
+    let x_lo = if a.Arena.pr_have_x then a.Arena.pr_x_lo else min_int in
+    let x_hi = if a.Arena.pr_have_x then a.Arena.pr_x_hi else max_int in
+    Arena.sync_index col;
+    let n =
+      Spatial_index.query_into col.Arena.index ~y_lo:a.Arena.pr_y_lo
+        ~y_hi:a.Arena.pr_y_hi ~x_lo ~x_hi ~start ~stop a.Arena.qbufs.(i)
+    in
+    st.index_probes <- st.index_probes + 1;
+    st.index_pruned <- st.index_pruned + (stop - start) - n;
+    n
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Semi-naive production application                                   *)
 (* ------------------------------------------------------------------ *)
@@ -418,72 +444,31 @@ let apply_production_small st (fp : Dispatch.fprod) =
         let ax2 = col.Arena.x2 and ay2 = col.Arena.y2 in
         let alive = col.Arena.alive in
         let nchecks = Array.length checks in
-        (* The candidate body is duplicated across the scan and probe
-           loops (instead of a shared [visit] closure) deliberately: the
-           closure would capture the per-recursion [cover]/[have_delta]
-           and be heap-allocated on every slot visit of every partial
-           binding — thousands of allocations per parse on the hottest
-           path. *)
-        if
-          nchecks = 0
-          || stop - start < probe_min_scan
-          || not (probe_region a mb checks)
-        then
-          for idx = start to stop - 1 do
-            if Bytes.unsafe_get alive idx <> '\000' then begin
-              let cb = Array.unsafe_get cbits idx in
-              if cb land cover = 0 then begin
-                let x1 = Array.unsafe_get ax1 idx in
-                let y1 = Array.unsafe_get ay1 idx in
-                let x2 = Array.unsafe_get ax2 idx in
-                let y2 = Array.unsafe_get ay2 idx in
-                if nchecks = 0 || checks_hold a mb checks x1 y1 x2 y2
-                then begin
-                  Array.unsafe_set chosen i (Array.unsafe_get insts idx);
-                  let o = mb + i in
-                  Array.unsafe_set a.Arena.sx1 o x1;
-                  Array.unsafe_set a.Arena.sy1 o y1;
-                  Array.unsafe_set a.Arena.sx2 o x2;
-                  Array.unsafe_set a.Arena.sy2 o y2;
-                  assign (i + 1) (cover lor cb) (have_delta || idx >= mark0)
-                end
+        let probed = probe_candidates st col i mb checks ~start ~stop in
+        let cands = !(Array.unsafe_get a.Arena.qbufs i) in
+        let lo = if probed < 0 then start else 0 in
+        let hi = if probed < 0 then stop else probed in
+        for k = lo to hi - 1 do
+          let idx = if probed < 0 then k else Array.unsafe_get cands k in
+          if Bytes.unsafe_get alive idx <> '\000' then begin
+            let cb = Array.unsafe_get cbits idx in
+            if cb land cover = 0 then begin
+              let x1 = Array.unsafe_get ax1 idx in
+              let y1 = Array.unsafe_get ay1 idx in
+              let x2 = Array.unsafe_get ax2 idx in
+              let y2 = Array.unsafe_get ay2 idx in
+              if nchecks = 0 || checks_hold a mb checks x1 y1 x2 y2 then begin
+                Array.unsafe_set chosen i (Array.unsafe_get insts idx);
+                let o = mb + i in
+                Array.unsafe_set a.Arena.sx1 o x1;
+                Array.unsafe_set a.Arena.sy1 o y1;
+                Array.unsafe_set a.Arena.sx2 o x2;
+                Array.unsafe_set a.Arena.sy2 o y2;
+                assign (i + 1) (cover lor cb) (have_delta || idx >= mark0)
               end
             end
-          done
-        else begin
-          let x_lo = if a.Arena.pr_have_x then a.Arena.pr_x_lo else min_int in
-          let x_hi = if a.Arena.pr_have_x then a.Arena.pr_x_hi else max_int in
-          Arena.sync_index col;
-          let buf = a.Arena.qbufs.(i) in
-          let n =
-            Spatial_index.query_into col.Arena.index ~y_lo:a.Arena.pr_y_lo
-              ~y_hi:a.Arena.pr_y_hi ~x_lo ~x_hi ~start ~stop buf
-          in
-          st.index_probes <- st.index_probes + 1;
-          st.index_pruned <- st.index_pruned + (stop - start) - n;
-          let cands = !buf in
-          for k = 0 to n - 1 do
-            let idx = Array.unsafe_get cands k in
-            if Bytes.unsafe_get alive idx <> '\000' then begin
-              let cb = Array.unsafe_get cbits idx in
-              if cb land cover = 0 then begin
-                let x1 = Array.unsafe_get ax1 idx in
-                let y1 = Array.unsafe_get ay1 idx in
-                let x2 = Array.unsafe_get ax2 idx in
-                let y2 = Array.unsafe_get ay2 idx in
-                if checks_hold a mb checks x1 y1 x2 y2 then begin
-                  Array.unsafe_set chosen i (Array.unsafe_get insts idx);
-                  let o = mb + i in
-                  Array.unsafe_set a.Arena.sx1 o x1;
-                  Array.unsafe_set a.Arena.sy1 o y1;
-                  Array.unsafe_set a.Arena.sx2 o x2;
-                  Array.unsafe_set a.Arena.sy2 o y2;
-                  assign (i + 1) (cover lor cb) (have_delta || idx >= mark0)
-                end
-              end
-            end
-          done
-        end
+          end
+        done
       end
     in
     (try assign 0 0 false
@@ -535,72 +520,33 @@ let apply_production_big st (fp : Dispatch.fprod) =
         let ax2 = col.Arena.x2 and ay2 = col.Arena.y2 in
         let alive = col.Arena.alive in
         let nchecks = Array.length checks in
-        (* Candidate body duplicated across both loops; see
-           [apply_production_small]. *)
-        if
-          nchecks = 0
-          || stop - start < probe_min_scan
-          || not (probe_region a mb checks)
-        then
-          for idx = start to stop - 1 do
-            if Bytes.unsafe_get alive idx <> '\000' then begin
-              let cand = Array.unsafe_get insts idx in
-              if Bitset.disjoint cover cand.Instance.cover then begin
-                let x1 = Array.unsafe_get ax1 idx in
-                let y1 = Array.unsafe_get ay1 idx in
-                let x2 = Array.unsafe_get ax2 idx in
-                let y2 = Array.unsafe_get ay2 idx in
-                if nchecks = 0 || checks_hold a mb checks x1 y1 x2 y2
-                then begin
-                  Array.unsafe_set chosen i cand;
-                  let o = mb + i in
-                  Array.unsafe_set a.Arena.sx1 o x1;
-                  Array.unsafe_set a.Arena.sy1 o y1;
-                  Array.unsafe_set a.Arena.sx2 o x2;
-                  Array.unsafe_set a.Arena.sy2 o y2;
-                  assign (i + 1)
-                    (Bitset.union cover cand.Instance.cover)
-                    (have_delta || idx >= mark0)
-                end
+        let probed = probe_candidates st col i mb checks ~start ~stop in
+        let cands = !(Array.unsafe_get a.Arena.qbufs i) in
+        let lo = if probed < 0 then start else 0 in
+        let hi = if probed < 0 then stop else probed in
+        for k = lo to hi - 1 do
+          let idx = if probed < 0 then k else Array.unsafe_get cands k in
+          if Bytes.unsafe_get alive idx <> '\000' then begin
+            let cand = Array.unsafe_get insts idx in
+            if Bitset.disjoint cover cand.Instance.cover then begin
+              let x1 = Array.unsafe_get ax1 idx in
+              let y1 = Array.unsafe_get ay1 idx in
+              let x2 = Array.unsafe_get ax2 idx in
+              let y2 = Array.unsafe_get ay2 idx in
+              if nchecks = 0 || checks_hold a mb checks x1 y1 x2 y2 then begin
+                Array.unsafe_set chosen i cand;
+                let o = mb + i in
+                Array.unsafe_set a.Arena.sx1 o x1;
+                Array.unsafe_set a.Arena.sy1 o y1;
+                Array.unsafe_set a.Arena.sx2 o x2;
+                Array.unsafe_set a.Arena.sy2 o y2;
+                assign (i + 1)
+                  (Bitset.union cover cand.Instance.cover)
+                  (have_delta || idx >= mark0)
               end
             end
-          done
-        else begin
-          let x_lo = if a.Arena.pr_have_x then a.Arena.pr_x_lo else min_int in
-          let x_hi = if a.Arena.pr_have_x then a.Arena.pr_x_hi else max_int in
-          Arena.sync_index col;
-          let buf = a.Arena.qbufs.(i) in
-          let n =
-            Spatial_index.query_into col.Arena.index ~y_lo:a.Arena.pr_y_lo
-              ~y_hi:a.Arena.pr_y_hi ~x_lo ~x_hi ~start ~stop buf
-          in
-          st.index_probes <- st.index_probes + 1;
-          st.index_pruned <- st.index_pruned + (stop - start) - n;
-          let cands = !buf in
-          for k = 0 to n - 1 do
-            let idx = Array.unsafe_get cands k in
-            if Bytes.unsafe_get alive idx <> '\000' then begin
-              let cand = Array.unsafe_get insts idx in
-              if Bitset.disjoint cover cand.Instance.cover then begin
-                let x1 = Array.unsafe_get ax1 idx in
-                let y1 = Array.unsafe_get ay1 idx in
-                let x2 = Array.unsafe_get ax2 idx in
-                let y2 = Array.unsafe_get ay2 idx in
-                if checks_hold a mb checks x1 y1 x2 y2 then begin
-                  Array.unsafe_set chosen i cand;
-                  let o = mb + i in
-                  Array.unsafe_set a.Arena.sx1 o x1;
-                  Array.unsafe_set a.Arena.sy1 o y1;
-                  Array.unsafe_set a.Arena.sx2 o x2;
-                  Array.unsafe_set a.Arena.sy2 o y2;
-                  assign (i + 1)
-                    (Bitset.union cover cand.Instance.cover)
-                    (have_delta || idx >= mark0)
-                end
-              end
-            end
-          done
-        end
+          end
+        done
       end
     in
     (try assign 0 (Bitset.empty st.universe) false
@@ -610,49 +556,6 @@ let apply_production_big st (fp : Dispatch.fprod) =
     Array.blit lens mb marks mb arity;
     !added
   end
-
-(* Naive reference application: re-enumerate the full cross product of
-   live instances and discard repeats against a dedup table.  Kept as
-   the oracle for the equivalence suite ([options.semi_naive = false]).
-   Hints are deliberately ignored here — the oracle defines the
-   semantics the hinted engines must reproduce. *)
-let apply_production_naive st (fp : Dispatch.fprod) =
-  let arity = fp.Dispatch.arity in
-  let candidates =
-    Array.map
-      (fun sid -> Array.of_list (live_instances st sid))
-      fp.Dispatch.comps
-  in
-  let chosen = Array.make arity None in
-  let dedup = st.arena.Arena.dedup in
-  let pname = fp.Dispatch.prod.G.Production.name in
-  let added = ref false in
-  let rec assign i cover =
-    probe st;
-    if i = arity then begin
-      let arr = Array.map (fun c -> Option.get c) chosen in
-      if guard_admits st fp arr then begin
-        let key = (pname, Array.map (fun (c : Instance.t) -> c.id) arr) in
-        if not (Hashtbl.mem dedup key) then begin
-          Hashtbl.replace dedup key ();
-          create_instance st fp arr;
-          added := true
-        end
-      end
-    end
-    else
-      Array.iter
-        (fun (cand : Instance.t) ->
-           if cand.alive && Bitset.disjoint cover cand.cover then begin
-             chosen.(i) <- Some cand;
-             assign (i + 1) (Bitset.union cover cand.cover);
-             chosen.(i) <- None
-           end)
-        candidates.(i)
-  in
-  if Array.exists (fun c -> Array.length c = 0) candidates then ()
-  else assign 0 (Bitset.empty st.universe);
-  !added
 
 (* Fix-point instantiation of one symbol (procedure [instantiate] of
    Figure 11).  Under a trace, every fix-point round becomes one span
@@ -664,9 +567,7 @@ let instantiate st sid =
   let prods = st.tables.Dispatch.prods in
   let ords = st.tables.Dispatch.by_head.(sid) in
   let apply =
-    if not st.options.semi_naive then apply_production_naive
-    else if st.small then apply_production_small
-    else apply_production_big
+    if st.small then apply_production_small else apply_production_big
   in
   let run_round () =
     let progressed = ref false in
@@ -742,7 +643,7 @@ let try_kill st (r : G.Preference.t) (v1 : Instance.t) (v2 : Instance.t) =
   && not (Instance.is_descendant v2 ~of_:v1)
   then kill_loser st v2
 
-(* Boxed enforcement (the naive oracle and universes past one word):
+(* Boxed enforcement (universes past one word):
    losers in creation order, each meeting the winners in creation order
    through [try_kill].  Enforcement only ever kills instances, so
    snapshotting both sides and re-checking [alive] per pair is
@@ -864,14 +765,9 @@ let enforce_columns st (fr : Dispatch.fpref) =
    [enforce]).  Under a trace, an enforcement that killed something
    becomes one span naming the preference and its kill counts; silent
    enforcements (no conflict on the current front) are not recorded — a
-   trace shows where trees died, not every scan.  The oracle enforces
-   through the boxed reference scan on every universe, so the
-   equivalence suite checks the column scan against it. *)
+   trace shows where trees died, not every scan. *)
 let enforce st (fr : Dispatch.fpref) =
-  let scan =
-    if st.small && st.options.semi_naive then enforce_columns
-    else enforce_boxed
-  in
+  let scan = if st.small then enforce_columns else enforce_boxed in
   match st.trace with
   | None -> scan st fr
   | Some _ ->
@@ -1023,11 +919,11 @@ let compile ?(name = "anonymous") ?(version = "0") grammar =
     tables;
     pool = Arena.make_pool () }
 
-let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
+let parse ?gauge ?trace ?(options = default_options) compiled tokens =
   let grammar = compiled.grammar in
   let tables = compiled.tables in
   let universe = List.length tokens in
-  let hints_enabled = options.semi_naive && options.use_hints in
+  let hints_enabled = options.use_hints in
   let arena = Arena.acquire compiled.pool tables in
   Fun.protect ~finally:(fun () -> Arena.release compiled.pool arena)
   @@ fun () ->
@@ -1046,8 +942,7 @@ let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
         Spatial_index.note_killed col.Arena.index
   in
   let st =
-    { grammar;
-      tables;
+    { tables;
       arena;
       universe;
       small = universe <= Bitset.bits_per_word;
@@ -1148,9 +1043,6 @@ let parse_compiled ?gauge ?trace ?(options = default_options) compiled tokens =
         guards_admitted = st.guards_admitted;
         index_probes = st.index_probes;
         index_pruned = st.index_pruned } }
-
-let parse ?gauge ?trace ?options grammar tokens =
-  parse_compiled ?gauge ?trace ?options (compile grammar) tokens
 
 let count_trees result =
   let universe = List.length result.tokens in

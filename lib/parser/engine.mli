@@ -23,17 +23,8 @@ type options = {
           [stats.truncated]) once this many instances exist.  Visual
           language membership is NP-complete (Section 5.1), so the
           exhaustive mode needs a bound. *)
-  semi_naive : bool;
-      (** [true] (the default) drives each fix-point round from the
-          per-symbol delta sets — only production applications binding
-          at least one instance created since the production's previous
-          application are enumerated.  [false] selects the naive
-          reference: re-enumerate the full cross product every round and
-          discard repeats against a dedup table.  Both produce identical
-          results (instance ids included); the naive engine is retained
-          as the oracle for the equivalence test suite. *)
   use_hints : bool;
-      (** [true] (the default) lets the semi-naive engine use the
+      (** [true] (the default) lets the engine use the
           productions' declarative spatial hints: hinted component slots
           anchored to an already-bound component enumerate only the
           spatially compatible candidates, found through a per-symbol
@@ -41,13 +32,12 @@ type options = {
           filter — every hint is implied by its production's guard, the
           guard is still evaluated on every surviving combination, and
           index probes return candidates in creation order, so results
-          are byte-identical with hints off (instance ids included).
-          Ignored by the naive oracle ([semi_naive = false]). *)
+          are byte-identical with hints off (instance ids included). *)
 }
 
 val default_options : options
-(** Preferences on, scheduling on, [max_instances = 200_000],
-    semi-naive instantiation, hints on. *)
+(** Preferences on, scheduling on, [max_instances = 200_000], hints
+    on. *)
 
 type stats = {
   created : int;       (** instances ever created, tokens included *)
@@ -62,7 +52,7 @@ type stats = {
           spatial candidate index exists to shrink this number. *)
   guards_admitted : int;
       (** Guard invocations that returned [true] (each admits one new
-          instance in the semi-naive engine). *)
+          instance). *)
   index_probes : int;
       (** Row-band index probes issued for hinted component slots. *)
   index_pruned : int;
@@ -115,30 +105,26 @@ type compiled = private {
 
 val compile :
   ?name:string -> ?version:string -> Wqi_grammar.Grammar.t -> compiled
-(** [compile g] validates [g] (raising [Invalid_argument] like {!parse}
-    would) and precomputes everything {!parse_compiled} needs.  [name]
-    defaults to ["anonymous"], [version] to ["0"]; loaders pass the
-    grammar file's declared identity. *)
+(** [compile g] validates [g] (raising [Invalid_argument] if
+    [Grammar.validate] fails) and precomputes everything {!parse}
+    needs.  [name] defaults to ["anonymous"], [version] to ["0"];
+    loaders pass the grammar file's declared identity. *)
 
-val parse_compiled :
+val parse :
   ?gauge:Wqi_budget.Budget.gauge ->
   ?trace:Wqi_obs.Trace.t ->
   ?options:options ->
   compiled ->
   Wqi_token.Token.t list ->
   result
-(** {!parse} minus the per-call schedule/preference derivation.
-    Byte-identical results to [parse pack.grammar]. *)
+(** [parse pack tokens] runs the 2P parser with [pack]'s grammar.
 
-val parse :
-  ?gauge:Wqi_budget.Budget.gauge ->
-  ?trace:Wqi_obs.Trace.t ->
-  ?options:options ->
-  Wqi_grammar.Grammar.t ->
-  Wqi_token.Token.t list ->
-  result
-(** [parse g tokens] runs the 2P parser.  The grammar must pass
-    [Grammar.validate]; [Invalid_argument] is raised otherwise.
+    Each fix-point round is driven from the per-symbol delta sets (the
+    semi-naive discipline): only production applications binding at
+    least one instance created since the production's previous
+    application are enumerated, in the lexicographic nested-loop order
+    of the naive re-enumeration, so instance ids match that reference
+    exactly.
 
     [gauge] charges one budget unit per instance created (token
     instances included) and one per fix-point round; hot enumeration

@@ -6,6 +6,8 @@
 module Extractor = Wqi_core.Extractor
 module Semantic_model = Wqi_model.Semantic_model
 module Budget = Wqi_budget.Budget
+module Engine = Wqi_parser.Engine
+module Store = Wqi_store.Store
 
 let version = 1
 
@@ -68,9 +70,27 @@ let failed ~source ~grammar ?(domain = "") () =
   make ~source ~grammar ~domain ~outcome:"failed" ~tokens:0 ~covered:0
     ~conflicts:0 ~missing:0 ~trees:0 ~ambiguity:0 ~trips:0
 
-let of_rollup ~source ~grammar ~domain ~outcome ~score ~coverage ~conflicts =
-  { source; grammar; domain; outcome; tokens = 0; covered = 0; conflicts;
-    missing = 0; trees = 0; ambiguity = 0; trips = 0; coverage; score }
+let grammar_id (pack : Engine.compiled) = pack.name ^ "@" ^ pack.version
+
+let to_meta r =
+  { Store.source = r.source;
+    grammar = r.grammar;
+    outcome = r.outcome;
+    domain = r.domain;
+    quality =
+      Some
+        { Store.q_score = r.score;
+          q_coverage = r.coverage;
+          q_conflicts = r.conflicts } }
+
+let of_meta (m : Store.meta) =
+  Option.map
+    (fun (q : Store.quality) ->
+       { source = m.source; grammar = m.grammar; domain = m.domain;
+         outcome = m.outcome; tokens = 0; covered = 0;
+         conflicts = q.q_conflicts; missing = 0; trees = 0; ambiguity = 0;
+         trips = 0; coverage = q.q_coverage; score = q.q_score })
+    m.quality
 
 (* ------------------------------------------------------------------ *)
 (* Canonical JSON                                                     *)

@@ -72,13 +72,21 @@ val failed : source:string -> grammar:string -> ?domain:string ->
     diagnostics (e.g. a batch worker whose file read failed): zero
     tokens, zero coverage, score [0.]. *)
 
-val of_rollup :
-  source:string -> grammar:string -> domain:string -> outcome:string ->
-  score:float -> coverage:float -> conflicts:int -> t
-(** Rebuild a record from the headline fields a store manifest persists
-    (score, coverage, conflicts plus provenance), for rolling up a
-    reopened store — or a crawl answered from it — without
-    re-extraction.  The detail counters the manifest does not carry
+val grammar_id : Wqi_parser.Engine.compiled -> string
+(** A pack's identity as records and store entries carry it:
+    [name@version]. *)
+
+val to_meta : t -> Wqi_store.Store.meta
+(** The store manifest entry of an extraction: the record's provenance
+    (source, grammar, outcome label, domain) and its headline quality
+    fields (score, coverage, conflicts).  Every writer of a store entry
+    goes through here, so the entry and the record never disagree. *)
+
+val of_meta : Wqi_store.Store.meta -> t option
+(** Rebuild a record from the headline fields a store manifest persists,
+    for rolling up a reopened store — or a crawl answered from it —
+    without re-extraction; [None] for entries written before quality
+    records existed.  The detail counters the manifest does not carry
     (tokens, covered, missing, trees, ambiguity, trips) are zero; {!Agg}
     still aggregates the count, outcome, score, coverage and conflict
     dimensions of such records exactly. *)

@@ -10,13 +10,10 @@ module Quality = Wqi_quality.Quality
 
 let version = "1.0.0"
 
-type accept_mode = [ `Auto | `Reuseport | `Dispatch ]
-
 type config = {
   host : string;
   port : int;
   jobs : int option;
-  accept_mode : accept_mode;
   max_inflight : int;
   max_body : int;
   cache : Cache.config option;
@@ -40,7 +37,6 @@ let default_config =
   { host = "127.0.0.1";
     port = 8080;
     jobs = None;
-    accept_mode = `Auto;
     max_inflight = 4 * Domain.recommended_domain_count ();
     max_body = 4 * 1024 * 1024;
     cache = Some Cache.default_config;
@@ -70,26 +66,23 @@ type handler = {
 }
 
 (* Everything a serving domain touches on its request path lives here
-   and belongs to this domain alone: its own listening socket (or
-   dispatcher inbox), its own cache shard, its own telemetry arena and
-   its own handler registry.  Nothing in a request's
-   accept → parse → extract → respond path crosses into another
-   domain's shard. *)
+   and belongs to this domain alone: its own listening socket, its own
+   cache shard, its own telemetry arena and its own handler registry.
+   Nothing in a request's accept → parse → extract → respond path
+   crosses into another domain's shard. *)
 type shard = {
   s_index : int;
-  s_listen : Unix.file_descr option;  (* own socket in `Reuseport mode *)
+  s_listen : Unix.file_descr;  (* own SO_REUSEPORT socket *)
   s_cache : Cache.t option;
   s_telemetry : Telemetry.t;
-  s_mutex : Mutex.t;  (* guards registry, zombies, token and inbox *)
-  s_cond : Condition.t;  (* dispatcher inbox: fd queued, or draining *)
+  s_mutex : Mutex.t;  (* guards registry, zombies and token *)
   s_live : (int, handler) Hashtbl.t;  (* token -> live handler *)
   mutable s_zombies : Thread.t list;  (* finished handlers, to join *)
   mutable s_token : int;
-  s_pending : Unix.file_descr Queue.t;  (* `Dispatch mode inbox *)
-  (* OCaml runtime health, sampled by this domain's own loop (an
-     accept-loop tick or a connection registration) so each shard
-     reports its own domain's view; the scrape merges them without ever
-     running code on another domain.  Guarded by s_mutex. *)
+  (* OCaml runtime health, sampled by this domain's own accept-loop
+     tick so each shard reports its own domain's view; the scrape
+     merges them without ever running code on another domain.  Guarded
+     by s_mutex. *)
   mutable s_gc_minor_words : float;
   mutable s_gc_major : int;
   mutable s_gc_heap_bytes : int;
@@ -104,7 +97,6 @@ type shard = {
 type t = {
   config : config;
   bound_port : int;
-  mode : [ `Reuseport | `Dispatch ];
   registry : (string * Engine.compiled) list Atomic.t;
       (* name → compiled pack, sorted by name; always contains the
          default grammar.  Swapped wholesale (never mutated) so request
@@ -116,7 +108,6 @@ type t = {
          after extraction), so its internal mutexes never sit on a
          cache-hit path. *)
   shards : shard array;
-  dispatch_listen : Unix.file_descr option;  (* `Dispatch mode only *)
   inflight : int Atomic.t;  (* admitted extractions, all domains *)
   peak_inflight : int Atomic.t;
   req_seed : string;          (* per-process prefix of request ids *)
@@ -127,7 +118,6 @@ type t = {
   stop_r : Unix.file_descr;  (* self-pipe: wakes every accept loop *)
   stop_w : Unix.file_descr;
   draining : bool Atomic.t;
-  mutable dispatcher : Thread.t option;
   mutable domains : Group.t option;
 }
 
@@ -288,10 +278,10 @@ let observe sh ~code t0 =
     ~seconds:(Budget.now_s () -. t0) ()
 
 (* Refresh this shard's view of its domain's GC counters.  Called from
-   code already running on the shard's own domain (accept-loop ticks,
-   connection registration, a /metrics handler), so each sample is the
-   owning domain's [Gc.quick_stat] — the scrape thread never has to run
-   code on another domain to read it. *)
+   code already running on the shard's own domain (accept-loop ticks, a
+   /metrics handler), so each sample is the owning domain's
+   [Gc.quick_stat] — the scrape thread never has to run code on another
+   domain to read it. *)
 let word_bytes = Sys.word_size / 8
 
 let sample_gc sh =
@@ -584,8 +574,7 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
       let body = Extractor.export ~timings:false ~name e in
       let tag = outcome_tag e.Extractor.outcome in
       let q =
-        Quality.of_extraction ~source:name
-          ~grammar:(pack.Engine.name ^ "@" ^ pack.Engine.version) e
+        Quality.of_extraction ~source:name ~grammar:(Quality.grammar_id pack) e
       in
       let status = match tag with `Failed -> 500 | _ -> 200 in
       (match (sh.s_cache, ckey, tag) with
@@ -602,18 +591,7 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
        | Some store, Some k, (`Complete | `Degraded) ->
          let w0 = Trace.now () in
          (try
-            Store.put store k
-              ~meta:
-                { Store.source = name;
-                  grammar = pack.Engine.name ^ "@" ^ pack.Engine.version;
-                  outcome = outcome_name tag;
-                  domain = "";
-                  quality =
-                    Some
-                      { Store.q_score = q.Quality.score;
-                        q_coverage = q.Quality.coverage;
-                        q_conflicts = q.Quality.conflicts } }
-              body
+            Store.put store k ~meta:(Quality.to_meta q) body
           with Invalid_argument _ | Sys_error _ -> ());
          Trace.span trace ~cat:"store" "store.write" ~t0:w0 ~t1:(Trace.now ())
        | _ -> ());
@@ -726,20 +704,6 @@ let handle_extract t sh ~scratch fd req t0 ~id =
 (* ------------------------------------------------------------------ *)
 (* Metrics: merge-on-scrape                                           *)
 (* ------------------------------------------------------------------ *)
-
-let mode_name = function `Reuseport -> "reuseport" | `Dispatch -> "dispatch"
-
-let pending_conns t =
-  match t.mode with
-  | `Reuseport -> 0
-  | `Dispatch ->
-    Array.fold_left
-      (fun acc sh ->
-         Mutex.lock sh.s_mutex;
-         let n = Queue.length sh.s_pending in
-         Mutex.unlock sh.s_mutex;
-         acc + n)
-      0 t.shards
 
 let metrics_body t =
   (* One snapshot per domain arena (each under its own mutex, briefly),
@@ -867,9 +831,6 @@ let metrics_body t =
            ("wqi_domain_requests_total",
             "Requests served, by owning domain (merge-on-scrape).",
             `Counter, domain_rows);
-           ("wqi_pool_queue_depth",
-            "Accepted connections waiting for a domain (dispatch mode).",
-            `Gauge, [ ("", float_of_int (pending_conns t)) ]);
            ("wqi_pool_inflight", "Extractions executing across domains.",
             `Gauge, [ ("", float_of_int inflight) ]);
            ("wqi_inflight_requests",
@@ -879,10 +840,7 @@ let metrics_body t =
             `Gauge, [ ("", float_of_int (Array.length t.shards)) ]);
            ("wqi_pool_peak_inflight",
             "High-water mark of concurrent extractions.", `Gauge,
-            [ ("", float_of_int (Atomic.get t.peak_inflight)) ]);
-           ("wqi_accept_mode_info",
-            "Accept architecture in use; value is always 1.", `Gauge,
-            [ (Printf.sprintf "mode=\"%s\"" (mode_name t.mode), 1.) ]) ])
+            [ ("", float_of_int (Atomic.get t.peak_inflight)) ]) ])
 
 (* Returns whether the connection may be kept alive. *)
 let handle_request t sh ~scratch fd req =
@@ -968,9 +926,6 @@ let handle_conn t sh token fd =
    calls this, so registration cannot race the drain (which runs on
    the same thread, after the loop exits). *)
 let register_conn t sh fd =
-  (* Dispatch-mode domains block on their inboxes between connections,
-     so registration is their GC-sampling tick. *)
-  sample_gc sh;
   Mutex.lock sh.s_mutex;
   let token = sh.s_token in
   sh.s_token <- token + 1;
@@ -1025,24 +980,6 @@ let accept_loop t sh listen_fd =
   in
   loop ()
 
-(* Dispatch-mode inbox: the domain waits for the dispatcher to queue
-   accepted sockets on its shard. *)
-let inbox_loop t sh =
-  let rec loop () =
-    Mutex.lock sh.s_mutex;
-    while Queue.is_empty sh.s_pending && not (draining t) do
-      Condition.wait sh.s_cond sh.s_mutex
-    done;
-    let next = Queue.take_opt sh.s_pending in
-    Mutex.unlock sh.s_mutex;
-    match next with
-    | Some fd ->
-      register_conn t sh fd;
-      loop ()
-    | None -> ()  (* draining and the inbox is empty *)
-  in
-  loop ()
-
 (* Drain one shard: wait for its live handlers to finish (they stop at
    their next request boundary or receive timeout), deadline-kill the
    stragglers by shutting their sockets down, then join every handler
@@ -1080,53 +1017,8 @@ let drain_shard t sh =
 let domain_main t i =
   let sh = t.shards.(i) in
   sample_gc sh;
-  (match (t.mode, sh.s_listen) with
-   | `Reuseport, Some fd -> accept_loop t sh fd
-   | `Reuseport, None -> ()  (* unreachable by construction *)
-   | `Dispatch, _ -> inbox_loop t sh);
+  accept_loop t sh sh.s_listen;
   drain_shard t sh
-
-(* The fallback for platforms without SO_REUSEPORT: one thread accepts
-   and deals sockets round-robin to the domain inboxes.  Connections
-   (not requests) are the unit of dispatch, so a request still never
-   crosses a domain boundary once its connection lands. *)
-let dispatcher_loop t listen_fd =
-  let n = Array.length t.shards in
-  let next = ref 0 in
-  let rec loop () =
-    if not (draining t) then begin
-      (match Unix.select [ listen_fd; t.stop_r ] [] [] 0.25 with
-       | exception Unix.Unix_error (EINTR, _, _) -> ()
-       | ready, _, _ ->
-         if (not (List.mem t.stop_r ready)) && List.mem listen_fd ready
-         then (
-           match Unix.accept ~cloexec:true listen_fd with
-           | exception
-               Unix.Unix_error
-                 ((EAGAIN | EWOULDBLOCK | ECONNABORTED | EINTR), _, _) ->
-             ()
-           | fd, _ ->
-             let sh = t.shards.(!next mod n) in
-             next := !next + 1;
-             Mutex.lock sh.s_mutex;
-             Queue.push fd sh.s_pending;
-             Condition.signal sh.s_cond;
-             Mutex.unlock sh.s_mutex));
-      (* In dispatch mode the domains block on their inboxes, so the
-         dispatcher's select tick is the reload heartbeat. *)
-      maybe_reload t;
-      loop ()
-    end
-  in
-  loop ();
-  (* Wake every inbox so the domains notice the drain even when no
-     further connection arrives. *)
-  Array.iter
-    (fun sh ->
-       Mutex.lock sh.s_mutex;
-       Condition.broadcast sh.s_cond;
-       Mutex.unlock sh.s_mutex)
-    t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Startup                                                            *)
@@ -1139,11 +1031,11 @@ let resolve_host host =
      with Not_found ->
        invalid_arg (Printf.sprintf "Serve.start: unknown host %S" host))
 
-let make_listener ~reuseport addr port =
+let make_listener addr port =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   try
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    if reuseport then Unix.setsockopt fd Unix.SO_REUSEPORT true;
+    Unix.setsockopt fd Unix.SO_REUSEPORT true;
     Unix.bind fd (Unix.ADDR_INET (addr, port));
     Unix.listen fd 128;
     fd
@@ -1161,40 +1053,23 @@ let close_all fds =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     fds
 
-(* Bind the accept sockets: one per domain under SO_REUSEPORT (the
-   kernel then load-balances new connections across domains), or a
-   single socket plus the fd-passing dispatcher when the option is
-   unavailable (or dispatch is forced). *)
+(* Bind the accept sockets, one per domain under SO_REUSEPORT: the
+   kernel then load-balances new connections across domains.  The
+   first socket fixes the port (config.port may be 0); a failure closes
+   whatever was bound and propagates. *)
 let bind_listeners config ~jobs addr =
-  let reuseport_listeners () =
-    let first = make_listener ~reuseport:true addr config.port in
-    let port = port_of first in
-    let rec rest acc k =
-      if k = 0 then List.rev acc
-      else
-        match make_listener ~reuseport:true addr port with
-        | fd -> rest (fd :: acc) (k - 1)
-        | exception e ->
-          close_all (first :: acc);
-          raise e
-    in
-    (first :: rest [] (jobs - 1), port)
+  let first = make_listener addr config.port in
+  let port = port_of first in
+  let rec rest acc k =
+    if k = 0 then List.rev acc
+    else
+      match make_listener addr port with
+      | fd -> rest (fd :: acc) (k - 1)
+      | exception e ->
+        close_all (first :: acc);
+        raise e
   in
-  match config.accept_mode with
-  | `Dispatch ->
-    let fd = make_listener ~reuseport:false addr config.port in
-    (`Dispatch, [], Some fd, port_of fd)
-  | `Reuseport ->
-    let fds, port = reuseport_listeners () in
-    (`Reuseport, fds, None, port)
-  | `Auto ->
-    (match reuseport_listeners () with
-     | fds, port -> (`Reuseport, fds, None, port)
-     | exception
-         Unix.Unix_error
-           ((ENOPROTOOPT | EINVAL | EOPNOTSUPP | EPERM), _, _) ->
-       let fd = make_listener ~reuseport:false addr config.port in
-       (`Dispatch, [], Some fd, port_of fd))
+  (Array.of_list (first :: rest [] (jobs - 1)), port)
 
 let start config =
   (* Load the grammar registry before binding any socket: a server that
@@ -1206,9 +1081,7 @@ let start config =
   in
   let addr = resolve_host config.host in
   let jobs = jobs_of config in
-  let mode, listeners, dispatch_listen, bound_port =
-    bind_listeners config ~jobs addr
-  in
+  let listeners, bound_port = bind_listeners config ~jobs addr in
   let stop_r, stop_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock stop_w;
   (match config.trace_dir with
@@ -1238,20 +1111,16 @@ let start config =
          { c with Cache.max_bytes = max 1 (c.Cache.max_bytes / jobs) })
       config.cache
   in
-  let listeners = Array.of_list listeners in
   let shards =
     Array.init jobs (fun i ->
         { s_index = i;
-          s_listen =
-            (if i < Array.length listeners then Some listeners.(i) else None);
+          s_listen = listeners.(i);
           s_cache = Option.map Cache.create shard_cache_config;
           s_telemetry = Telemetry.create ~version ();
           s_mutex = Mutex.create ();
-          s_cond = Condition.create ();
           s_live = Hashtbl.create 16;
           s_zombies = [];
           s_token = 0;
-          s_pending = Queue.create ();
           s_gc_minor_words = 0.;
           s_gc_major = 0;
           s_gc_heap_bytes = 0;
@@ -1265,12 +1134,10 @@ let start config =
   let t =
     { config;
       bound_port;
-      mode;
       registry = Atomic.make registry;
       reload_flag = Atomic.make false;
       store;
       shards;
-      dispatch_listen;
       inflight = Atomic.make 0;
       peak_inflight = Atomic.make 0;
       req_seed;
@@ -1281,14 +1148,9 @@ let start config =
       stop_r;
       stop_w;
       draining = Atomic.make false;
-      dispatcher = None;
       domains = None }
   in
   t.domains <- Some (Group.spawn ~jobs (fun i -> domain_main t i));
-  (match (mode, dispatch_listen) with
-   | `Dispatch, Some fd ->
-     t.dispatcher <- Some (Thread.create (fun () -> dispatcher_loop t fd) ())
-   | _ -> ());
   t
 
 let stop t =
@@ -1300,10 +1162,6 @@ let stop t =
     with Unix.Unix_error _ -> ()
 
 let wait t =
-  (match t.dispatcher with
-   | Some thread -> Thread.join thread
-   | None -> ());
-  t.dispatcher <- None;
   (* Each domain drains its own handlers and joins them; joining the
      group therefore implies every connection is finished. *)
   (match t.domains with
@@ -1318,12 +1176,8 @@ let wait t =
   (match t.store with
    | Some store -> (try Store.close store with Sys_error _ -> ())
    | None -> ());
-  let listen_fds =
-    Array.to_list (Array.map (fun sh -> sh.s_listen) t.shards)
-    |> List.filter_map Fun.id
-  in
-  let extra = match t.dispatch_listen with Some fd -> [ fd ] | None -> [] in
-  close_all (listen_fds @ extra @ [ t.stop_r; t.stop_w ])
+  let listen_fds = Array.to_list (Array.map (fun sh -> sh.s_listen) t.shards) in
+  close_all (listen_fds @ [ t.stop_r; t.stop_w ])
 
 let run ?on_listen config =
   let t = start config in
@@ -1336,7 +1190,5 @@ let run ?on_listen config =
   Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> request_reload t));
   (match on_listen with Some f -> f t | None -> ());
   wait t
-
-let accept_mode_name t = mode_name t.mode
 
 let domain_count t = Array.length t.shards

@@ -12,11 +12,8 @@
     lock-free fetch-and-add per admitted extraction), the optional
     access-log sink, and [GET /metrics], which merges per-domain
     telemetry snapshots at scrape time ({i merge-on-scrape}).
-
-    Where [SO_REUSEPORT] is unavailable (or [accept_mode = `Dispatch]
-    is forced), a single dispatcher thread accepts and deals whole
-    connections round-robin to per-domain inboxes; requests still never
-    cross a domain boundary after their connection lands.
+    [SO_REUSEPORT] is required: where the socket option cannot be set,
+    {!start} fails like any other bind error.
 
     {b Connection affinity.} The kernel's reuseport balancing keys on
     the connection 4-tuple, so a keep-alive connection — and every
@@ -70,8 +67,7 @@
       ([wqi_domain_requests_total{domain="i"}]) — with
       [wqi_requests_total] gaining a [grammar] label once more than one
       grammar is loaded — in-flight gauges
-      (including the [wqi_pool_peak_inflight] high-water mark), the
-      accept architecture ([wqi_accept_mode_info{mode=...}]), build
+      (including the [wqi_pool_peak_inflight] high-water mark), build
       info and uptime.
 
     {b Observability.} Every response to a parsed request carries an
@@ -110,22 +106,14 @@
     connections close at their receive timeout), deadline-kills
     stragglers after [drain_grace_s] by shutting their sockets, and
     joins every handler thread it ever spawned before exiting.
-    {!wait} joins the domains (and the dispatcher, if any) and closes
-    the listeners; a drained server exits 0 with no leaked threads. *)
-
-type accept_mode = [ `Auto | `Reuseport | `Dispatch ]
-(** How connections reach domains: [`Reuseport] = per-domain listening
-    sockets sharing the port via [SO_REUSEPORT]; [`Dispatch] = one
-    listener plus a round-robin fd-passing dispatcher thread; [`Auto]
-    (default) tries reuseport and falls back to dispatch where the
-    socket option is unsupported. *)
+    {!wait} joins the domains and closes the listeners; a drained
+    server exits 0 with no leaked threads. *)
 
 type config = {
   host : string;
   port : int;  (** 0 binds an ephemeral port; read it back with {!port} *)
   jobs : int option;
       (** serving domains; [None] = recommended domain count *)
-  accept_mode : accept_mode;
   max_inflight : int;
       (** admission-control bound on concurrently admitted extractions
           across all domains; 0 sheds every cache miss (useful for
@@ -189,7 +177,7 @@ type config = {
 }
 
 val default_config : config
-(** Port 8080 on 127.0.0.1, recommended jobs, [`Auto] accept mode,
+(** Port 8080 on 127.0.0.1, recommended jobs,
     [max_inflight] = 4 × recommended domain count, 4 MiB bodies,
     default cache config, no persistent store, default extractor config
     (unlimited budget), no caps, 5 s idle timeout, 30 s drain grace; no
@@ -202,7 +190,8 @@ type t
 
 val start : config -> t
 (** Bind the listeners and spawn the serving domains.  Raises
-    [Unix.Unix_error] if the address cannot be bound and
+    [Unix.Unix_error] if the address cannot be bound (including when
+    [SO_REUSEPORT] cannot be set) and
     [Invalid_argument] if [config.grammar_dir] fails to load (missing
     directory, malformed file, duplicate grammar name). *)
 
@@ -224,10 +213,6 @@ val request_reload : t -> unit
 
 val port : t -> int
 (** The actually-bound port (useful with [config.port = 0]). *)
-
-val accept_mode_name : t -> string
-(** The accept architecture actually in use: ["reuseport"] or
-    ["dispatch"] (after [`Auto] resolution). *)
 
 val domain_count : t -> int
 (** Serving domains spawned (the resolved [jobs]). *)

@@ -11,7 +11,7 @@
    representation batch drivers use for out-of-pipeline errors. *)
 
 module Extractor = Wqi_core.Extractor
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 module Trace = Wqi_obs.Trace
 
 let read_file path =

@@ -9,7 +9,7 @@
        requests to one domain's shard), a malformed request (400), and
        method/path errors (405/404);
      - /metrics merge-on-scrape exposition (request counters, latency
-       histogram, per-domain request split, accept-mode info);
+       histogram, per-domain request split);
      - a cold then a warm pass over the tractable fixtures on one
        keep-alive connection: every warm response a cache hit,
        byte-identical to its cold response;
@@ -17,7 +17,7 @@
        reached, from any domain;
      - SIGTERM graceful drain across all domains: the in-flight
        extraction completes and the process exits 0;
-     - single-flight, against a --jobs 1 --accept dispatch server:
+     - single-flight, against a --jobs 1 server:
        concurrent identical cold misses run exactly one extraction;
      - the grammar registry, against the same server started with
        --grammar-dir: per-request ?grammar= selection (x-wqi-grammar
@@ -360,12 +360,10 @@ let () =
       "wqi_request_seconds_bucket";
       "wqi_cache_hits_total";
       "wqi_cache_coalesced_total";
-      "wqi_pool_queue_depth";
       "wqi_pool_jobs 4";
       "wqi_pool_peak_inflight";
       "wqi_domain_requests_total{domain=\"0\"}";
       "wqi_domain_requests_total{domain=\"3\"}";
-      "wqi_accept_mode_info{mode=\"";
       "wqi_build_info{version=\"1.0.0\"} 1";
       "wqi_uptime_seconds";
       "wqi_stage_seconds_bucket{stage=\"parse\",le=\"+Inf\"}";
@@ -518,16 +516,13 @@ let () =
 
   (* Single-flight: 4 concurrent identical cold misses must run ONE
      extraction — the leader's — and feed the other three from its
-     result.  jobs=1 keeps all four on one shard; --accept dispatch
-     also exercises the fd-passing fallback path end to end. *)
-  let pid2, port2, _ic2, banner2 =
+     result.  jobs=1 keeps all four on one shard. *)
+  let pid2, port2, _ic2, _banner2 =
     spawn server_exe
-      [ "--port"; "0"; "--jobs"; "1"; "--accept"; "dispatch";
+      [ "--port"; "0"; "--jobs"; "1";
         "--max-inflight"; "4"; "--idle-timeout-s"; "2";
         "--grammar-dir"; grammars_dir ]
   in
-  if not (contains banner2 "accept=dispatch") then
-    fail "dispatch server banner %S does not announce accept=dispatch" banner2;
   let results = Array.make 4 None in
   let posters =
     List.init 4 (fun i ->
@@ -644,9 +639,9 @@ let () =
   Unix.kill pid2 Sys.sigterm;
   (match Unix.waitpid [] pid2 with
    | _, Unix.WEXITED 0 -> ()
-   | _, Unix.WEXITED c -> fail "dispatch server exited %d (want 0)" c
+   | _, Unix.WEXITED c -> fail "single-flight server exited %d (want 0)" c
    | _, s ->
-     fail "dispatch server did not exit cleanly (%s)"
+     fail "single-flight server did not exit cleanly (%s)"
        (match s with
         | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
         | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n

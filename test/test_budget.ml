@@ -3,7 +3,7 @@
    inputs under a deadline), Config builders and the versioned JSON
    export. *)
 
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 module Extractor = Wqi_core.Extractor
 module Engine = Wqi_parser.Engine
 module Dataset = Wqi_corpus.Dataset
@@ -117,7 +117,7 @@ let test_config () =
 let test_complete_outcome () =
   let e = Extractor.run Extractor.Config.default (Extractor.Html simple_form) in
   check_bool "ungoverned run is complete" true (e.outcome = Budget.Complete);
-  let legacy = Extractor.extract simple_form in
+  let legacy = Extractor.(run Config.default (Html simple_form)) in
   check_bool "legacy wrapper agrees" true
     (Extractor.conditions e = Extractor.conditions legacy);
   check_bool "legacy wrapper complete" true (legacy.outcome = Budget.Complete)
@@ -166,9 +166,11 @@ let test_legacy_max_instances_reported () =
   (* The engine-level safety valve (no gauge at all) must surface as a
      degraded outcome too. *)
   let e =
-    Extractor.extract
-      ~options:{ Engine.default_options with max_instances = 3 }
-      simple_form
+    Extractor.run
+      Extractor.Config.(
+        default
+        |> with_options { Engine.default_options with max_instances = 3 })
+      (Extractor.Html simple_form)
   in
   check_bool "legacy cap degrades" true (degraded e);
   match e.outcome with
@@ -300,7 +302,9 @@ let test_run_catches () =
             () ]
       ()
   in
-  let config = Extractor.Config.(default |> with_grammar bad_grammar) in
+  let config =
+    Extractor.Config.(default |> with_compiled (Engine.compile bad_grammar))
+  in
   let e = Extractor.run config (Extractor.Html simple_form) in
   match e.outcome with
   | Budget.Failed err ->

@@ -125,7 +125,7 @@ let hints_md5 = "3559b3ddc0925277e5507840d7d0c21b"
 
 let test_parse () =
   Alcotest.(check string) "parse digest" parse_md5
-    (parse_digest Wqi_stdgrammar.Std.grammar)
+    (parse_digest Wqi_stdgrammar.Std.compiled)
 
 let test_hints () =
   Alcotest.(check string) "hints digest" hints_md5

@@ -62,8 +62,10 @@ let test_subgrammar_still_extracts () =
      text-only form completely. *)
   let g = Derive.grammar_for_patterns [ Pattern.Attr_left_text ] in
   let e =
-    Wqi_core.Extractor.extract ~grammar:g
-      {|<form><p>Author: <input type="text" name="a"></p><p>Title: <input type="text" name="t"></p></form>|}
+    Wqi_core.Extractor.(
+      run Config.(default |> with_compiled (Wqi_parser.Engine.compile g)))
+      (Html
+         {|<form><p>Author: <input type="text" name="a"></p><p>Title: <input type="text" name="t"></p></form>|})
   in
   check_int "both conditions" 2 (List.length (Wqi_core.Extractor.conditions e))
 
@@ -71,8 +73,10 @@ let test_subgrammar_misses_unknown_patterns () =
   (* The same text-only grammar cannot interpret a selection condition. *)
   let g = Derive.grammar_for_patterns [ Pattern.Attr_left_text ] in
   let e =
-    Wqi_core.Extractor.extract ~grammar:g
-      {|<form>Format: <select name="f"><option>CD</option><option>LP</option></select></form>|}
+    Wqi_core.Extractor.(
+      run Config.(default |> with_compiled (Wqi_parser.Engine.compile g)))
+      (Html
+         {|<form>Format: <select name="f"><option>CD</option><option>LP</option></select></form>|})
   in
   check_int "nothing extracted" 0 (List.length (Wqi_core.Extractor.conditions e))
 

@@ -10,7 +10,7 @@
    and review the diff. *)
 
 module Extractor = Wqi_core.Extractor
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 
 let read_file path =
   let ic = open_in_bin path in

@@ -20,7 +20,7 @@ let simple_form =
     </table><input type="submit" value="Go"></form>|}
 
 let test_extract_simple () =
-  let e = Extractor.extract simple_form in
+  let e = Extractor.(run Config.default (Html simple_form)) in
   let attrs =
     List.map
       (fun (c : Condition.t) -> Condition.normalize_label c.attribute)
@@ -29,26 +29,31 @@ let test_extract_simple () =
   Alcotest.(check (list string)) "conditions" [ "author"; "format" ] attrs
 
 let test_diagnostics_populated () =
-  let e = Extractor.extract simple_form in
+  let e = Extractor.(run Config.default (Html simple_form)) in
   check_int "token count" 5 e.diagnostics.token_count;
   check_bool "some instances" true (e.diagnostics.parse_stats.created > 5);
   check_bool "tree count positive" true (e.diagnostics.tree_count >= 1);
   check_bool "parse time nonnegative" true (e.diagnostics.parse_seconds >= 0.)
 
 let test_extract_empty_input () =
-  let e = Extractor.extract "" in
+  let e = Extractor.(run Config.default (Html "")) in
   check_int "no tokens" 0 e.diagnostics.token_count;
   check_int "no conditions" 0 (List.length (Extractor.conditions e))
 
 let test_extract_plain_text_page () =
-  let e = Extractor.extract "<p>Just an article, no form at all.</p>" in
+  let e =
+    Extractor.(
+      run Config.default (Html "<p>Just an article, no form at all.</p>"))
+  in
   check_int "no conditions" 0 (List.length (Extractor.conditions e))
 
 let test_missing_reported () =
   (* A label convention the grammar does not know (label to the right)
      leaves tokens uncovered, which the merger must report. *)
   let e =
-    Extractor.extract {|<form><input type="text" name="q"> Publisher</form>|}
+    Extractor.(
+      run Config.default
+        (Html {|<form><input type="text" name="q"> Publisher</form>|}))
   in
   check_bool "missing reported" true
     (Semantic_model.missing_count e.model > 0)
@@ -67,7 +72,10 @@ let test_custom_grammar_hook () =
             () ]
       ()
   in
-  let e = Extractor.extract ~grammar:g simple_form in
+  let config =
+    Extractor.Config.(default |> with_compiled (Wqi_parser.Engine.compile g))
+  in
+  let e = Extractor.run config (Extractor.Html simple_form) in
   check_int "no conditions from trivial grammar" 0
     (List.length (Extractor.conditions e))
 
@@ -112,7 +120,8 @@ let test_baseline_no_operators () =
   in
   let parser_counts =
     Metrics.count ~truth
-      ~extracted:(Extractor.conditions (Extractor.extract amazon_author))
+      ~extracted:
+        Extractor.(conditions (run Config.default (Html amazon_author)))
   in
   check_int "baseline misses the operator condition" 0 baseline_counts.correct;
   check_int "parser gets it" 1 parser_counts.correct

@@ -4,7 +4,7 @@
 module Metrics = Wqi_metrics.Metrics
 
 let score (f : Fixtures.fixture) =
-  let extraction = Wqi_core.Extractor.extract f.html in
+  let extraction = Wqi_core.Extractor.(run Config.default (Html f.html)) in
   let extracted = Wqi_core.Extractor.conditions extraction in
   let counts = Metrics.count ~truth:f.truth ~extracted in
   (extraction, extracted, counts)
@@ -45,7 +45,7 @@ let test_fixtures_deterministic () =
     (fun (f : Fixtures.fixture) ->
        let run () =
          List.map Wqi_model.Condition.to_string
-           (Wqi_core.Extractor.conditions (Wqi_core.Extractor.extract f.html))
+           Wqi_core.Extractor.(conditions (run Config.default (Html f.html)))
        in
        Alcotest.(check (list string)) f.name (run ()) (run ()))
     Fixtures.all

@@ -118,7 +118,7 @@ let amazon = {|
 </table>
 </form>|}
 
-let extraction () = Wqi_core.Extractor.extract amazon
+let extraction () = Wqi_core.Extractor.(run Config.default (Html amazon))
 
 let test_fillables () =
   let fs = Formulate.fillables (extraction ()) in
@@ -202,7 +202,7 @@ let test_formulate_datetime () =
 <select name="y"><option>2004</option><option>2005</option></select>
 </form>|}
   in
-  let e = Wqi_core.Extractor.extract html in
+  let e = Wqi_core.Extractor.(run Config.default (Html html)) in
   match
     Formulate.formulate e
       [ { Formulate.attribute = "Departing"; operator = None;

@@ -54,12 +54,13 @@ let check_corpus_equivalent ctx parse =
     (fun (s : Wqi_corpus.Generator.source) ->
        let tokens = Wqi_token.Tokenize.of_html s.html in
        Test_parser_equiv.check_equivalent (ctx ^ "/" ^ s.id) (parse tokens)
-         (Engine.parse_compiled Std.compiled tokens))
+         (Engine.parse Std.compiled tokens))
     (Test_parser_equiv.corpus_sources ())
 
 let test_decl_equivalence () =
   (* The instantiated declaration, compiled afresh for every parse. *)
-  check_corpus_equivalent "decl" (Engine.parse Std.grammar)
+  check_corpus_equivalent "decl" (fun tokens ->
+      Engine.parse (Engine.compile Std.grammar) tokens)
 
 let test_loaded_equivalence () =
   (* Committed bytes on disk → Extractor.load_grammar → parser, equal
@@ -69,7 +70,7 @@ let test_loaded_equivalence () =
   | Ok pack ->
     check_string "name" Std.compiled.Engine.name pack.Engine.name;
     check_string "version" Std.compiled.Engine.version pack.Engine.version;
-    check_corpus_equivalent "loaded" (Engine.parse_compiled pack)
+    check_corpus_equivalent "loaded" (Engine.parse pack)
 
 (* --- round-trips and the committed golden --- *)
 

@@ -138,7 +138,8 @@ let test_end_to_end_clustering () =
       Wqi_corpus.Generator.generate g ~id ~domain ~complexity:`Rich
         ~oog_prob:0. ()
     in
-    schema id (Wqi_core.Extractor.conditions (Wqi_core.Extractor.extract s.html))
+    schema id
+      Wqi_core.Extractor.(conditions (run Config.default (Html s.html)))
   in
   let schemas =
     [ gen "Books" "b1"; gen "Automobiles" "a1"; gen "Books" "b2";
@@ -209,7 +210,7 @@ let test_extract_forms () =
 <input type="submit" value="Find">
 </form>|}
   in
-  match Wqi_core.Extractor.extract_forms page with
+  match Wqi_core.Extractor.(run_forms Config.default) page with
   | [ quick; advanced ] ->
     check_int "quick form: one keyword condition" 1
       (List.length (Wqi_core.Extractor.conditions quick));
@@ -218,7 +219,10 @@ let test_extract_forms () =
   | forms -> Alcotest.failf "expected two forms, got %d" (List.length forms)
 
 let test_extract_forms_formless () =
-  match Wqi_core.Extractor.extract_forms "<p>Author: <input type=\"text\"></p>" with
+  match
+    Wqi_core.Extractor.(run_forms Config.default)
+      "<p>Author: <input type=\"text\"></p>"
+  with
   | [ only ] ->
     check_int "whole page used" 1
       (List.length (Wqi_core.Extractor.conditions only))

@@ -48,13 +48,17 @@ let longest_wins =
         Bitset.cardinal a.Instance.cover > Bitset.cardinal b.Instance.cover)
     ()
 
+let longest_list () =
+  Engine.compile (list_grammar ~preferences:[ longest_wins ] ())
+
 let test_fixpoint_builds_all_sublists () =
   (* Without preferences, every contiguous sublist is derived: 3 tokens
      give 6 lists (the paper's Figure-8 ambiguity). *)
   let result =
     Engine.parse
       ~options:{ Engine.default_options with use_preferences = false }
-      (list_grammar ()) (row [ Token.Text; Token.Text; Token.Text ])
+      (Engine.compile (list_grammar ()))
+      (row [ Token.Text; Token.Text; Token.Text ])
   in
   let lists =
     List.filter (fun (i : Instance.t) -> Symbol.name i.sym = "L")
@@ -64,7 +68,7 @@ let test_fixpoint_builds_all_sublists () =
 
 let test_preference_prunes_sublists () =
   let result =
-    Engine.parse (list_grammar ~preferences:[ longest_wins ] ())
+    Engine.parse (longest_list ())
       (row [ Token.Text; Token.Text; Token.Text ])
   in
   (* Only the full list and its build-chain descendants survive. *)
@@ -79,7 +83,7 @@ let test_preference_prunes_sublists () =
 
 let test_descendants_never_killed () =
   let result =
-    Engine.parse (list_grammar ~preferences:[ longest_wins ] ())
+    Engine.parse (longest_list ())
       (row [ Token.Text; Token.Text; Token.Text; Token.Text ])
   in
   match result.Engine.complete with
@@ -100,7 +104,11 @@ let test_maximal_subsumption () =
         box = Geometry.make ~x1:500 ~y1:0 ~x2:520 ~y2:10; sval = "b";
         name = ""; options = []; value = ""; checked = false; multiple = false } ]
   in
-  let result = Engine.parse (list_grammar ~preferences:[ longest_wins ] ()) tokens in
+  let result =
+    Engine.parse
+      (longest_list ())
+      tokens
+  in
   check_int "two maximal trees" 2 (List.length result.Engine.maximal);
   check_bool "no complete parse" true (result.Engine.complete = None);
   List.iter
@@ -120,7 +128,9 @@ let test_guards_respected () =
             () ]
       ()
   in
-  let result = Engine.parse g (row [ Token.Text; Token.Text ]) in
+  let result =
+    Engine.parse (Engine.compile g) (row [ Token.Text; Token.Text ])
+  in
   check_int "only singletons" 2 (List.length result.Engine.maximal)
 
 let test_cover_disjointness () =
@@ -132,7 +142,7 @@ let test_cover_disjointness () =
             ~components:[ t_text; t_text ] () ]
       ()
   in
-  let result = Engine.parse g (row [ Token.Text ]) in
+  let result = Engine.parse (Engine.compile g) (row [ Token.Text ]) in
   check_int "no pair from one token" 0
     (List.length
        (List.filter (fun (i : Instance.t) -> Symbol.name i.sym = "P")
@@ -151,7 +161,7 @@ let test_semantic_constructor_runs () =
             () ]
       ()
   in
-  let result = Engine.parse g (row [ Token.Text ]) in
+  let result = Engine.parse (Engine.compile g) (row [ Token.Text ]) in
   match result.Engine.maximal with
   | [ tree ] ->
     (match Instance.conditions tree with
@@ -164,7 +174,7 @@ let test_truncation () =
     Engine.parse
       ~options:{ Engine.default_options with use_preferences = false;
                  max_instances = 12 }
-      (list_grammar ())
+      (Engine.compile (list_grammar ()))
       (row [ Token.Text; Token.Text; Token.Text; Token.Text; Token.Text ])
   in
   check_bool "truncated flagged" true result.Engine.stats.truncated;
@@ -174,11 +184,15 @@ let test_late_pruning_rollback () =
   (* With scheduling off, losers breed ancestors first; rollback must
      erase them and converge to the same surviving set. *)
   let tokens = row [ Token.Text; Token.Text; Token.Text ] in
-  let jit = Engine.parse (list_grammar ~preferences:[ longest_wins ] ()) tokens in
+  let jit =
+    Engine.parse
+      (longest_list ())
+      tokens
+  in
   let late =
     Engine.parse
       ~options:{ Engine.default_options with use_scheduling = false }
-      (list_grammar ~preferences:[ longest_wins ] ())
+      (longest_list ())
       tokens
   in
   check_int "same live count" jit.Engine.stats.live late.Engine.stats.live;
@@ -189,7 +203,7 @@ let test_late_pruning_rollback () =
 
 let test_stats_consistency () =
   let result =
-    Engine.parse (list_grammar ~preferences:[ longest_wins ] ())
+    Engine.parse (longest_list ())
       (row [ Token.Text; Token.Text; Token.Text ])
   in
   let s = result.Engine.stats in
@@ -201,7 +215,7 @@ let test_count_trees () =
   let result =
     Engine.parse
       ~options:{ Engine.default_options with use_preferences = false }
-      (list_grammar ()) (row [ Token.Text; Token.Text ])
+      (Engine.compile (list_grammar ())) (row [ Token.Text; Token.Text ])
   in
   (* Complete interpretations of 2 tokens: [t0 t1] as one list. *)
   check_int "one complete tree" 1 (Engine.count_trees result)
@@ -212,7 +226,7 @@ let test_determinism () =
         <tr><td>Format: <select><option>a</option><option>b</option></select></td></tr>
         </table></form>|}
   in
-  let g = Wqi_stdgrammar.Std.grammar in
+  let g = Wqi_stdgrammar.Std.compiled in
   let r1 = Engine.parse g tokens in
   let r2 = Engine.parse g tokens in
   check_int "same created" r1.Engine.stats.created r2.Engine.stats.created;
@@ -230,7 +244,7 @@ let test_exhaustive_blowup () =
     <input type="radio" name="m"> exact name</td></tr></table></form>|}
   in
   let tokens = Wqi_token.Tokenize.of_html html in
-  let g = Wqi_stdgrammar.Std.grammar in
+  let g = Wqi_stdgrammar.Std.compiled in
   let best = Engine.parse g tokens in
   let exhaustive =
     Engine.parse

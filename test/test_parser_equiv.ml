@@ -1,15 +1,15 @@
 (* Equivalence suite: the delta-driven (semi-naive) engine — with and
    without spatial candidate indexing — must be observationally
-   identical to the naive reference oracle — not just "equivalent
-   trees" but the same instance ids, because ids are the tie-breaker
-   for maximal-tree selection and preference enforcement order.  The
-   suite sweeps generated corpus sources across grammar complexities
-   and parser configurations (a three-way pass per source:
-   oracle / semi-naive unhinted / semi-naive hinted), plus the
-   single-word bitset specialization boundary the fast path relies
-   on, plus a property test that randomly drops production hints —
-   hints are pure pruning advice, so any subset of them must leave
-   every observable unchanged. *)
+   identical to the naive reference oracle ({!Parse_oracle}) — not
+   just "equivalent trees" but the same instance ids, because ids are
+   the tie-breaker for maximal-tree selection and preference
+   enforcement order.  The suite sweeps generated corpus sources across
+   grammars, grammar complexities and parser configurations (a
+   three-way pass per source: oracle / engine unhinted / engine
+   hinted), plus the single-word bitset specialization boundary the
+   fast path relies on, plus a property test that randomly drops
+   production hints — hints are pure pruning advice, so any subset of
+   them must leave every observable unchanged. *)
 
 module G = Wqi_grammar
 module Symbol = G.Symbol
@@ -22,7 +22,6 @@ module Tokenize = Wqi_token.Tokenize
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let naive options = { options with Engine.semi_naive = false }
 let unhinted options = { options with Engine.use_hints = false }
 
 let ids instances = List.map (fun (i : Instance.t) -> i.Instance.id) instances
@@ -70,14 +69,14 @@ let check_equivalent ctx (fast : Engine.result) (slow : Engine.result) =
    against it.  The guard/index counters legitimately differ between
    the passes (that is the optimization) and are deliberately not part
    of [check_equivalent]. *)
-let parse_both ?(options = Engine.default_options) grammar tokens =
-  let hinted = Engine.parse ~options grammar tokens in
-  let plain = Engine.parse ~options:(unhinted options) grammar tokens in
+let parse_both ?(options = Engine.default_options) pack tokens =
+  let hinted = Engine.parse ~options pack tokens in
+  let plain = Engine.parse ~options:(unhinted options) pack tokens in
   check_equivalent "hints-on vs hints-off" hinted plain;
   Alcotest.(check bool)
     "hints never add guard work" true
     (hinted.Engine.stats.guards_tried <= plain.Engine.stats.guards_tried);
-  let slow = Engine.parse ~options:(naive options) grammar tokens in
+  let slow = Parse_oracle.parse ~options pack.Engine.grammar tokens in
   (hinted, slow)
 
 (* 60 generated sources across the three domains, both complexity
@@ -94,13 +93,61 @@ let corpus_sources () =
         ())
 
 let test_corpus_equivalence () =
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   List.iter
     (fun (s : Generator.source) ->
        let tokens = Tokenize.of_html s.html in
        let fast, slow = parse_both grammar tokens in
        check_equivalent s.id fast slow)
     (corpus_sources ())
+
+(* The variant packs carry their own productions and preferences, so
+   each is checked against the oracle over generated sources of its own
+   domain (both complexities, with noise and section headers). *)
+let pack_of file =
+  match
+    Wqi_core.Extractor.load_grammar
+      (Filename.concat "../examples/grammars" file)
+  with
+  | Ok pack -> pack
+  | Error msg -> Alcotest.failf "load %s: %s" file msg
+
+let domain_sources ~seed ~prefix domain n =
+  let g = Wqi_corpus.Prng.create seed in
+  List.init n (fun i ->
+      Generator.generate g
+        ~id:(Printf.sprintf "%s-%02d" prefix i)
+        ~domain
+        ~complexity:(if i mod 2 = 0 then `Simple else `Rich)
+        ~oog_prob:(if i mod 4 = 0 then 0.1 else 0.)
+        ~header_prob:(if i mod 3 = 0 then 0.2 else 0.)
+        ())
+
+let check_pack_equivalence file sources =
+  let pack = pack_of file in
+  let pruned = ref 0 and conditions = ref 0 in
+  List.iter
+    (fun (s : Generator.source) ->
+       let tokens = Tokenize.of_html s.html in
+       let fast, slow = parse_both pack tokens in
+       check_equivalent (file ^ "/" ^ s.id) fast slow;
+       pruned := !pruned + fast.Engine.stats.pruned;
+       conditions := !conditions + List.length (model_strings fast))
+    sources;
+  (* The sources must reach the pack's preferences and yield conditions,
+     or the comparison would be vacuous. *)
+  check_bool (file ^ ": preferences fired") true (!pruned > 0);
+  check_bool (file ^ ": conditions found") true (!conditions > 0)
+
+let test_airline_equivalence () =
+  check_pack_equivalence "airline.wqg"
+    (domain_sources ~seed:0xA1B0L ~prefix:"airline"
+       (Wqi_corpus.Vocabulary.find "Airfares") 24)
+
+let test_realestate_equivalence () =
+  check_pack_equivalence "realestate.wqg"
+    (domain_sources ~seed:0x4EA1L ~prefix:"realestate"
+       (Wqi_corpus.Vocabulary.find "RealEstates") 24)
 
 (* Slow-tail sources: Rich forms over every domain, with the benchmark's
    noise and header rates, kept when their parse creates at least 200
@@ -110,7 +157,7 @@ let test_corpus_equivalence () =
    through the boxed creation-order scan, checks every kill it makes. *)
 let slow_tail_sources n =
   let g = Wqi_corpus.Prng.create 0x5107AL in
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let rec go acc k i =
     if k = n || i = 2_000 then List.rev acc
     else
@@ -130,7 +177,7 @@ let slow_tail_sources n =
   go [] 0 0
 
 let test_slow_tail_equivalence () =
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let sources = slow_tail_sources 12 in
   check_int "slow-tail sources found" 12 (List.length sources);
   List.iter
@@ -150,7 +197,7 @@ let simple_sources n =
   |> List.filteri (fun i _ -> i < n)
 
 let test_corpus_equivalence_unscheduled () =
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let options =
     { Engine.default_options with use_scheduling = false;
       max_instances = 2_000 }
@@ -163,7 +210,7 @@ let test_corpus_equivalence_unscheduled () =
     (simple_sources 8)
 
 let test_corpus_equivalence_exhaustive () =
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let options =
     { Engine.default_options with use_preferences = false;
       max_instances = 2_000 }
@@ -177,7 +224,7 @@ let test_corpus_equivalence_exhaustive () =
 
 let test_truncation_equivalence () =
   (* The instance budget must bite at the identical creation step. *)
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let s = List.nth (corpus_sources ()) 1 in
   let tokens = Tokenize.of_html s.Generator.html in
   let options =
@@ -205,7 +252,7 @@ let trip_strings gauge =
    a wall-clock trip lands nondeterministically by nature, while the
    deterministic axes share all of its trip machinery. *)
 let test_truncation_fuzz () =
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let rng = Wqi_corpus.Prng.create 0xF0221L in
   let sources = corpus_sources () |> List.filteri (fun i _ -> i < 10) in
   List.iter
@@ -230,17 +277,23 @@ let test_truncation_fuzz () =
                    Engine.default_options)
          in
          let ctx = Printf.sprintf "%s/fuzz-%d(cap %d)" s.Generator.id round cap in
-         let run options =
+         let run parse =
            match budget with
-           | None -> (Engine.parse ~options grammar tokens, [])
+           | None -> (parse None, [])
            | Some b ->
              let gauge = Budget.start b in
-             let r = Engine.parse ~gauge ~options grammar tokens in
+             let r = parse (Some gauge) in
              (r, trip_strings gauge)
          in
-         let fast, fast_trips = run Engine.{ options with use_hints = true } in
-         let plain, plain_trips = run (unhinted options) in
-         let slow, slow_trips = run (naive options) in
+         let engine options gauge =
+           Engine.parse ?gauge ~options grammar tokens
+         in
+         let oracle gauge =
+           Parse_oracle.parse ?gauge ~options grammar.Engine.grammar tokens
+         in
+         let fast, fast_trips = run (engine options) in
+         let plain, plain_trips = run (engine (unhinted options)) in
+         let slow, slow_trips = run oracle in
          if round < 2 && cap < created then
            check_bool (ctx ^ ": tripped") true fast.Engine.stats.truncated;
          check_equivalent (ctx ^ "/hints-off") fast plain;
@@ -319,7 +372,7 @@ let test_bitset_universe_mismatch () =
 let test_parse_across_boundary () =
   (* A token row wider than one word exercises the Big representation
      through the whole engine; the two engines must still agree. *)
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let html =
     let row i =
       Printf.sprintf
@@ -346,7 +399,7 @@ let test_parse_across_boundary () =
    the byte-identical result.  Random subsets (fixed seed) probe the
    interaction of indexed and scanned slots within one production —
    e.g. a kept second-slot hint with a dropped first-slot one. *)
-let with_hint_subset rng grammar =
+let with_hint_subset rng (grammar : G.Grammar.t) =
   let module P = G.Production in
   let productions =
     List.map
@@ -363,11 +416,13 @@ let with_hint_subset rng grammar =
     ~preferences:grammar.G.Grammar.preferences ()
 
 let test_random_hint_subsets () =
-  let grammar = Wqi_stdgrammar.Std.grammar in
+  let grammar = Wqi_stdgrammar.Std.compiled in
   let rng = Wqi_corpus.Prng.create 0x41D7L in
   let sources = simple_sources 6 in
   for round = 1 to 5 do
-    let subset = with_hint_subset rng grammar in
+    let subset =
+      Engine.compile (with_hint_subset rng grammar.Engine.grammar)
+    in
     List.iter
       (fun (s : Generator.source) ->
          let tokens = Tokenize.of_html s.Generator.html in
@@ -395,4 +450,8 @@ let suite =
     ("bitset universe mismatch", `Quick, test_bitset_universe_mismatch);
     ("parse across the word boundary", `Quick, test_parse_across_boundary);
     ("random hint subsets are observationally inert", `Quick,
-     test_random_hint_subsets) ]
+     test_random_hint_subsets);
+    ("engine = oracle on the airline pack", `Quick,
+     test_airline_equivalence);
+    ("engine = oracle on the realestate pack", `Quick,
+     test_realestate_equivalence) ]

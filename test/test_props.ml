@@ -223,7 +223,8 @@ let prop_extractor_deterministic =
         in
         let run () =
           List.map Condition.to_string
-            (Wqi_core.Extractor.conditions (Wqi_core.Extractor.extract source.html))
+            Wqi_core.Extractor.(
+              conditions (run Config.default (Html source.html)))
         in
         run () = run ())
 
@@ -355,7 +356,7 @@ let parse_generated seed =
       ~oog_prob:0.15 ()
   in
   let tokens = Wqi_token.Tokenize.of_html source.html in
-  (tokens, Wqi_parser.Engine.parse Wqi_stdgrammar.Std.grammar tokens)
+  (tokens, Wqi_parser.Engine.parse Wqi_stdgrammar.Std.compiled tokens)
 
 let prop_maximal_non_subsuming =
   Q.Test.make ~name:"maximal trees pairwise non-subsuming" ~count:15
@@ -414,12 +415,12 @@ let prop_stats_bounds =
 let prop_extractor_total =
   Q.Test.make ~name:"extractor never raises on random markup" ~count:100
     printable_string (fun s ->
-        ignore (Wqi_core.Extractor.extract s);
+        ignore (Wqi_core.Extractor.(run Config.default (Html s)));
         true)
 
 (* --- budget / degradation properties --- *)
 
-module Budget = Wqi_core.Budget
+module Budget = Wqi_budget.Budget
 module Extractor = Wqi_core.Extractor
 
 (* Markup soup: random concatenation of tag fragments, broken entities,
@@ -443,7 +444,7 @@ let soup = Q.make ~print:(Printf.sprintf "%S") soup_gen
 let prop_extract_total_on_soup =
   Q.Test.make ~name:"extract never raises on markup soup" ~count:150 soup
     (fun s ->
-       ignore (Extractor.extract s);
+       ignore (Extractor.(run Config.default (Html s)));
        true)
 
 let generated_html seed =
@@ -461,7 +462,7 @@ let prop_extract_total_on_truncated =
     (Q.pair (Q.int_bound 10_000) (Q.int_bound 10_000)) (fun (seed, cut) ->
         let html = generated_html seed in
         let cut = cut mod max 1 (String.length html) in
-        ignore (Extractor.extract (String.sub html 0 cut));
+        ignore (Extractor.(run Config.default (Html (String.sub html 0 cut))));
         true)
 
 let tiny_budget_config seed =

@@ -146,11 +146,19 @@ let test_failed_record () =
 
 let test_of_rollup () =
   (* A rollup record preserves exactly the headline fields the store
-     manifest carries; the detail counters are zero. *)
-  let r =
-    Quality.of_rollup ~source:"doc-3" ~grammar:"std@1" ~domain:"Airfares"
-      ~outcome:"degraded" ~score:0.625 ~coverage:0.75 ~conflicts:2
+     manifest carries; the detail counters are zero, and the entry it
+     writes back is the one it was read from. *)
+  let meta =
+    { Wqi_store.Store.source = "doc-3"; grammar = "std@1";
+      outcome = "degraded"; domain = "Airfares";
+      quality =
+        Some { q_score = 0.625; q_coverage = 0.75; q_conflicts = 2 } }
   in
+  Alcotest.(check bool) "pre-quality entry has no record" true
+    (Quality.of_meta { meta with quality = None } = None);
+  let r = Option.get (Quality.of_meta meta) in
+  Alcotest.(check bool) "entry round-trips" true (Quality.to_meta r = meta);
+  Alcotest.(check string) "rollup domain preserved" "Airfares" r.domain;
   feq "rollup score preserved" 0.625 r.score;
   feq "rollup coverage preserved" 0.75 r.coverage;
   Alcotest.(check int) "rollup conflicts preserved" 2 r.conflicts;

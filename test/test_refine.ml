@@ -48,7 +48,7 @@ let test_recover_missing () =
      the parser misses it, the refiner recovers it from domain
      knowledge. *)
   let html = {|<form><input type="text" name="q"> Publisher</form>|} in
-  let e = Wqi_core.Extractor.extract html in
+  let e = Wqi_core.Extractor.(run Config.default (Html html)) in
   check_int "parser misses it" 0 (List.length (Wqi_core.Extractor.conditions e));
   let k = Refine.learn [ [ cond "Publisher"; cond "Author" ] ] in
   let refined = Refine.refine k e in
@@ -63,7 +63,7 @@ let test_recover_missing () =
 let test_recover_requires_similarity () =
   (* An unclaimed label the domain has never seen stays missing. *)
   let html = {|<form><input type="text" name="q"> Flurbleworth</form>|} in
-  let e = Wqi_core.Extractor.extract html in
+  let e = Wqi_core.Extractor.(run Config.default (Html html)) in
   let k = Refine.learn [ [ cond "Author" ] ] in
   let refined = Refine.refine k e in
   check_int "nothing invented" 0 (List.length refined.conditions);
@@ -73,7 +73,7 @@ let test_recover_select_domain () =
   let html =
     {|<form><select name="f"><option>CD</option><option>Vinyl</option></select> Format</form>|}
   in
-  let e = Wqi_core.Extractor.extract html in
+  let e = Wqi_core.Extractor.(run Config.default (Html html)) in
   let k = Refine.learn [ [ cond "Format" ] ] in
   let refined = Refine.refine k e in
   match refined.conditions with
@@ -95,7 +95,7 @@ let test_conflict_resolution () =
             (3, Condition.to_string known_c, Condition.to_string unknown_c) ] }
   in
   let extraction =
-    let e = Wqi_core.Extractor.extract "" in
+    let e = Wqi_core.Extractor.(run Config.default (Html "")) in
     { e with model }
   in
   let k = Refine.learn [ [ cond "Adults"; cond "Children" ] ] in
@@ -114,7 +114,7 @@ let test_conflict_both_known_kept () =
             (1, Condition.to_string a, Condition.to_string b) ] }
   in
   let extraction =
-    let e = Wqi_core.Extractor.extract "" in
+    let e = Wqi_core.Extractor.(run Config.default (Html "")) in
     { e with model }
   in
   let k = Refine.learn [ [ cond "Adults"; cond "Children" ] ] in

@@ -142,7 +142,7 @@ let extract_pattern pattern =
     Wqi_html.Printer.to_string
       (Wqi_html.Dom.element "form" rendering.nodes)
   in
-  (rendering.truth, Wqi_core.Extractor.extract html)
+  (rendering.truth, Wqi_core.Extractor.(run Config.default (Html html)))
 
 let pattern_case pattern =
   let name = Pattern.name pattern in
@@ -192,7 +192,7 @@ let amazon = {|
 </form>|}
 
 let test_amazon_interface () =
-  let e = Wqi_core.Extractor.extract amazon in
+  let e = Wqi_core.Extractor.(run Config.default (Html amazon)) in
   let truth =
     [ Condition.make
         ~operators:
@@ -220,7 +220,7 @@ let test_column_wise_recovered () =
 <td><br><br><br><p>Publisher: <input type="text" name="p"></p><p>Year: <input type="text" name="y"></p></td>
 </tr></table></form>|}
   in
-  let e = Wqi_core.Extractor.extract html in
+  let e = Wqi_core.Extractor.(run Config.default (Html html)) in
   let truth =
     List.map
       (fun a -> Condition.make ~attribute:a Condition.Text)
@@ -242,7 +242,7 @@ let test_separated_panels_partial_parses () =
       {|<form><p>Author: <input type="text" name="a"></p>%s<p>Publisher: <input type="text" name="p"></p></form>|}
       spacer
   in
-  let e = Wqi_core.Extractor.extract html in
+  let e = Wqi_core.Extractor.(run Config.default (Html html)) in
   let truth =
     List.map
       (fun a -> Condition.make ~attribute:a Condition.Text)
