@@ -44,7 +44,7 @@ let nav_grammar =
     ~start:page
     ~productions:
       [ Production.make ~name:"item" ~head:item ~components:[ t_text ]
-          ~guard:(fun arr -> short_label (tok_sval arr.(0)))
+          ~guard:(fun _ arr -> short_label (tok_sval arr.(0)))
           ~build:(fun arr -> Instance.S_ops [ tok_sval arr.(0) ])
           ();
         (* A menu is a left-aligned vertical stack of items. *)
@@ -53,14 +53,14 @@ let nav_grammar =
           ();
         Production.make ~name:"menu-grow" ~head:menu
           ~components:[ menu; item ]
-          ~guard:(fun arr ->
+          ~guard:(fun _ arr ->
               R.above ~max_gap:24 arr.(0) arr.(1)
               && R.left_aligned ~tolerance:8 arr.(0) arr.(1))
           ~build:(fun arr ->
               Instance.S_ops (labels_of arr.(0) @ labels_of arr.(1)))
           ();
         Production.make ~name:"page" ~head:page ~components:[ menu ]
-          ~guard:(fun arr -> List.length (labels_of arr.(0)) >= 3)
+          ~guard:(fun _ arr -> List.length (labels_of arr.(0)) >= 3)
           ~build:(fun arr -> Instance.S_ops (labels_of arr.(0)))
           () ]
     ~preferences:

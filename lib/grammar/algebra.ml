@@ -10,6 +10,7 @@ type pred =
   | P_and of pred list
   | P_not of pred
   | P_rel of Hint.rel * slot * slot
+  | P_none of Hint.rel * string * slot
   | P_text_is of string * text_src * slot
   | P_split_applies of string * slot
   | P_ops_exists of string * slot
@@ -142,67 +143,80 @@ let rec flatten_and acc = function
   | P_true -> acc
   | p -> p :: acc
 
-let rec c_pred env ~arity p : Instance.t array -> bool =
+(* [P_none] names its symbol, which must be one of the production's
+   components other than its head: those are instantiated before the
+   head, so the set the guard looks at is final while it runs (see
+   {!Scope}). *)
+let rec c_pred env ~head ~components p : Scope.t -> Instance.t array -> bool =
+  let arity = List.length components in
   match p with
-  | P_true -> fun _ -> true
+  | P_true -> fun _ _ -> true
   | P_and ps ->
     (match List.rev (List.fold_left flatten_and [] ps) with
-     | [] -> fun _ -> true
-     | [ p ] -> c_pred env ~arity p
+     | [] -> fun _ _ -> true
+     | [ p ] -> c_pred env ~head ~components p
      | ps ->
-       let fs = Array.of_list (List.map (c_pred env ~arity) ps) in
+       let fs = Array.of_list (List.map (c_pred env ~head ~components) ps) in
        let n = Array.length fs in
-       fun arr ->
+       fun scope arr ->
          let k = ref 0 in
-         while !k < n && (Array.unsafe_get fs !k) arr do
+         while !k < n && (Array.unsafe_get fs !k) scope arr do
            incr k
          done;
          !k >= n)
   | P_not p ->
-    let f = c_pred env ~arity p in
-    fun arr -> not (f arr)
+    let f = c_pred env ~head ~components p in
+    fun scope arr -> not (f scope arr)
   | P_rel (rel, a, b) ->
     let a = slot ~arity a and b = slot ~arity b in
     if a = b then err "relation %a relates slot %d to itself" Hint.pp_rel rel a;
-    let holds : Geometry.box -> Geometry.box -> bool =
-      match rel with
-      | Hint.Left_of max_gap -> Geometry.left_of ~max_gap
-      | Hint.Above max_gap -> Geometry.above ~max_gap
-      | Hint.Below max_gap -> Geometry.below ~max_gap
-      | Hint.Same_row -> Geometry.same_row
-      | Hint.Same_column -> Geometry.same_column
-      | Hint.Left_aligned tolerance -> Geometry.left_aligned ~tolerance
-      | Hint.Top_aligned tolerance -> Geometry.top_aligned ~tolerance
-      | Hint.Bottom_aligned tolerance -> Geometry.bottom_aligned ~tolerance
+    let holds = Hint.holds_rel rel in
+    fun _ arr -> holds arr.(a).Instance.box arr.(b).Instance.box
+  | P_none (rel, name, s) ->
+    let s = slot ~arity s in
+    let sym =
+      match List.find_opt (fun c -> Symbol.name c = name) components with
+      | None -> err "none: %S is not a component of the production" name
+      | Some c when Symbol.equal c head ->
+        err "none: %S is the production's own head" name
+      | Some c -> c
     in
-    fun arr -> holds arr.(a).Instance.box arr.(b).Instance.box
+    let holds = Hint.holds_rel rel in
+    fun scope arr ->
+      let b = arr.(s) in
+      let bbox = b.Instance.box in
+      not
+        (scope.Scope.exists sym
+           (Hint.region rel ~anchor:bbox ~anchor_is_first:false)
+           (fun (x : Instance.t) ->
+              Bitset.disjoint x.cover b.cover && holds x.box bbox))
   | P_text_is (name, src, s) ->
     let f = lookup "text class" env.text_classes name in
     let s = slot ~arity s in
-    fun arr -> f (read_text src arr.(s))
+    fun _ arr -> f (read_text src arr.(s))
   | P_split_applies (name, s) ->
     let f = lookup "splitter" env.splitters name in
     let s = slot ~arity s in
-    fun arr -> Option.is_some (f (tok_sval arr.(s)))
+    fun _ arr -> Option.is_some (f (tok_sval arr.(s)))
   | P_ops_exists (name, s) ->
     let f = lookup "text class" env.text_classes name in
     let s = slot ~arity s in
-    fun arr -> List.exists f (ops_of arr.(s))
+    fun _ arr -> List.exists f (ops_of arr.(s))
   | P_ops_forall (name, s) ->
     let f = lookup "text class" env.text_classes name in
     let s = slot ~arity s in
-    fun arr -> List.for_all f (ops_of arr.(s))
+    fun _ arr -> List.for_all f (ops_of arr.(s))
   | P_ops_count_ge (n, s) ->
     let s = slot ~arity s in
-    fun arr -> List.length (ops_of arr.(s)) >= n
+    fun _ arr -> List.length (ops_of arr.(s)) >= n
   | P_options_class (name, s) ->
     let f = lookup "options class" env.options_classes name in
     let s = slot ~arity s in
-    fun arr -> f (tok_options arr.(s))
+    fun _ arr -> f (tok_options arr.(s))
   | P_combo (name, slots) ->
     let f = lookup "combo" env.combos name in
     let slots = List.map (slot ~arity) slots in
-    fun arr -> f (List.map (fun s -> enum_options arr.(s)) slots)
+    fun _ arr -> f (List.map (fun s -> enum_options arr.(s)) slots)
 
 let c_str ~arity = function
   | S_lit s -> fun _ -> s
@@ -286,16 +300,6 @@ let c_build env ~arity = function
     let a = slot ~arity a and b = slot ~arity b in
     fun arr -> Instance.S_conds (conds_of arr.(a) @ conds_of arr.(b))
 
-let compile_guard env ~arity p =
-  match c_pred env ~arity p with
-  | f -> Ok f
-  | exception Err m -> Error m
-
-let compile_build env ~arity b =
-  match c_build env ~arity b with
-  | f -> Ok f
-  | exception Err m -> Error m
-
 (* Hints are the guard's top-level positive relation conjuncts: each is
    implied by the guard by construction, which is exactly the soundness
    contract Production.make's hints carry. *)
@@ -303,8 +307,9 @@ let derived_hints p =
   let rec go acc = function
     | P_rel (rel, a, b) -> { Hint.a; b; rel } :: acc
     | P_and ps -> List.fold_left go acc ps
-    | P_true | P_not _ | P_text_is _ | P_split_applies _ | P_ops_exists _
-    | P_ops_forall _ | P_ops_count_ge _ | P_options_class _ | P_combo _ ->
+    | P_true | P_not _ | P_none _ | P_text_is _ | P_split_applies _
+    | P_ops_exists _ | P_ops_forall _ | P_ops_count_ge _ | P_options_class _
+    | P_combo _ ->
       acc
   in
   List.rev (go [] p)
@@ -407,7 +412,7 @@ let instantiate env (g : grammar) =
              List.map (resolve ~ctx) p.p_components
            in
            let arity = List.length components in
-           let guard = c_pred env ~arity p.p_guard in
+           let guard = c_pred env ~head ~components p.p_guard in
            let build = c_build env ~arity p.p_build in
            let hints = derived_hints p.p_guard in
            Production.make ~name:p.p_name ~head ~components ~guard ~build
@@ -474,6 +479,7 @@ let rec pp_pred ppf = function
   | P_and ps -> Fmt.pf ppf "(and %a)" (Fmt.list ~sep:Fmt.sp pp_pred) ps
   | P_not p -> Fmt.pf ppf "(not %a)" pp_pred p
   | P_rel (rel, a, b) -> Fmt.pf ppf "(%a %d %d)" Hint.pp_rel rel a b
+  | P_none (rel, n, s) -> Fmt.pf ppf "(none %a %s %d)" Hint.pp_rel rel n s
   | P_text_is (n, src, s) ->
     Fmt.pf ppf "(text-class %s %s %d)" n
       (match src with Token_text -> "token" | Sem_str -> "sem")

@@ -34,8 +34,9 @@ type slot = int
 type text_src = Token_text | Sem_str
 
 (** Guard predicates: conjunctions over spatial relations between two
-    slots, named lexical classes, and structural tests — everything the
-    standard grammar's guards check. *)
+    slots, the absence of a neighbouring instance, named lexical
+    classes, and structural tests — everything the standard grammar's
+    guards check. *)
 type pred =
   | P_true
   | P_and of pred list
@@ -43,6 +44,13 @@ type pred =
   | P_rel of Hint.rel * slot * slot
       (** the spatial relation holds of (instance in first slot,
           instance in second slot) *)
+  | P_none of Hint.rel * string * slot
+      (** no live instance of the named symbol, disjoint from the
+          slot's instance, stands in the relation to it (the outside
+          instance first) — e.g. "no row directly above this one".  The
+          symbol must be a component of the production other than its
+          head, so the instances it ranges over are final while the
+          guard runs (see {!Scope}) *)
   | P_text_is of string * text_src * slot
       (** named text class accepts the slot's text *)
   | P_split_applies of string * slot
@@ -151,15 +159,6 @@ val empty_env : env
 val derived_hints : pred -> Hint.t list
 (** The guard's top-level positive relation conjuncts, in guard order —
     the hints {!instantiate} attaches to the production. *)
-
-val compile_guard :
-  env -> arity:int -> pred -> (Instance.t array -> bool, string) result
-(** Resolve names against [env] and slots against [arity] once,
-    returning a closure that evaluates the predicate.  [Error] names the offending
-    construct. *)
-
-val compile_build :
-  env -> arity:int -> build -> (Instance.t array -> Instance.sem, string) result
 
 val instantiate : env -> grammar -> (Grammar.t, string list) result
 (** Compile the whole declarative grammar: every production through

@@ -171,6 +171,23 @@ let elements t =
      done);
   !acc
 
+(* Members of one word from bit 0 up, skipping past the highest set
+   bit: [lsr] is logical, so the loop ends once the word is spent. *)
+let iter_word f base w =
+  let w = ref w and i = ref base in
+  while !w <> 0 do
+    if !w land 1 <> 0 then f !i;
+    w := !w lsr 1;
+    incr i
+  done
+
+let iter f = function
+  | Small { bits; _ } -> iter_word f 0 bits
+  | Big { words; _ } ->
+    Array.iteri
+      (fun k w -> if w <> 0 then iter_word f (k * bits_per_word) w)
+      words
+
 let of_list n items = List.fold_left add (empty n) items
 
 let union_all n = List.fold_left union (empty n)

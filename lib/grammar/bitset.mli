@@ -49,6 +49,11 @@ val strict_subset : t -> t -> bool
 
 val equal : t -> t -> bool
 val elements : t -> int list
+
+val iter : (int -> unit) -> t -> unit
+(** [iter f t] applies [f] to the members in increasing order, skipping
+    empty words: linear in the members, not the universe. *)
+
 val of_list : int -> int list -> t
 val union_all : int -> t list -> t
 

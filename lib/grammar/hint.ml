@@ -9,6 +9,8 @@ type rel =
   | Left_aligned of int
   | Top_aligned of int
   | Bottom_aligned of int
+  | Adjacent_left
+  | Adjacent_above
 
 type t = { a : int; b : int; rel : rel }
 
@@ -25,17 +27,23 @@ let left_aligned ?(tolerance = 6) a b = { a; b; rel = Left_aligned tolerance }
 let top_aligned ?(tolerance = 6) a b = { a; b; rel = Top_aligned tolerance }
 let bottom_aligned ?(tolerance = 6) a b =
   { a; b; rel = Bottom_aligned tolerance }
+let adjacent_left a b = { a; b; rel = Adjacent_left }
+let adjacent_above a b = { a; b; rel = Adjacent_above }
 
-let holds_rel rel ba bb =
-  match rel with
-  | Left_of max_gap -> Geometry.left_of ~max_gap ba bb
-  | Above max_gap -> Geometry.above ~max_gap ba bb
-  | Below max_gap -> Geometry.below ~max_gap ba bb
-  | Same_row -> Geometry.same_row ba bb
-  | Same_column -> Geometry.same_column ba bb
-  | Left_aligned tolerance -> Geometry.left_aligned ~tolerance ba bb
-  | Top_aligned tolerance -> Geometry.top_aligned ~tolerance ba bb
-  | Bottom_aligned tolerance -> Geometry.bottom_aligned ~tolerance ba bb
+(* Matched once per relation: applied to [rel] alone, the result is the
+   geometry predicate with its parameter bound, so compiled guards pay
+   no dispatch per call. *)
+let holds_rel = function
+  | Left_of max_gap -> Geometry.left_of ~max_gap
+  | Above max_gap -> Geometry.above ~max_gap
+  | Below max_gap -> Geometry.below ~max_gap
+  | Same_row -> Geometry.same_row
+  | Same_column -> Geometry.same_column
+  | Left_aligned tolerance -> Geometry.left_aligned ~tolerance
+  | Top_aligned tolerance -> Geometry.top_aligned ~tolerance
+  | Bottom_aligned tolerance -> Geometry.bottom_aligned ~tolerance
+  | Adjacent_left -> Geometry.adjacent_left
+  | Adjacent_above -> Geometry.adjacent_above
 
 type region = { y : (int * int) option; x : (int * int) option }
 
@@ -67,6 +75,15 @@ let region rel ~anchor:(a : Geometry.box) ~anchor_is_first =
   | Left_aligned tol, _ -> { y = None; x = Some (a.x1 - tol, a.x1 + tol) }
   | Top_aligned tol, _ -> { y = Some (a.y1 - tol, a.y1 + tol); x = None }
   | Bottom_aligned tol, _ -> { y = Some (a.y2 - tol, a.y2 + tol); x = None }
+  (* Adjacency bounds the gap by the second box's own extent, so only
+     that box anchors a bounded probe; from the first, the axis of the
+     gap is unconstrained. *)
+  | Adjacent_left, true -> { y = Some (a.y1, a.y2); x = None }
+  | Adjacent_left, false ->
+    { y = Some (a.y1, a.y2); x = Some (a.x1 - Geometry.width a, a.x1 + 2) }
+  | Adjacent_above, true -> { y = None; x = Some (a.x1, a.x2) }
+  | Adjacent_above, false ->
+    { y = Some (a.y1 - Geometry.height a, a.y1 + 2); x = Some (a.x1, a.x2) }
 
 let pp_rel ppf = function
   | Left_of g -> Fmt.pf ppf "left_of<=%d" g
@@ -77,5 +94,7 @@ let pp_rel ppf = function
   | Left_aligned t -> Fmt.pf ppf "left_aligned~%d" t
   | Top_aligned t -> Fmt.pf ppf "top_aligned~%d" t
   | Bottom_aligned t -> Fmt.pf ppf "bottom_aligned~%d" t
+  | Adjacent_left -> Fmt.string ppf "adjacent_left"
+  | Adjacent_above -> Fmt.string ppf "adjacent_above"
 
 let pp ppf h = Fmt.pf ppf "%a(#%d, #%d)" pp_rel h.rel h.a h.b

@@ -20,9 +20,10 @@
     defaults for exactly that reason.  A hint that is not implied by
     the guard can change results; a missing hint only costs speed. *)
 
-(** A binary spatial relation, mirroring {!Relation}.  The payload is
-    the max-gap bound (for directional adjacency) or the alignment
-    tolerance, in pixels. *)
+(** A binary spatial relation, mirroring {!Wqi_layout.Geometry}.  The
+    payload is the max-gap bound (for the directional relations) or the
+    alignment tolerance, in pixels; the adjacency relations take none —
+    their gap bound is the boxes' own size. *)
 type rel =
   | Left_of of int
   | Above of int
@@ -32,6 +33,8 @@ type rel =
   | Left_aligned of int
   | Top_aligned of int
   | Bottom_aligned of int
+  | Adjacent_left  (** {!Wqi_layout.Geometry.adjacent_left} *)
+  | Adjacent_above  (** {!Wqi_layout.Geometry.adjacent_above} *)
 
 type t = {
   a : int;  (** first endpoint: a component slot index *)
@@ -47,6 +50,8 @@ val same_column : int -> int -> t
 val left_aligned : ?tolerance:int -> int -> int -> t
 val top_aligned : ?tolerance:int -> int -> int -> t
 val bottom_aligned : ?tolerance:int -> int -> int -> t
+val adjacent_left : int -> int -> t
+val adjacent_above : int -> int -> t
 (** [left_of ?max_gap a b] etc.: hint over slots [a] and [b].  Defaults
     equal the corresponding {!Relation} defaults. *)
 

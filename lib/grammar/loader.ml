@@ -82,46 +82,72 @@ let parse_text_src sexp =
   | _, "sem" -> A.Sem_str
   | p, s -> fail p "expected 'token' or 'sem', got %S" s
 
-let rec parse_pred (env : A.env) ~arity sexp =
+(* Relation keywords: those taking a gap or tolerance before their
+   slots, and those taking none. *)
+let param_relations =
+  [ ("left-of", ("gap", fun g -> Hint.Left_of g));
+    ("above", ("gap", fun g -> Hint.Above g));
+    ("below", ("gap", fun g -> Hint.Below g));
+    ("left-aligned", ("tolerance", fun t -> Hint.Left_aligned t));
+    ("top-aligned", ("tolerance", fun t -> Hint.Top_aligned t));
+    ("bottom-aligned", ("tolerance", fun t -> Hint.Bottom_aligned t)) ]
+
+let bare_relations =
+  [ ("same-row", Hint.Same_row);
+    ("same-column", Hint.Same_column);
+    ("adjacent-left", Hint.Adjacent_left);
+    ("adjacent-above", Hint.Adjacent_above) ]
+
+let rec parse_pred (env : A.env) ~head ~components sexp =
+  let arity = List.length components in
   match sexp with
   | Sexp.Atom (_, "true") -> A.P_true
   | Sexp.Atom (p, s) -> fail p "malformed predicate: unexpected atom %S" s
   | Sexp.List (p, Sexp.Atom (_, kw) :: args) ->
-    let rel mk =
-      match args with
-      | [ g; a; b ] ->
-        let gap = as_int g in
-        let a, b = parse_slot_pair ~arity p kw a b in
-        A.P_rel (mk gap, a, b)
-      | _ -> fail p "%s expects a gap and two slots" kw
-    in
-    let aligned mk =
-      match args with
-      | [ t; a; b ] ->
-        let tol = as_int t in
-        let a, b = parse_slot_pair ~arity p kw a b in
-        A.P_rel (mk tol, a, b)
-      | _ -> fail p "%s expects a tolerance and two slots" kw
-    in
     (match kw with
-     | "and" -> A.P_and (List.map (parse_pred env ~arity) args)
+     | "and" -> A.P_and (List.map (parse_pred env ~head ~components) args)
      | "not" ->
        nargs p kw 1 args;
-       A.P_not (parse_pred env ~arity (List.hd args))
-     | "left-of" -> rel (fun g -> Hint.Left_of g)
-     | "above" -> rel (fun g -> Hint.Above g)
-     | "below" -> rel (fun g -> Hint.Below g)
-     | "same-row" | "same-column" ->
+       A.P_not (parse_pred env ~head ~components (List.hd args))
+     | _ when List.mem_assoc kw param_relations ->
+       let what, mk = List.assoc kw param_relations in
+       (match args with
+        | [ n; a; b ] ->
+          let n = as_int n in
+          let a, b = parse_slot_pair ~arity p kw a b in
+          A.P_rel (mk n, a, b)
+        | _ -> fail p "%s expects a %s and two slots" kw what)
+     | _ when List.mem_assoc kw bare_relations ->
        (match args with
         | [ a; b ] ->
           let a, b = parse_slot_pair ~arity p kw a b in
-          A.P_rel
-            ((if kw = "same-row" then Hint.Same_row else Hint.Same_column),
-             a, b)
+          A.P_rel (List.assoc kw bare_relations, a, b)
         | _ -> fail p "%s expects two slots" kw)
-     | "left-aligned" -> aligned (fun t -> Hint.Left_aligned t)
-     | "top-aligned" -> aligned (fun t -> Hint.Top_aligned t)
-     | "bottom-aligned" -> aligned (fun t -> Hint.Bottom_aligned t)
+     | "none" ->
+       let usage () = fail p "none expects a relation, a symbol and a slot" in
+       let rel, rest =
+         match args with
+         | [] -> usage ()
+         | r :: rest ->
+           let rp, rkw = as_atom r in
+           (match
+              (List.assoc_opt rkw param_relations,
+               List.assoc_opt rkw bare_relations, rest)
+            with
+            | Some (_, mk), _, n :: rest -> (mk (as_int n), rest)
+            | None, Some rel, rest -> (rel, rest)
+            | Some _, _, [] -> usage ()
+            | None, None, _ -> fail rp "unknown relation %S" rkw)
+       in
+       (match rest with
+        | [ sym; s ] ->
+          let sp, name = as_atom sym in
+          if not (List.mem name components) then
+            fail sp "none: %S is not a component of the production" name;
+          if name = head then
+            fail sp "none: %S is the production's own head" name;
+          A.P_none (rel, name, parse_slot ~arity s)
+        | _ -> usage ())
      | "text-class" ->
        nargs p kw 3 args;
        (match args with
@@ -317,7 +343,8 @@ let parse_production env tab form =
       | None -> A.P_true
       | Some (gp, gargs) ->
         nargs gp "guard" 1 gargs;
-        parse_pred env ~arity (List.hd gargs)
+        parse_pred env ~head:p_head ~components:p_components
+          (List.hd gargs)
     in
     let p_build =
       match clause "build" items with
@@ -525,23 +552,30 @@ let atom = Sexp.atom
 let slist = Sexp.list
 let int n = atom (string_of_int n)
 
-let rel_form rel a b =
-  let f kw x = slist [ atom kw; int x; int a; int b ] in
+(* A relation's keyword and parameter: the head of its form, before
+   the slots (or, under [none], the symbol and slot). *)
+let rel_words rel =
   match rel with
-  | Hint.Left_of g -> f "left-of" g
-  | Hint.Above g -> f "above" g
-  | Hint.Below g -> f "below" g
-  | Hint.Same_row -> slist [ atom "same-row"; int a; int b ]
-  | Hint.Same_column -> slist [ atom "same-column"; int a; int b ]
-  | Hint.Left_aligned t -> f "left-aligned" t
-  | Hint.Top_aligned t -> f "top-aligned" t
-  | Hint.Bottom_aligned t -> f "bottom-aligned" t
+  | Hint.Left_of g -> [ atom "left-of"; int g ]
+  | Hint.Above g -> [ atom "above"; int g ]
+  | Hint.Below g -> [ atom "below"; int g ]
+  | Hint.Left_aligned t -> [ atom "left-aligned"; int t ]
+  | Hint.Top_aligned t -> [ atom "top-aligned"; int t ]
+  | Hint.Bottom_aligned t -> [ atom "bottom-aligned"; int t ]
+  | Hint.Same_row -> [ atom "same-row" ]
+  | Hint.Same_column -> [ atom "same-column" ]
+  | Hint.Adjacent_left -> [ atom "adjacent-left" ]
+  | Hint.Adjacent_above -> [ atom "adjacent-above" ]
+
+let rel_form rel a b = slist (rel_words rel @ [ int a; int b ])
 
 let rec pred_form = function
   | A.P_true -> atom "true"
   | A.P_and ps -> slist (atom "and" :: List.map pred_form ps)
   | A.P_not p -> slist [ atom "not"; pred_form p ]
   | A.P_rel (rel, a, b) -> rel_form rel a b
+  | A.P_none (rel, n, s) ->
+    slist ((atom "none" :: rel_words rel) @ [ atom n; int s ])
   | A.P_text_is (n, src, s) ->
     slist
       [ atom "text-class"; atom n;

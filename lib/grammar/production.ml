@@ -2,12 +2,12 @@ type t = {
   name : string;
   head : Symbol.t;
   components : Symbol.t list;
-  guard : Instance.t array -> bool;
+  guard : Scope.t -> Instance.t array -> bool;
   build : Instance.t array -> Instance.sem;
   hints : Hint.t list;
 }
 
-let make ~name ~head ~components ?(guard = fun _ -> true)
+let make ~name ~head ~components ?(guard = fun _ _ -> true)
     ?(build = fun _ -> Instance.S_none) ?(hints = []) () =
   if components = [] then invalid_arg "Production.make: empty components";
   let arity = List.length components in

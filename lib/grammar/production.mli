@@ -2,10 +2,15 @@
     Constraint, Constructor⟩.
 
     The constraint is an arbitrary boolean over the chosen component
-    instances — this is where spatial relations (left, above, aligned;
-    adjacency implied) are expressed.  The constructor computes the head
-    instance's semantic value from the components; its position is always
-    the bounding union (the paper's universal [pos] attribute). *)
+    instances — this is where spatial relations are expressed: left-of
+    and above within a pixel gap, edge alignment, and adjacency, whose
+    gap is bounded by the instances' own size (so row and interface
+    assembly join only neighbouring parts).  A constraint may also look
+    past its components through a {!Scope.t}, e.g. to require that no
+    other row sits directly above the chosen one.  The constructor
+    computes the head instance's semantic value from the components;
+    its position is always the bounding union (the paper's universal
+    [pos] attribute). *)
 
 type t = {
   name : string;
@@ -14,9 +19,10 @@ type t = {
   components : Symbol.t list;
       (** The multiset M, in the order the guard and builder receive the
           instances. *)
-  guard : Instance.t array -> bool;
-      (** Constraint C.  Receives component instances in declaration
-          order; covers are already known to be pairwise disjoint. *)
+  guard : Scope.t -> Instance.t array -> bool;
+      (** Constraint C.  Receives the parse's {!Scope.t} and the
+          component instances in declaration order; covers are already
+          known to be pairwise disjoint. *)
   build : Instance.t array -> Instance.sem;
       (** Constructor F: the head's semantic value. *)
   hints : Hint.t list;
@@ -31,7 +37,7 @@ val make :
   name:string ->
   head:Symbol.t ->
   components:Symbol.t list ->
-  ?guard:(Instance.t array -> bool) ->
+  ?guard:(Scope.t -> Instance.t array -> bool) ->
   ?build:(Instance.t array -> Instance.sem) ->
   ?hints:Hint.t list ->
   unit ->

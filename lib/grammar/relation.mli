@@ -4,8 +4,9 @@
     guards in a declarative style close to the paper's notation, e.g.
     [P5: TextOp -> Left(Attr, Val) ∧ Below(Op, Val)] becomes
     [fun [| attr; op; v |] -> Relation.left attr v && Relation.below op v].
-    Adjacency is implied in all relations (Section 4.1), hence the
-    default gap bounds. *)
+    The directional relations bound their gap by a default pixel count;
+    the size-bounded adjacency the standard grammar assembles rows with
+    is {!Wqi_layout.Geometry.adjacent_left} / [adjacent_above]. *)
 
 val left : ?max_gap:int -> Instance.t -> Instance.t -> bool
 (** [left a b]: [a] immediately left of [b], same visual row. *)

@@ -56,6 +56,18 @@ let above ?(max_gap = 40) a b =
 
 let below ?max_gap a b = above ?max_gap b a
 
+(* Adjacency bounds the gap by the second box's own extent along the
+   axis: strictly less, so nothing as large as [b] fits between. *)
+let adjacent_left a b =
+  a.x2 <= b.x1 + 2
+  && b.x1 - a.x2 < width b
+  && v_overlap a b > 0
+
+let adjacent_above a b =
+  a.y2 <= b.y1 + 2
+  && b.y1 - a.y2 < height b
+  && h_overlap a b > 0
+
 let same_row a b =
   let smaller = Int.max 1 (Int.min (height a) (height b)) in
   2 * v_overlap a b >= smaller

@@ -5,9 +5,9 @@
     top, right and bottom edges ([x2 >= x1], [y2 >= y1]).
 
     The relations mirror the visual conventions the paper's productions
-    rely on (Section 4.1): left-of / above with adjacency implied, edge
-    alignment with small tolerances, and gap distances used by
-    preferences. *)
+    rely on (Section 4.1): left-of / above within a pixel gap,
+    adjacency bounded by the boxes' own size, edge alignment with small
+    tolerances, and gap distances used by preferences. *)
 
 type box = { x1 : int; y1 : int; x2 : int; y2 : int }
 
@@ -64,6 +64,17 @@ val above : ?max_gap:int -> box -> box -> bool
 
 val below : ?max_gap:int -> box -> box -> bool
 (** [below a b] is [above b a]. *)
+
+val adjacent_left : box -> box -> bool
+(** [adjacent_left a b]: [a] directly left of [b] — as {!left_of}, but
+    the gap is bounded by [b] itself: strictly less than [b]'s width, so
+    nothing as wide as [b] fits between them. *)
+
+val adjacent_above : box -> box -> bool
+(** [adjacent_above a b]: [a] directly above [b] — as {!above}, with
+    the gap strictly less than [b]'s height, so a stack of rows grown
+    downward joins only its neighbour: it cannot skip a row as tall as
+    the one it takes on. *)
 
 val same_row : box -> box -> bool
 (** Vertical projections overlap by at least half the smaller height. *)

@@ -32,6 +32,11 @@ type col = {
       (* entries registered in [index] so far: the index is built
          lazily, on the first probe that wants a column's entries, so
          parses (and symbols) that never probe pay nothing for it *)
+  mutable max_w : int;
+  mutable max_h : int;
+      (* the widest and tallest box pushed so far: they bound an
+         adjacency probe anchored on the relation's first box, whose
+         gap the candidate's own extent bounds *)
 }
 
 type t = {
@@ -46,6 +51,7 @@ type t = {
   sy2 : int array;
   deltas : Bytes.t;  (* delta-from flags, offset by fprod.delta_base *)
   qbufs : int array ref array;  (* per-slot-depth index probe buffers *)
+  sbuf : int array ref;  (* index probe buffer of guards' scope queries *)
   mutable id2col : int array;  (* instance id -> owning symbol id *)
   mutable id2idx : int array;  (* instance id -> index in its column *)
   filler : Instance.t;
@@ -78,7 +84,7 @@ let make_col filler =
     { inst = Array.make 16 filler; bits = Array.make 16 0;
       x1 = Array.make 16 0; y1 = Array.make 16 0; x2 = Array.make 16 0;
       y2 = Array.make 16 0; alive = Bytes.make 16 '\000'; len = 0;
-      index = dummy_index; indexed = 0 }
+      index = dummy_index; indexed = 0; max_w = 0; max_h = 0 }
   in
   col.index <-
     Spatial_index.create ~alive:(fun idx ->
@@ -119,6 +125,9 @@ let push t col (inst : Instance.t) ~bits =
   Array.unsafe_set col.x2 idx box.Wqi_layout.Geometry.x2;
   Array.unsafe_set col.y2 idx box.Wqi_layout.Geometry.y2;
   Bytes.unsafe_set col.alive idx '\001';
+  let open Wqi_layout.Geometry in
+  col.max_w <- Int.max col.max_w (box.x2 - box.x1);
+  col.max_h <- Int.max col.max_h (box.y2 - box.y1);
   col.len <- idx + 1;
   idx
 
@@ -172,6 +181,7 @@ let create (tables : Dispatch.t) =
     sy2 = Array.make tables.marks_len 0;
     deltas = Bytes.make tables.deltas_len '\000';
     qbufs = Array.init tables.max_arity (fun _ -> ref (Array.make 64 0));
+    sbuf = ref (Array.make 64 0);
     id2col = Array.make 256 0;
     id2idx = Array.make 256 0;
     filler;
@@ -194,6 +204,8 @@ let reset t =
          col.len <- 0
        end;
        col.indexed <- 0;
+       col.max_w <- 0;
+       col.max_h <- 0;
        Spatial_index.reset col.index)
     t.cols;
   Array.iter

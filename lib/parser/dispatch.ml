@@ -14,8 +14,9 @@
    [meta = tag lor (other_slot lsl 4)] where [tag] names the relation
    with the *candidate as first argument* (a hint whose candidate sits on
    the second side compiles to the flipped tag), and [param] is the gap
-   or tolerance.  The engine evaluates tags directly on the arena's
-   coordinate columns with the exact {!Wqi_layout.Geometry} formulas, so
+   or tolerance (0 for relations that take neither).  The engine
+   evaluates tags directly on the arena's coordinate columns with the
+   exact {!Wqi_layout.Geometry} formulas, so
    admitted candidate sets are identical to interpreting
    {!Wqi_grammar.Hint.holds_rel} on boxes. *)
 
@@ -34,6 +35,10 @@ let tag_same_col = 5
 let tag_left_al = 6
 let tag_top_al = 7
 let tag_bot_al = 8
+let tag_adj_left = 9 (* candidate adjacent_left other *)
+let tag_adj_right = 10 (* other adjacent_left candidate *)
+let tag_adj_above = 11 (* candidate adjacent_above other *)
+let tag_adj_below = 12 (* other adjacent_above candidate *)
 
 let no_checks : int array = [||]
 
@@ -59,7 +64,9 @@ type fpref = {
 type t = {
   syms : Symbol.t array;
   nsyms : int;
-  ids : (Symbol.t, int) Hashtbl.t;  (* compile time only *)
+  ids : (Symbol.t, int) Hashtbl.t;
+      (* read-only after [build]: guards' scope queries resolve their
+         symbol through it at parse time *)
   prods : fprod array;
   by_head : int array array;  (* symbol id -> fprod ordinals, grammar order *)
   prefs : fpref array;  (* grammar order *)
@@ -103,6 +110,10 @@ let pack_hint (h : Hint.t) =
     | Hint.Left_aligned tol -> (tag_left_al, tol)
     | Hint.Top_aligned tol -> (tag_top_al, tol)
     | Hint.Bottom_aligned tol -> (tag_bot_al, tol)
+    | Hint.Adjacent_left ->
+      ((if cand_first then tag_adj_left else tag_adj_right), 0)
+    | Hint.Adjacent_above ->
+      ((if cand_first then tag_adj_above else tag_adj_below), 0)
   in
   (max h.a h.b, tag lor (other lsl 4), param)
 

@@ -75,6 +75,7 @@ type state = {
   trace : Trace.t option;
       (* span/event sink; [None] costs one branch per fix-point round
          and per enforcement — tracing never influences parsing *)
+  scope : G.Scope.t;  (* what guards see of the store: [scope_exists] *)
 }
 
 (* Deadline probe for hot loops: cheap when the gauge is absent, throttled
@@ -174,7 +175,7 @@ let create_instance_small st (fp : Dispatch.fprod) chosen cover_bits =
 
 let guard_admits st (fp : Dispatch.fprod) chosen =
   st.guards_tried <- st.guards_tried + 1;
-  let ok = fp.Dispatch.prod.G.Production.guard chosen in
+  let ok = fp.Dispatch.prod.G.Production.guard st.scope chosen in
   if ok then st.guards_admitted <- st.guards_admitted + 1;
   ok
 
@@ -233,7 +234,27 @@ let checks_hold (a : Arena.t) mb (checks : int array) cx1 cy1 cx2 cy2 =
         2 * Int.max 0 ov >= Int.max 1 (Int.min (cx2 - cx1) (ox2 - ox1))
       | 6 -> abs (cx1 - ox1) <= param
       | 7 -> abs (cy1 - oy1) <= param
-      | _ -> abs (cy2 - oy2) <= param
+      | 8 -> abs (cy2 - oy2) <= param
+      | 9 ->
+        (* candidate adjacent_left other *)
+        cx2 <= ox1 + 2
+        && ox1 - cx2 < ox2 - ox1
+        && Int.min cy2 oy2 - Int.max cy1 oy1 > 0
+      | 10 ->
+        (* other adjacent_left candidate *)
+        ox2 <= cx1 + 2
+        && cx1 - ox2 < cx2 - cx1
+        && Int.min cy2 oy2 - Int.max cy1 oy1 > 0
+      | 11 ->
+        (* candidate adjacent_above other *)
+        cy2 <= oy1 + 2
+        && oy1 - cy2 < oy2 - oy1
+        && Int.min cx2 ox2 - Int.max cx1 ox1 > 0
+      | _ ->
+        (* other adjacent_above candidate *)
+        oy2 <= cy1 + 2
+        && cy1 - oy2 < cy2 - cy1
+        && Int.min cx2 ox2 - Int.max cx1 ox1 > 0
     in
     ok && go (k + 2)
   in
@@ -262,10 +283,14 @@ let set_x (a : Arena.t) lo hi =
    x-interval pre-filters entries.  Intervals from different hints can
    be combined axis-by-axis because each is independently implied by
    the guard.  The per-tag regions are [Hint.region] evaluated on the
-   anchor's coordinates; results land in the arena's [pr_*] scratch.
+   anchor's coordinates, except that an adjacency anchored on its first
+   box — whose gap only the candidate's own extent bounds, so
+   [Hint.region] leaves that axis open — is bounded by the widest or
+   tallest box in the candidate's column ([cmax_w], [cmax_h]); results
+   land in the arena's [pr_*] scratch.
    Returns false when no hint constrains y — the band index cannot help
    then, and the caller falls back to a scan. *)
-let probe_region (a : Arena.t) mb (checks : int array) =
+let probe_region (a : Arena.t) mb (checks : int array) ~cmax_w ~cmax_h =
   a.Arena.pr_have_y <- false;
   a.Arena.pr_have_x <- false;
   let n = Array.length checks in
@@ -295,7 +320,19 @@ let probe_region (a : Arena.t) mb (checks : int array) =
      | 5 -> set_x a ox1 ox2
      | 6 -> set_x a (ox1 - param) (ox1 + param)
      | 7 -> set_y a (oy1 - param) (oy1 + param)
-     | _ -> set_y a (oy2 - param) (oy2 + param));
+     | 8 -> set_y a (oy2 - param) (oy2 + param)
+     | 9 ->
+       set_y a oy1 oy2;
+       set_x a (ox1 - (ox2 - ox1)) (ox1 + 2)
+     | 10 ->
+       set_y a oy1 oy2;
+       set_x a (ox2 - 2) (ox2 + cmax_w)
+     | 11 ->
+       set_y a (oy1 - (oy2 - oy1)) (oy1 + 2);
+       set_x a ox1 ox2
+     | _ ->
+       set_y a (oy2 - 2) (oy2 + cmax_h);
+       set_x a ox1 ox2);
     k := !k + 2
   done;
   a.Arena.pr_have_y
@@ -319,7 +356,9 @@ let probe_candidates st (col : Arena.col) i mb checks ~start ~stop =
   if
     Array.length checks = 0
     || stop - start < probe_min_scan
-    || not (probe_region a mb checks)
+    || not
+         (probe_region a mb checks ~cmax_w:col.Arena.max_w
+            ~cmax_h:col.Arena.max_h)
   then -1
   else begin
     let x_lo = if a.Arena.pr_have_x then a.Arena.pr_x_lo else min_int in
@@ -333,6 +372,43 @@ let probe_candidates st (col : Arena.col) i mb checks ~start ~stop =
     st.index_pruned <- st.index_pruned + (stop - start) - n;
     n
   end
+
+(* A guard's view of the store ({!G.Scope}): is some live instance of
+   [sym] accepted by [test]?  With hints on and a y-bounded region the
+   symbol's row-band index narrows the walk, otherwise the whole column
+   is scanned; [test] implies the region, so both walks give the same
+   answer. *)
+let scope_exists st sym (r : G.Hint.region) test =
+  match Hashtbl.find_opt st.tables.Dispatch.ids sym with
+  | None -> false
+  | Some sid ->
+    let a = st.arena in
+    let col = a.Arena.cols.(sid) in
+    let len = col.Arena.len in
+    let hit idx =
+      Bytes.unsafe_get col.Arena.alive idx <> '\000'
+      && test (Array.unsafe_get col.Arena.inst idx)
+    in
+    (match r.G.Hint.y with
+     | Some (y_lo, y_hi) when st.hints_enabled && len >= probe_min_scan ->
+       let x_lo, x_hi =
+         match r.G.Hint.x with
+         | Some (lo, hi) -> (lo, hi)
+         | None -> (min_int, max_int)
+       in
+       Arena.sync_index col;
+       let n =
+         Spatial_index.query_into col.Arena.index ~y_lo ~y_hi ~x_lo ~x_hi
+           ~start:0 ~stop:len a.Arena.sbuf
+       in
+       st.index_probes <- st.index_probes + 1;
+       st.index_pruned <- st.index_pruned + len - n;
+       let buf = !(a.Arena.sbuf) in
+       let rec go k = k < n && (hit (Array.unsafe_get buf k) || go (k + 1)) in
+       go 0
+     | _ ->
+       let rec go idx = idx < len && (hit idx || go (idx + 1)) in
+       go 0)
 
 (* ------------------------------------------------------------------ *)
 (* Semi-naive production application                                   *)
@@ -617,16 +693,6 @@ let instantiate st sid =
 (* Preference enforcement                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Above this many winner×loser pairs, [enforce_boxed] buckets the
-   winners by covered token so each loser only meets the winners it can
-   actually conflict with.  Bucketing pays only when covers are sparse
-   relative to the universe — many-row interfaces, where most
-   winner/loser pairs share no token.  On narrow universes nearly every
-   pair conflicts, so bucketing would reproduce the quadratic scan with
-   allocation on top; word-cover universes take the column scan below
-   instead. *)
-let enforce_bucket_min_pairs = 2048
-
 (* The reference pair test and kill of procedure [enforce].  A kill
    rolls the loser back with every live ancestor built on it; what it
    kills, and so what it adds to [pruned] and [rolled_back], depends
@@ -636,68 +702,123 @@ let kill_loser st (v2 : Instance.t) =
   st.pruned <- st.pruned + 1;
   st.rolled_back <- st.rolled_back + (killed - 1)
 
-let try_kill st (r : G.Preference.t) (v1 : Instance.t) (v2 : Instance.t) =
-  if v1.alive && v2.alive && v1.id <> v2.id
-  && Instance.conflicts v1 v2
-  && r.conflict v1 v2 && r.wins v1 v2
-  && not (Instance.is_descendant v2 ~of_:v1)
-  then kill_loser st v2
+(* Mark in [marks] every instance built on [v] — its transitive parents,
+   live or dead — and return their ids.  Children lists are fixed at
+   creation and every parent registers itself with its children, so
+   this is exactly the set of instances [Instance.is_descendant v ~of_]
+   accepts, computed once per loser instead of walked per winner. *)
+let mark_ancestors marks (v : Instance.t) =
+  let ids = ref [] in
+  let rec go (i : Instance.t) =
+    List.iter
+      (fun (p : Instance.t) ->
+         if Bytes.unsafe_get marks p.id = '\000' then begin
+           Bytes.unsafe_set marks p.id '\001';
+           ids := p.id :: !ids;
+           go p
+         end)
+      i.parents
+  in
+  go v;
+  !ids
 
-(* Boxed enforcement (universes past one word):
-   losers in creation order, each meeting the winners in creation order
-   through [try_kill].  Enforcement only ever kills instances, so
-   snapshotting both sides and re-checking [alive] per pair is
-   equivalent to re-filtering the store after every rollback — a
-   rollback can invalidate entries but never add new ones.  Large fronts
-   bucket the winners by covered token so each loser scans the merged
-   (creation-ordered, deduplicated) buckets of its own tokens instead of
-   the full winner list. *)
+(* Boxed enforcement (universes past one word): each loser, in creation
+   order, meets its candidate winners until one kills it — the
+   reference pair test of procedure [enforce] with its conjuncts
+   reordered, which cannot change a pure conjunction.  As in
+   [enforce_columns], winner order is free while the loser lives, and
+   enforcement only ever kills, so snapshotting both sides and
+   re-checking [alive] per pair equals re-filtering the store after
+   every rollback.
+
+   A winner must share a token with the loser, so the candidates are
+   either every winner or the merged buckets of the loser's tokens,
+   whichever is shorter: row-local preferences on many-row interfaces
+   meet a few winners each, while a nested chain (QI over rows 1..k
+   for every k) would gather each winner once per shared token.  The
+   descent test runs right after the conflict test and costs one byte:
+   a winner created after the loser is looked up in the loser's
+   ancestor marks, drawn on first need — a chain's winners are all its
+   losers' ancestors, and walking down to each loser per winner would
+   cost the chain's length per pair. *)
 let enforce_boxed st (fr : Dispatch.fpref) =
   let r = fr.Dispatch.pref in
-  let winners = live_instances st fr.Dispatch.wsid in
+  let warr = Array.of_list (live_instances st fr.Dispatch.wsid) in
   let losers = live_instances st fr.Dispatch.lsid in
-  let nw = List.length winners in
-  if nw = 0 || nw * List.length losers < enforce_bucket_min_pairs then
-    List.iter
-      (fun (v2 : Instance.t) ->
-         probe st;
-         if v2.alive then
-           List.iter (fun (v1 : Instance.t) -> try_kill st r v1 v2) winners)
-      losers
-  else begin
-    let warr = Array.of_list winners in
-    let buckets = Array.make st.universe [] in
-    Array.iteri
-      (fun ord (w : Instance.t) ->
-         List.iter
-           (fun t -> buckets.(t) <- ord :: buckets.(t))
-           (Bitset.elements w.cover))
+  let nw = Array.length warr in
+  if nw > 0 then begin
+    let sizes = Array.make st.universe 0 in
+    Array.iter
+      (fun (w : Instance.t) ->
+         Bitset.iter (fun t -> sizes.(t) <- sizes.(t) + 1) w.cover)
       warr;
-    (* Per-loser dedup by marking winner ordinals: each bucket entry is
-       visited once, and only the (usually few) marked ordinals are
-       sorted back into creation order — never the full winner list. *)
-    let marked = Bytes.make nw '\000' in
+    let buckets =
+      lazy
+        (let b = Array.make st.universe [] in
+         for ord = nw - 1 downto 0 do
+           Bitset.iter
+             (fun t -> b.(t) <- ord :: b.(t))
+             warr.(ord).Instance.cover
+         done;
+         b)
+    in
+    let marks = Bytes.make st.next_id '\000' in
+    let seen = Bytes.make nw '\000' in
     List.iter
       (fun (v2 : Instance.t) ->
          probe st;
          if v2.alive then begin
-           let touched = ref [] in
-           List.iter
-             (fun t ->
-                List.iter
-                  (fun ord ->
-                     if Bytes.unsafe_get marked ord = '\000' then begin
-                       Bytes.unsafe_set marked ord '\001';
-                       touched := ord :: !touched
-                     end)
-                  buckets.(t))
-             (Bitset.elements v2.cover);
-           let cands = List.sort Int.compare !touched in
-           List.iter
-             (fun ord ->
-                Bytes.unsafe_set marked ord '\000';
-                try_kill st r (Array.unsafe_get warr ord) v2)
-             cands
+           let marked = ref None in
+           let spared (v1 : Instance.t) =
+             v1.id > v2.id
+             &&
+             (if Option.is_none !marked then
+                marked := Some (mark_ancestors marks v2);
+              Bytes.unsafe_get marks v1.id <> '\000')
+           in
+           let try_winner ord =
+             let v1 = Array.unsafe_get warr ord in
+             if v1.alive && v2.alive && v1.id <> v2.id
+                && Instance.conflicts v1 v2
+                && (not (spared v1))
+                && r.conflict v1 v2 && r.wins v1 v2
+             then kill_loser st v2
+           in
+           let gathered = ref 0 in
+           Bitset.iter (fun t -> gathered := !gathered + sizes.(t)) v2.cover;
+           if !gathered >= nw then begin
+             let ord = ref 0 in
+             while v2.alive && !ord < nw do
+               try_winner !ord;
+               incr ord
+             done
+           end
+           else begin
+             (* Dedup by marking winner ordinals: each bucket entry is
+                visited once, and only the marked ordinals are sorted
+                back into creation order. *)
+             let buckets = Lazy.force buckets in
+             let touched = ref [] in
+             Bitset.iter
+               (fun t ->
+                  List.iter
+                    (fun ord ->
+                       if Bytes.unsafe_get seen ord = '\000' then begin
+                         Bytes.unsafe_set seen ord '\001';
+                         touched := ord :: !touched
+                       end)
+                    buckets.(t))
+               v2.cover;
+             List.iter
+               (fun ord ->
+                  Bytes.unsafe_set seen ord '\000';
+                  try_winner ord)
+               (List.sort Int.compare !touched)
+           end;
+           match !marked with
+           | None -> ()
+           | Some ids ->
+             List.iter (fun id -> Bytes.unsafe_set marks id '\000') ids
          end)
       losers
   end
@@ -821,12 +942,14 @@ let count_reachable ~ids roots =
   List.iter go roots;
   !count
 
-(* When a governed parse trips, the instance store can hold far more
-   tops than any intact interface produces (an exhaustive-mode blow-up
-   creates tens of thousands), and the quadratic subsumption pass below
-   would dwarf the deadline that stopped the parse.  Maximization is
-   then best-effort too: only this many of the best-ranked tops enter
-   subsumption.  Untripped runs are never windowed. *)
+(* When a parse is truncated — by a budget trip or by
+   [options.max_instances], which are one cut — the instance store can
+   hold far more tops than any intact interface produces (an
+   exhaustive-mode blow-up creates tens of thousands), and the
+   quadratic subsumption pass below would dwarf the limit that stopped
+   the parse.  Maximization is then best-effort too: only this many of
+   the best-ranked tops enter subsumption.  Complete runs are never
+   windowed. *)
 let tripped_tops_window = 1024
 
 let maximal_trees ~tripped all_live =
@@ -941,7 +1064,7 @@ let parse ?gauge ?trace ?(options = default_options) compiled tokens =
       if hints_enabled && idx < col.Arena.indexed then
         Spatial_index.note_killed col.Arena.index
   in
-  let st =
+  let rec st =
     { tables;
       arena;
       universe;
@@ -958,7 +1081,9 @@ let parse ?gauge ?trace ?(options = default_options) compiled tokens =
       index_pruned = 0;
       options;
       gauge;
-      trace }
+      trace;
+      scope =
+        { G.Scope.exists = (fun sym r test -> scope_exists st sym r test) } }
   in
   let truncated = ref false in
   (* Token instances are charged against the budget too: on a trip the
@@ -1017,7 +1142,7 @@ let parse ?gauge ?trace ?(options = default_options) compiled tokens =
   let all_live = all_live_list st in
   let maximal =
     Trace.with_span trace ~cat:"parser" "maximize" (fun () ->
-        maximal_trees ~tripped:(!truncated && Option.is_some gauge) all_live)
+        maximal_trees ~tripped:!truncated all_live)
   in
   let complete =
     List.find_opt

@@ -16,10 +16,11 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/docs"
 cp "$fixtures"/*.html "$work/docs/"
 
-# The fixture set includes wide_form.html, whose exhaustive uniform
-# table is intractable ungoverned; the instance cap keeps the run fast
-# AND deterministic (unlike a wall-clock deadline), so stdout is
-# reproducible across the two invocations.
+# The instance cap degrades wide_form.html (its 400-row table builds
+# 3205 instances), so the batch carries a degraded document next to the
+# complete ones; a cap trips at the same instance on every run (unlike
+# a wall-clock deadline), so stdout is reproducible across the two
+# invocations.
 run() { "$batch" --jobs 4 --max-instances 2000 "$work/docs"; }
 
 run >"$work/clean.jsonl" 2>"$work/clean.err"

@@ -25,7 +25,7 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let degraded_max_instances = 60
+let degraded_max_instances = 48
 
 let cases html =
   [ ( "complete.json",

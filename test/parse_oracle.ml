@@ -12,8 +12,10 @@
    The observable contract it reproduces: instance ids in creation
    order; one gauge charge per created instance (token instances
    included) and one per fix-point round; [max_instances] checked
-   before every derived instance; late pruning without scheduling; and
-   the tripped-tops window in maximal-tree selection. *)
+   before every derived instance; guards that look past their
+   components see every live instance; late pruning without
+   scheduling; and the tripped-tops window in maximal-tree selection
+   on every truncated parse. *)
 
 module G = Wqi_grammar
 module Instance = G.Instance
@@ -60,6 +62,11 @@ let live st sym =
   | None -> []
   | Some cell -> List.rev (List.filter (fun (i : Instance.t) -> i.alive) !cell)
 
+(* What guards see of the store: every live instance of the symbol,
+   tried in creation order (the region is only a pre-filter). *)
+let scope st =
+  { G.Scope.exists = (fun sym _region test -> List.exists test (live st sym)) }
+
 (* One production over the live instances at the start of the
    application; true when it created something. *)
 let apply st (p : G.Production.t) =
@@ -72,7 +79,7 @@ let apply st (p : G.Production.t) =
   let rec assign i cover =
     if i = arity then begin
       let row = Array.map Option.get chosen in
-      if p.guard row then begin
+      if p.guard (scope st) row then begin
         let children = Array.to_list row in
         let key = (p.name, List.map (fun (c : Instance.t) -> c.id) children) in
         if not (Hashtbl.mem st.dedup key) then begin
@@ -138,7 +145,7 @@ let involving (g : G.Grammar.t) sym =
 
 (* Live nonterminal tops with no live parent, biggest cover first, then
    most conditions, then oldest; a top inside a kept cover is dropped.
-   A tripped governed parse ranks only its best [window] tops. *)
+   A truncated parse ranks only its best [window] tops. *)
 let maximal ~tripped all_live =
   let window = 1024 in
   let tops =
@@ -225,7 +232,7 @@ let parse ?gauge ?(options = Engine.default_options) (g : G.Grammar.t) tokens =
     List.rev (List.filter (fun (i : Instance.t) -> i.alive) st.all)
   in
   let maximal =
-    maximal ~tripped:(!truncated && Option.is_some gauge) all_live
+    maximal ~tripped:!truncated all_live
   in
   let complete =
     List.find_opt

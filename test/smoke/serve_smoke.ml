@@ -10,7 +10,7 @@
        method/path errors (405/404);
      - /metrics merge-on-scrape exposition (request counters, latency
        histogram, per-domain request split);
-     - a cold then a warm pass over the tractable fixtures on one
+     - a cold then a warm pass over every fixture on one
        keep-alive connection: every warm response a cache hit,
        byte-identical to its cold response;
      - deterministic 503 load-shedding once the global max_inflight is
@@ -241,6 +241,23 @@ let () =
   let books = read_file (Filename.concat fixtures "books.html") in
   let jobs_html = read_file (Filename.concat fixtures "jobs.html") in
   let wide = read_file (Filename.concat fixtures "wide_form.html") in
+  (* A form slow enough to hold an admission slot: a 5000-row table.
+     Row assembly builds it in linear instances, but R-subsume-QI still
+     meets every pair of its nested QI chain, so ungoverned it takes
+     seconds and under a 700 ms deadline it stays in flight for the
+     deadline's length. *)
+  let slow_form =
+    let b = Buffer.create (1 lsl 19) in
+    Buffer.add_string b "<html><body><form action=\"/giant\"><table>\n";
+    for i = 1 to 5000 do
+      Printf.bprintf b
+        "<tr><td>Field %d</td><td><input type=\"text\" name=\"f%d\" \
+         size=\"8\"></td></tr>\n"
+        i i
+    done;
+    Buffer.add_string b "</table></form></body></html>\n";
+    Buffer.contents b
+  in
   (* --trace-sample is huge on purpose: only extract request #0 lands
      on the sampling grid, so exactly one request is trace-sampled and
      the rest exercise the untraced path. *)
@@ -397,11 +414,12 @@ let () =
     fail "merge mismatch: %g requests by code, %g by domain" by_code by_domain;
   note "metrics ok (merge: %g requests across 4 domains)" by_domain;
 
-  (* Cold then warm pass over the tractable fixtures on one keep-alive
+  (* Cold then warm pass over every fixture on one keep-alive
      connection (one domain, one cache shard): every warm response is a
      hit, byte-identical to its cold response. *)
   let pass_fixtures =
-    [ "airfare"; "books"; "jobs"; "malformed"; "nested_deep"; "truncated" ]
+    [ "airfare"; "books"; "jobs"; "malformed"; "nested_deep"; "truncated";
+      "wide_form" ]
   in
   let pass_conn = kconnect port in
   let pass () =
@@ -427,10 +445,10 @@ let () =
   (try Unix.close pass_conn with Unix.Unix_error _ -> ());
   note "warm pass ok (%d fixtures, all hits)" (List.length pass_fixtures);
 
-  (* Deterministic 503: park a slow extraction (the wide form under a
-     wall-clock deadline; ungoverned it runs for tens of seconds) in
-     the single admission slot, wait until /metrics shows it admitted,
-     then any cache-missing extraction must be shed. *)
+  (* Deterministic 503: park a slow extraction (the 5000-row table
+     under a wall-clock deadline; ungoverned it runs for seconds) in the
+     single admission slot, wait until /metrics shows it admitted, then
+     any cache-missing extraction must be shed. *)
   let slow_done = ref None in
   let slow =
     Thread.create
@@ -438,7 +456,7 @@ let () =
          slow_done :=
            Some
              (request port ~meth:"POST"
-                ~target:"/extract?name=wide&deadline_ms=700" ~body:wide ()))
+                ~target:"/extract?name=slow&deadline_ms=700" ~body:slow_form ()))
       ()
   in
   let rec await_inflight tries =
@@ -477,7 +495,7 @@ let () =
          drain_done :=
            Some
              (request port ~meth:"POST"
-                ~target:"/extract?name=wide&deadline_ms=701" ~body:wide ()))
+                ~target:"/extract?name=slow&deadline_ms=701" ~body:slow_form ()))
       ()
   in
   await_inflight 200;
@@ -531,7 +549,7 @@ let () =
              results.(i) <-
                Some
                  (request port2 ~meth:"POST"
-                    ~target:"/extract?name=wide&deadline_ms=700" ~body:wide ()))
+                    ~target:"/extract?name=slow&deadline_ms=700" ~body:slow_form ()))
           ())
   in
   List.iter Thread.join posters;

@@ -25,6 +25,21 @@ let simple_form =
       <input type="submit" value="Go">
     </form>|}
 
+(* Rows of label, text box and a checkbox group. *)
+let checkbox_table rows =
+  let b = Buffer.create 8192 in
+  Buffer.add_string b "<form><table>";
+  for i = 1 to rows do
+    Buffer.add_string b
+      (Printf.sprintf
+         "<tr><td>Label%d</td><td><input name=i%d> <input type=checkbox \
+          name=a%d> any <input type=checkbox name=b%d> all <input \
+          type=checkbox name=c%d> exact</td></tr>"
+         i i i i i)
+  done;
+  Buffer.add_string b "</table></form>";
+  Buffer.contents b
+
 let model_nonempty (e : Extractor.extraction) =
   e.model.Wqi_model.Semantic_model.conditions <> []
   || e.model.Wqi_model.Semantic_model.errors <> []
@@ -178,6 +193,50 @@ let test_legacy_max_instances_reported () =
     check_int "limit is the engine cap" 3 t.Budget.limit
   | _ -> Alcotest.fail "expected a single synthesized trip"
 
+(* [options.max_instances] and a budget instance cap are one cut: the
+   same input under either, at the same k, keeps the same trees and
+   conditions.  A 1100-row table builds seven instances per row up to
+   its rows (HQI); a cap of exactly that many stops the parse before
+   any QI, leaving 1100 disjoint row tops — more than the tripped-tops
+   window, which must then bound the trees on both paths. *)
+let test_one_truncation_path () =
+  let rows = 1100 in
+  let b = Buffer.create (64 * rows) in
+  Buffer.add_string b "<form><table>";
+  for i = 1 to rows do
+    Printf.bprintf b "<tr><td>Label%d</td><td><input name=i%d></td></tr>" i i
+  done;
+  Buffer.add_string b "</table></form>";
+  let k = 7 * rows in
+  let run config = Extractor.run config (Extractor.Html (Buffer.contents b)) in
+  let by_options =
+    run
+      Extractor.Config.(
+        default
+        |> with_options { Engine.default_options with max_instances = k })
+  in
+  let by_budget =
+    run
+      Extractor.Config.(
+        default |> with_budget (Budget.make ~max_instances:k ()))
+  in
+  check_bool "options cap degrades" true (degraded by_options);
+  check_bool "budget cap degrades" true (degraded by_budget);
+  check_int "options cap: windowed trees" 1024
+    by_options.diagnostics.tree_count;
+  check_int "budget cap: windowed trees" 1024
+    by_budget.diagnostics.tree_count;
+  let trees (e : Extractor.extraction) =
+    List.map (Fmt.str "%a" Wqi_grammar.Instance.pp_tree) e.trees
+  in
+  let conds e =
+    List.map (Fmt.str "%a" Wqi_model.Condition.pp) (Extractor.conditions e)
+  in
+  Alcotest.(check (list string)) "same trees" (trees by_budget)
+    (trees by_options);
+  Alcotest.(check (list string)) "same conditions" (conds by_budget)
+    (conds by_options)
+
 (* --- 60-source corpus under a tiny cap --- *)
 
 let test_corpus_tiny_cap () =
@@ -235,16 +294,13 @@ let test_pathological_wide_form () =
   check_bool "model non-empty" true (model_nonempty e)
 
 let test_pathological_exhaustive_deadline () =
-  (* A uniform table in exhaustive mode (no preferences) explodes
+  (* A table in exhaustive mode (no preferences) explodes
      combinatorially; the deadline must stop it and still hand back a
-     non-empty degraded model within a small multiple of the budget. *)
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "<form><table>";
-  for i = 1 to 40 do
-    Buffer.add_string b
-      (Printf.sprintf "<tr><td>Label%d</td><td><input name=i%d></td></tr>" i i)
-  done;
-  Buffer.add_string b "</table></form>";
+     non-empty degraded model within a small multiple of the budget.
+     Each row carries a checkbox group after its text box: with no
+     subsumption to prune them, every run of options builds its own
+     lists, operators and rows (label + text box alone assemble in
+     linear instances even exhaustively). *)
   let deadline_ms = 150 in
   let config =
     Extractor.Config.(
@@ -256,7 +312,7 @@ let test_pathological_exhaustive_deadline () =
       |> with_budget (Budget.make ~deadline_ms ()))
   in
   let t0 = Budget.now_s () in
-  let e = Extractor.run config (Extractor.Html (Buffer.contents b)) in
+  let e = Extractor.run config (Extractor.Html (checkbox_table 40)) in
   let elapsed_ms = 1000. *. (Budget.now_s () -. t0) in
   check_bool "returned within 20x the deadline" true
     (elapsed_ms < 20. *. float_of_int deadline_ms);
@@ -349,6 +405,7 @@ let suite =
     Alcotest.test_case "token cap degrades" `Quick test_token_cap_degrades;
     Alcotest.test_case "legacy max_instances reported" `Quick
       test_legacy_max_instances_reported;
+    Alcotest.test_case "one truncation path" `Quick test_one_truncation_path;
     Alcotest.test_case "60-source corpus under tiny cap" `Quick
       test_corpus_tiny_cap;
     Alcotest.test_case "pathological nesting" `Quick test_pathological_nesting;

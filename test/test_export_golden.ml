@@ -21,7 +21,7 @@ let read_file path =
 let html () = read_file (Filename.concat "golden" "complete.html")
 
 (* Must match gen_golden.ml. *)
-let degraded_max_instances = 60
+let degraded_max_instances = 48
 
 let check_golden file ~name extraction =
   let expected = read_file (Filename.concat "golden" file) in

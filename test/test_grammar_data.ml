@@ -279,6 +279,101 @@ let test_reject_self_relation () =
         60 1 1)))\n")
     "bad.wqg:2:61: left-of relates slot 1 to itself"
 
+(* --- adjacency and [none]: round-trip, rejection, mutation --- *)
+
+(* Row assembly over the adjacency relations and the [none] predicate,
+   in every spelling the loader accepts: a bare relation, a relation
+   with its parameter, and [none] under [not].  The guard under test is
+   alone on line 4. *)
+let adjacency_grammar guard =
+  header
+  ^ "(production P-HQI (head HQI) (components text textbox) (guard \
+     (adjacent-left 0 1)))\n"
+  ^ "(production P-QI-base (head QI) (components HQI) (guard (none \
+     adjacent-above HQI 0)) (build (lift 0)))\n"
+  ^ "(production P-QI-above (head QI) (components QI HQI) (guard " ^ guard
+  ^ ") (build (concat 0 1)))\n"
+
+let test_adjacency_roundtrip () =
+  let text =
+    adjacency_grammar
+      "(and (adjacent-above 0 1) (not (none above 40 HQI 1)) (none \
+       same-row HQI 0))"
+  in
+  match Loader.parse ~env:Std.env ~file:"adj.wqg" text with
+  | Error e -> Alcotest.failf "load: %s" (Loader.error_to_string e)
+  | Ok decl ->
+    let dumped = Loader.dump decl in
+    (match Loader.parse ~env:Std.env ~file:"<dump>" dumped with
+     | Error e -> Alcotest.failf "reparse: %s" (Loader.error_to_string e)
+     | Ok decl' -> check_string "dump/parse/dump" dumped (Loader.dump decl'));
+    check_bool "guard kept" true
+      (List.exists
+         (fun (p : Algebra.production) ->
+            p.Algebra.p_guard
+            = Algebra.P_and
+                [ Algebra.P_rel (G.Hint.Adjacent_above, 0, 1);
+                  Algebra.P_not (Algebra.P_none (G.Hint.Above 40, "HQI", 1));
+                  Algebra.P_none (G.Hint.Same_row, "HQI", 0) ])
+         decl.Algebra.g_productions);
+    ignore (instantiated decl)
+
+let test_reject_adjacency () =
+  List.iter
+    (fun (ctx, guard, expected) ->
+       expect_error ctx (adjacency_grammar guard) ("bad.wqg:4:" ^ expected))
+    [ ("adjacency takes no gap", "(adjacent-above 40 0 1)",
+       "61: adjacent-above expects two slots");
+      ("none: unknown relation", "(none frob HQI 0)",
+       "67: unknown relation \"frob\"");
+      ("none: symbol not a component", "(none adjacent-above CP 0)",
+       "82: none: \"CP\" is not a component of the production");
+      ("none: the head itself", "(none adjacent-above QI 0)",
+       "82: none: \"QI\" is the production's own head");
+      ("none: slot out of range", "(none adjacent-above HQI 2)",
+       "86: slot 2 out of range (production has 2 components)");
+      ("none: missing slot", "(none adjacent-above HQI)",
+       "61: none expects a relation, a symbol and a slot");
+      ("none: relation missing its gap", "(none above HQI 0)",
+       "73: expected an integer, got \"HQI\"") ]
+
+(* Whatever fills the guard's relation, symbol and slot positions, the
+   file either loads (and then instantiates and dumps stably) or fails
+   with an error positioned on the guard's line — never an exception,
+   never a diagnostic somewhere else. *)
+let prop_adjacency_arguments =
+  let pick l = QCheck.Gen.oneofl l in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ map3
+            (fun r sym slot -> Printf.sprintf "(none %s %s %s)" r sym slot)
+            (pick
+               [ "adjacent-above"; "adjacent-left"; "above 40"; "left-of";
+                 "same-row"; "frob"; "(x)"; "\"s\""; "7" ])
+            (pick [ "HQI"; "QI"; "CP"; "text"; "0"; "()"; "Nope" ])
+            (pick [ "0"; "1"; "2"; "-1"; "x"; "(0)"; "0 1"; "" ]);
+          map3
+            (fun r a b -> Printf.sprintf "(%s %s %s)" r a b)
+            (pick [ "adjacent-above"; "adjacent-left"; "adjacent-above 3" ])
+            (pick [ "0"; "1"; "2"; "x"; "(1)" ])
+            (pick [ "0"; "1"; "-4"; ""; "HQI" ]) ])
+  in
+  QCheck.Test.make ~name:"adjacency and none arguments load safely"
+    ~count:500 (QCheck.make ~print:Fun.id gen) (fun guard ->
+        match Loader.parse ~env:Std.env ~file:"adj.wqg"
+                (adjacency_grammar guard) with
+        | Error e ->
+          e.Loader.pos.G.Sexp.line = 4 && e.Loader.pos.G.Sexp.col >= 1
+        | Ok decl ->
+          (match Algebra.instantiate Std.env decl with
+           | Ok _ -> ()
+           | Error msgs -> QCheck.Test.fail_report (String.concat "; " msgs));
+          let dumped = Loader.dump decl in
+          (match Loader.parse ~env:Std.env ~file:"<dump>" dumped with
+           | Ok decl' -> String.equal dumped (Loader.dump decl')
+           | Error _ -> false))
+
 let suite =
   [ ("declarative std = compiled std on the corpus", `Quick,
      test_decl_equivalence);
@@ -300,4 +395,7 @@ let suite =
      test_reject_duplicate_production);
     ("reject: start not a head", `Quick, test_reject_non_head_start);
     ("reject: unsupported format", `Quick, test_reject_bad_format);
-    ("reject: self-relation", `Quick, test_reject_self_relation) ]
+    ("reject: self-relation", `Quick, test_reject_self_relation);
+    ("adjacency and none round-trip", `Quick, test_adjacency_roundtrip);
+    ("reject: adjacency and none arguments", `Quick, test_reject_adjacency);
+    QCheck_alcotest.to_alcotest prop_adjacency_arguments ]

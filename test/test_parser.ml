@@ -37,7 +37,7 @@ let list_grammar ?(preferences = []) () =
       [ Production.make ~name:"L-base" ~head:(nt "L") ~components:[ t_text ] ();
         Production.make ~name:"L-rec" ~head:(nt "L")
           ~components:[ nt "L"; t_text ]
-          ~guard:(fun arr -> R.left ~max_gap:15 arr.(0) arr.(1))
+          ~guard:(fun _ arr -> R.left ~max_gap:15 arr.(0) arr.(1))
           () ]
     ~preferences ()
 
@@ -124,7 +124,7 @@ let test_guards_respected () =
         [ Production.make ~name:"L-base" ~head:(nt "L") ~components:[ t_text ] ();
           Production.make ~name:"L-rec" ~head:(nt "L")
             ~components:[ nt "L"; t_text ]
-            ~guard:(fun _ -> false)
+            ~guard:(fun _ _ -> false)
             () ]
       ()
   in
@@ -257,6 +257,47 @@ let test_exhaustive_blowup () =
     (Engine.count_trees exhaustive >= Engine.count_trees best);
   check_bool "best-effort still complete" true (best.Engine.complete <> None)
 
+(* Row assembly joins only adjacent rows and anchors a QI at a row with
+   no row directly above it, so a uniform "label + text box" table
+   parses ungoverned and completely in eight instances per row: two
+   tokens, Attr, Val, TextVal, CP, HQI and one QI.  The instance bound
+   is exact; the wall-time bound is loose (the 400-row table parses in
+   about 10 ms). *)
+let instances_per_row = 8
+
+let uniform_table rows =
+  let b = Buffer.create (64 * rows) in
+  Buffer.add_string b "<form><table>";
+  for i = 1 to rows do
+    Printf.bprintf b "<tr><td>Label%d</td><td><input name=i%d></td></tr>" i i
+  done;
+  Buffer.add_string b "</table></form>";
+  Buffer.contents b
+
+let check_linear ctx ~rows html =
+  let tokens = Wqi_token.Tokenize.of_html html in
+  let t0 = Wqi_budget.Budget.now_s () in
+  let r = Engine.parse Wqi_stdgrammar.Std.compiled tokens in
+  let ms = 1000. *. (Wqi_budget.Budget.now_s () -. t0) in
+  check_bool (ctx ^ ": not truncated") false r.Engine.stats.truncated;
+  check_bool (ctx ^ ": complete") true (r.Engine.complete <> None);
+  let created = r.Engine.stats.created in
+  if created > instances_per_row * rows then
+    Alcotest.failf "%s: %d instances for %d rows (bound %d per row)" ctx
+      created rows instances_per_row;
+  if ms > 2000. then Alcotest.failf "%s: parse took %.0f ms" ctx ms
+
+let test_uniform_tables_linear () =
+  List.iter
+    (fun rows ->
+       check_linear (Printf.sprintf "%d-row table" rows) ~rows
+         (uniform_table rows))
+    [ 30; 100; 400 ];
+  (* 400 field rows and the submit button's *)
+  check_linear "wide_form.html" ~rows:401
+    (In_channel.with_open_bin "../examples/fixtures/wide_form.html"
+       In_channel.input_all)
+
 let suite =
   [ ("fixpoint builds all sublists", `Quick, test_fixpoint_builds_all_sublists);
     ("preference prunes sublists", `Quick, test_preference_prunes_sublists);
@@ -270,4 +311,6 @@ let suite =
     ("stats consistency", `Quick, test_stats_consistency);
     ("count trees", `Quick, test_count_trees);
     ("determinism", `Quick, test_determinism);
-    ("exhaustive blowup", `Quick, test_exhaustive_blowup) ]
+    ("exhaustive blowup", `Quick, test_exhaustive_blowup);
+    ("uniform tables assemble in linear instances", `Quick,
+     test_uniform_tables_linear) ]

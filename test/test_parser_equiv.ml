@@ -150,29 +150,41 @@ let test_realestate_equivalence () =
        (Wqi_corpus.Vocabulary.find "RealEstates") 24)
 
 (* Slow-tail sources: Rich forms over every domain, with the benchmark's
-   noise and header rates, kept when their parse creates at least 200
-   instances on a single-word universe.  These are the parses where long
-   QI chains meet R-subsume-QI, so the column enforcement scan faces its
-   largest winner and loser fronts — and the oracle, which enforces
-   through the boxed creation-order scan, checks every kill it makes. *)
+   noise and header rates, stacked two to a page, kept when their parse
+   creates at least 200 instances on a single-word universe.  These are
+   the parses where the longest QI chains meet R-subsume-QI, so the
+   column enforcement scan faces its largest winner and loser fronts —
+   and the oracle, which enforces through the boxed creation-order scan,
+   checks every kill it makes.  A single Rich form does not get there:
+   with rows joined only when adjacent, the heaviest of 2000 creates
+   under 200 instances. *)
 let slow_tail_sources n =
   let g = Wqi_corpus.Prng.create 0x5107AL in
   let grammar = Wqi_stdgrammar.Std.compiled in
+  let rich i =
+    Generator.generate g
+      ~id:(Printf.sprintf "tail-%04d" i)
+      ~domain:(Wqi_corpus.Prng.pick g Wqi_corpus.Vocabulary.all)
+      ~complexity:`Rich ~oog_prob:0.1 ~header_prob:0.2 ()
+  in
   let rec go acc k i =
-    if k = n || i = 2_000 then List.rev acc
+    if k = n || i >= 2_000 then List.rev acc
     else
+      let a = rich i in
+      let b = rich (i + 1) in
       let s =
-        Generator.generate g
-          ~id:(Printf.sprintf "tail-%04d" i)
-          ~domain:(Wqi_corpus.Prng.pick g Wqi_corpus.Vocabulary.all)
-          ~complexity:`Rich ~oog_prob:0.1 ~header_prob:0.2 ()
+        { a with
+          Generator.id = a.Generator.id ^ "+" ^ b.Generator.id;
+          html = a.Generator.html ^ b.Generator.html;
+          truth = a.Generator.truth @ b.Generator.truth;
+          patterns = a.Generator.patterns @ b.Generator.patterns }
       in
       let tokens = Tokenize.of_html s.Generator.html in
       if
         List.length tokens <= Bitset.bits_per_word
         && (Engine.parse grammar tokens).Engine.stats.created >= 200
-      then go (s :: acc) (k + 1) (i + 1)
-      else go acc k (i + 1)
+      then go (s :: acc) (k + 1) (i + 2)
+      else go acc k (i + 2)
   in
   go [] 0 0
 

@@ -89,6 +89,50 @@ let prop_distance_symmetric =
         Geometry.distance a b = Geometry.distance b a
         && Geometry.distance a a = 0.)
 
+(* Hint regions are sound: whenever a relation holds of two boxes, each
+   box lies in the region the other anchors ([Hint.region]'s contract,
+   which the candidate index and guards' scope queries probe by).  Box
+   pairs are drawn near each other, so adjacency holds often. *)
+module Hint = Wqi_grammar.Hint
+
+let near_pair_gen =
+  Q.map
+    (fun ((x1, y1, w, h), (dx, dy, w', h')) ->
+       let a = Geometry.make ~x1 ~y1 ~x2:(x1 + w) ~y2:(y1 + h) in
+       let x1' = x1 + dx and y1' = y1 + dy in
+       (a, Geometry.make ~x1:x1' ~y1:y1' ~x2:(x1' + w') ~y2:(y1' + h')))
+    (Q.pair
+       (Q.quad (Q.int_bound 300) (Q.int_bound 300) (Q.int_bound 80)
+          (Q.int_bound 40))
+       (Q.quad (Q.int_range (-60) 200) (Q.int_range (-40) 100)
+          (Q.int_bound 80) (Q.int_bound 40)))
+
+let in_region (r : Hint.region) (b : Geometry.box) =
+  let meets span lo hi = match span with
+    | None -> true
+    | Some (l, h) -> lo <= h && hi >= l
+  in
+  meets r.Hint.y b.Geometry.y1 b.Geometry.y2
+  && meets r.Hint.x b.Geometry.x1 b.Geometry.x2
+
+let hint_rels =
+  Hint.
+    [ Adjacent_left; Adjacent_above; Left_of 60; Above 40; Below 40;
+      Same_row; Same_column; Left_aligned 6; Top_aligned 6;
+      Bottom_aligned 6 ]
+
+let prop_region_sound =
+  Q.Test.make ~name:"relation holds => candidate in Hint.region" ~count:2000
+    near_pair_gen (fun (a, b) ->
+        List.for_all
+          (fun rel ->
+             (not (Hint.holds_rel rel a b))
+             || in_region (Hint.region rel ~anchor:a ~anchor_is_first:true) b
+                && in_region
+                     (Hint.region rel ~anchor:b ~anchor_is_first:false)
+                     a)
+          hint_rels)
+
 (* --- entity properties --- *)
 
 let printable_string =
@@ -510,6 +554,7 @@ let suite =
       prop_overlap_symmetric;
       prop_left_of_antisymmetric;
       prop_distance_symmetric;
+      prop_region_sound;
       prop_entity_roundtrip;
       prop_attribute_roundtrip;
       prop_html_roundtrip;
