@@ -113,7 +113,14 @@ let check_governed g =
   (* Governance must degrade, never fail: a Failed outcome here means an
      exception leaked out of the governed pipeline. *)
   let failed = num "batch120.governed.failed" (field g "failed") in
-  if failed <> 0. then bad "batch120.governed.failed: expected 0, got %g" failed
+  if failed <> 0. then bad "batch120.governed.failed: expected 0, got %g" failed;
+  (* The instance cap is set below the heaviest interfaces, so a record
+     without a degraded outcome checked no degradation at all. *)
+  let degraded = num "batch120.governed.degraded" (field g "degraded") in
+  if degraded < 1. then
+    bad "batch120.governed.degraded: expected >= 1, got %g" degraded;
+  let trips = num "batch120.governed.trips" (field g "trips") in
+  if trips < 1. then bad "batch120.governed.trips: expected >= 1, got %g" trips
 
 (* Tracing must be free when off (schema 4): the disabled sweep re-runs
    the exact jobs=1 loop, so anything beyond 2% over the recorded

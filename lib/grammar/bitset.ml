@@ -18,14 +18,9 @@ let empty n =
   if n <= bits_per_word then Small { size = n; bits = 0 }
   else Big { size = n; words = Array.make (words_for n) 0 }
 
-let of_word n bits =
-  if n > bits_per_word then
-    invalid_arg "Bitset.of_word: universe exceeds one word";
-  Small { size = n; bits }
-
-let to_word = function
-  | Small { bits; _ } -> bits
-  | Big _ -> invalid_arg "Bitset.to_word: universe exceeds one word"
+let of_words n words off =
+  if n <= bits_per_word then Small { size = n; bits = words.(off) }
+  else Big { size = n; words = Array.sub words off (words_for n) }
 
 let check size i =
   if i < 0 || i >= size then
@@ -170,23 +165,6 @@ let elements t =
        if words.(w) land (1 lsl b) <> 0 then acc := i :: !acc
      done);
   !acc
-
-(* Members of one word from bit 0 up, skipping past the highest set
-   bit: [lsr] is logical, so the loop ends once the word is spent. *)
-let iter_word f base w =
-  let w = ref w and i = ref base in
-  while !w <> 0 do
-    if !w land 1 <> 0 then f !i;
-    w := !w lsr 1;
-    incr i
-  done
-
-let iter f = function
-  | Small { bits; _ } -> iter_word f 0 bits
-  | Big { words; _ } ->
-    Array.iteri
-      (fun k w -> if w <> 0 then iter_word f (k * bits_per_word) w)
-      words
 
 let of_list n items = List.fold_left add (empty n) items
 

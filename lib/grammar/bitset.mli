@@ -13,21 +13,23 @@ val universe_size : t -> int
 
 val bits_per_word : int
 (** Universes up to this size are a single unboxed word
-    ([Sys.int_size]); the parser's arena keeps their covers as raw ints
-    and materializes a set only when an instance is built. *)
+    ([Sys.int_size]).  The parser's arena keeps every cover as raw words
+    of this many tokens each, whatever the universe's size, and
+    materializes a set ({!of_words}) only when an instance is built. *)
 
 val empty : int -> t
 (** [empty n] is the empty set over universe [{0, ..., n-1}]. *)
 
-val of_word : int -> int -> t
-(** [of_word n bits] is the set over universe [n] whose members are the
-    set bits of [bits].  Requires [n <= bits_per_word]; the result is
+val of_words : int -> int array -> int -> t
+(** [of_words n words off] is the set over universe [n] whose members
+    are the set bits of [words] from [off] on, one word per
+    {!bits_per_word} tokens: member [i] is bit [i mod bits_per_word] of
+    word [off + i / bits_per_word], so a universe of at most
+    {!bits_per_word} tokens (even an empty one) reads one word.  Bits
+    past [n - 1] must be clear; the result is
     structurally identical to building the same set by {!add}/{!union},
-    so downstream {!equal}/{!hash}/{!subset} behave as if it had been. *)
-
-val to_word : t -> int
-(** Inverse of {!of_word}: the raw member word of a single-word set.
-    Raises [Invalid_argument] on universes past {!bits_per_word}. *)
+    so downstream {!equal}/{!hash}/{!subset} behave as if it had
+    been. *)
 
 val singleton : int -> int -> t
 (** [singleton n i] is [{i}] over a universe of size [n]. *)
@@ -49,10 +51,6 @@ val strict_subset : t -> t -> bool
 
 val equal : t -> t -> bool
 val elements : t -> int list
-
-val iter : (int -> unit) -> t -> unit
-(** [iter f t] applies [f] to the members in increasing order, skipping
-    empty words: linear in the members, not the universe. *)
 
 val of_list : int -> int list -> t
 val union_all : int -> t list -> t

@@ -53,7 +53,7 @@ val prebuilt :
   box:Wqi_layout.Geometry.box ->
   t
 (** {!make} with the cover and box supplied by the caller instead of
-    recomputed from [children].  For the parser's arena fast path, which
+    recomputed from [children].  For the parser's arena, which
     tracks both incrementally while binding components; the caller must
     pass exactly the unions {!make} would have computed, or every
     downstream subsumption/conflict decision is corrupted. *)

@@ -1,10 +1,13 @@
 (* The unboxed instance arena: per-symbol columns of parallel arrays
    indexed by creation order within the symbol's store.  The parser's
    inner loops (delta enumeration, hint checks, preference kill scans)
-   run entirely on the int columns — covers as raw words, boxes as four
-   coordinate arrays, liveness as bytes — and only touch the boxed
-   {!Wqi_grammar.Instance.t} (kept alongside, since results must still
-   be instance trees) when a candidate survives every filter.
+   run entirely on the int columns — each cover as [nw] raw words, boxes
+   as four coordinate arrays, liveness as bytes — and only touch the
+   boxed {!Wqi_grammar.Instance.t} (kept alongside, since results must
+   still be instance trees) when a candidate survives every filter.
+   [nw] is the universe's word count ([max 1], so an empty universe
+   still has a slot), fixed per parse by {!set_universe}: one layout
+   for every universe size.
 
    Arenas are pooled on the compiled grammar pack and bulk-reset between
    parses, so a steady-state parse allocates instances, result lists and
@@ -20,7 +23,9 @@ module Token = Wqi_token.Token
 
 type col = {
   mutable inst : Instance.t array;
-  mutable bits : int array;  (* single-word covers; 0 on big universes *)
+  mutable covers : int array;
+      (* [nw] cover words per entry, entry [i] at [i * nw]; word [k]
+         holds tokens [k * bits_per_word ..], as in {!Bitset} *)
   mutable x1 : int array;
   mutable y1 : int array;
   mutable x2 : int array;
@@ -55,6 +60,26 @@ type t = {
   mutable id2col : int array;  (* instance id -> owning symbol id *)
   mutable id2idx : int array;  (* instance id -> index in its column *)
   filler : Instance.t;
+  mutable nw : int;  (* cover words per entry, this parse *)
+  mutable cov : int array;
+      (* running covers of the enumeration: slot [d] (at [d * nw])
+         holds the union of the components bound above depth [d] —
+         past its first word, which the enumeration keeps in a register
+         and writes only into the head's slot; slot 0 stays empty, and
+         slot [max_arity] doubles as a token's cover while the tokens
+         are pushed, before any enumeration *)
+  (* Enforcement scratch, sized on demand and never cleared: an entry
+     belongs to the current loser only while it holds [stamp], which
+     grows by one per loser and never repeats within an arena. *)
+  mutable stamp : int;
+  mutable drawn : int;  (* the stamp whose ancestors [anc] holds *)
+  mutable anc : int array;  (* instance id -> stamp of a marked ancestor *)
+  mutable seen : int array;  (* winner index -> stamp of its last visit *)
+  mutable tok : int array;
+      (* the winner buckets' bounds: bucket [t] (the winners on token
+         [t]) is [bucket.(tok.(t)) .. bucket.(tok.(t + 1) - 1)] *)
+  mutable at : int array;  (* per token, its bucket's fill cursor *)
+  mutable bucket : int array;  (* winner indices, ascending per bucket *)
   (* Probe-region scratch (the narrowest y/x intervals the bound
      anchors imply), valid between a region computation and the query
      it feeds. *)
@@ -81,7 +106,7 @@ let dummy_index = Spatial_index.create ~alive:(fun _ -> false)
 
 let make_col filler =
   let col =
-    { inst = Array.make 16 filler; bits = Array.make 16 0;
+    { inst = Array.make 16 filler; covers = Array.make 16 0;
       x1 = Array.make 16 0; y1 = Array.make 16 0; x2 = Array.make 16 0;
       y2 = Array.make 16 0; alive = Bytes.make 16 '\000'; len = 0;
       index = dummy_index; indexed = 0; max_w = 0; max_h = 0 }
@@ -91,35 +116,40 @@ let make_col filler =
         Bytes.unsafe_get col.alive idx <> '\000');
   col
 
-let grow col filler =
-  let cap = Array.length col.inst in
-  let ncap = 2 * cap in
-  let grow_inst a =
-    let b = Array.make ncap filler in
-    Array.blit a 0 b 0 cap;
+(* [a], or a copy at least [n] long with [a]'s prefix. *)
+let reserve a n =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let b = Array.make (Int.max n (2 * len)) 0 in
+    Array.blit a 0 b 0 len;
     b
-  in
-  let grow_int a =
-    let b = Array.make ncap 0 in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  col.inst <- grow_inst col.inst;
-  col.bits <- grow_int col.bits;
-  col.x1 <- grow_int col.x1;
-  col.y1 <- grow_int col.y1;
-  col.x2 <- grow_int col.x2;
-  col.y2 <- grow_int col.y2;
+  end
+
+let grow t col =
+  let ncap = 2 * Array.length col.inst in
+  let inst = Array.make ncap t.filler in
+  Array.blit col.inst 0 inst 0 col.len;
+  col.inst <- inst;
+  col.covers <- reserve col.covers (ncap * t.nw);
+  col.x1 <- reserve col.x1 ncap;
+  col.y1 <- reserve col.y1 ncap;
+  col.x2 <- reserve col.x2 ncap;
+  col.y2 <- reserve col.y2 ncap;
   let al = Bytes.make ncap '\000' in
-  Bytes.blit col.alive 0 al 0 cap;
+  Bytes.blit col.alive 0 al 0 col.len;
   col.alive <- al
 
-let push t col (inst : Instance.t) ~bits =
-  if col.len = Array.length col.inst then grow col t.filler;
+(* Append [inst], its cover copied from the [cov] slot at [off]. *)
+let push t col (inst : Instance.t) ~off =
+  if col.len = Array.length col.inst then grow t col;
   let idx = col.len in
   let box = inst.Instance.box in
   Array.unsafe_set col.inst idx inst;
-  Array.unsafe_set col.bits idx bits;
+  let nw = t.nw and base = idx * t.nw in
+  for k = 0 to nw - 1 do
+    Array.unsafe_set col.covers (base + k) (Array.unsafe_get t.cov (off + k))
+  done;
   Array.unsafe_set col.x1 idx box.Wqi_layout.Geometry.x1;
   Array.unsafe_set col.y1 idx box.Wqi_layout.Geometry.y1;
   Array.unsafe_set col.x2 idx box.Wqi_layout.Geometry.x2;
@@ -146,16 +176,9 @@ let sync_index col =
   col.indexed <- col.len
 
 let record_id t ~id ~col ~idx =
-  let cap = Array.length t.id2col in
-  if id >= cap then begin
-    let ncap = Int.max (2 * cap) (id + 1) in
-    let g a =
-      let b = Array.make ncap 0 in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    t.id2col <- g t.id2col;
-    t.id2idx <- g t.id2idx
+  if id >= Array.length t.id2col then begin
+    t.id2col <- reserve t.id2col (id + 1);
+    t.id2idx <- reserve t.id2idx (id + 1)
   end;
   Array.unsafe_set t.id2col id col;
   Array.unsafe_set t.id2idx id idx
@@ -185,12 +208,57 @@ let create (tables : Dispatch.t) =
     id2col = Array.make 256 0;
     id2idx = Array.make 256 0;
     filler;
+    nw = 1;
+    cov = Array.make (tables.max_arity + 1) 0;
+    stamp = 0;
+    drawn = 0;
+    anc = Array.make 256 0;
+    seen = Array.make 64 0;
+    tok = Array.make 65 0;
+    at = Array.make 64 0;
+    bucket = Array.make 256 0;
     pr_have_y = false;
     pr_y_lo = 0;
     pr_y_hi = 0;
     pr_have_x = false;
     pr_x_lo = 0;
     pr_x_hi = 0 }
+
+(* Size the cover words for a universe of [n] tokens: each column's
+   cover array holds [nw] words per slot of its capacity — reallocated
+   when it is too short, or over four times too long, so a pooled arena
+   neither keeps a wide parse's covers nor churns between nearby
+   widths — and the running-cover row one [nw]-word slot per binding
+   depth, slot 0 empty (a parse with another [nw] may have written
+   there).  Pushes keep the columns sized while [nw] stays. *)
+let set_universe t n =
+  let bpw = Wqi_grammar.Bitset.bits_per_word in
+  let nw = Int.max 1 ((n + bpw - 1) / bpw) in
+  if nw <> t.nw then begin
+    t.nw <- nw;
+    let slots = Array.length t.qbufs + 1 in
+    if Array.length t.cov < slots * nw then t.cov <- Array.make (slots * nw) 0
+    else Array.fill t.cov 0 nw 0;
+    Array.iter
+      (fun col ->
+         let need = Array.length col.inst * nw in
+         let have = Array.length col.covers in
+         if have < need || have > 4 * need then
+           col.covers <- Array.make need 0)
+      t.cols
+  end
+
+(* Write the one-token cover of token [id] into the [cov] slot of depth
+   [max_arity] — tokens are pushed before any enumeration runs — and
+   return its offset. *)
+let token_cover t id =
+  let bpw = Wqi_grammar.Bitset.bits_per_word in
+  let off = Array.length t.qbufs * t.nw in
+  for k = off to off + t.nw - 1 do
+    Array.unsafe_set t.cov k 0
+  done;
+  t.cov.(off + (id / bpw)) <- 1 lsl (id mod bpw);
+  off
 
 (* Bulk reset: clear lengths, drop every boxed-instance reference (a
    reused slot must not pin last parse's trees), zero the watermarks and

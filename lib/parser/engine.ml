@@ -49,15 +49,12 @@ exception Truncated
 (* The parse-time state is a thin record over the pooled {!Arena}: all
    per-symbol storage lives in the arena's columns, all per-production
    scratch in its flat arrays at the offsets {!Dispatch} assigned at
-   compile time.  [small] selects the word-cover fast path (universes of
-   at most [Bitset.bits_per_word] tokens — every interface in the
-   paper's corpus); larger universes run the same algorithm on boxed
-   covers. *)
+   compile time.  Covers are [Arena.nw] raw words per instance whatever
+   the universe's size, so every universe runs the same code. *)
 type state = {
   tables : Dispatch.t;
   arena : Arena.t;
   universe : int;
-  small : bool;
   hints_enabled : bool;
   on_kill : Instance.t -> unit;
   mutable next_id : int;
@@ -87,25 +84,9 @@ let probe st =
   | None -> ()
   | Some g -> if not (Budget.tick g Budget.Parse) then raise Truncated
 
-(* Live instances of one symbol in creation order (oldest first):
-   downstream derivations then inherit the priority that production
-   order established (earlier productions yield smaller ids, and
-   maximal-tree selection prefers smaller ids on ties).  List-building
-   is off the fast path — only the big-universe preference scan uses
-   it; the word-cover engine walks columns. *)
-let live_instances st sid =
-  let col = st.arena.Arena.cols.(sid) in
-  let out = ref [] in
-  for i = col.Arena.len - 1 downto 0 do
-    let inst = Array.unsafe_get col.Arena.inst i in
-    if inst.Instance.alive then out := inst :: !out
-  done;
-  !out
-
-let add_instance st sid (inst : Instance.t) ~bits =
+let add_instance st sid (inst : Instance.t) ~off =
   let a = st.arena in
-  let col = a.Arena.cols.(sid) in
-  let idx = Arena.push a col inst ~bits in
+  let idx = Arena.push a a.Arena.cols.(sid) inst ~off in
   Arena.record_id a ~id:inst.Instance.id ~col:sid ~idx
 
 let fresh_id st =
@@ -126,26 +107,11 @@ let rec row_children (row : Instance.t array) i acc =
   if i < 0 then acc
   else row_children row (i - 1) (Array.unsafe_get row i :: acc)
 
-(* Boxed creation path (big universes): cover and box recomputed from
-   the children by [Instance.make], exactly as the reference semantics
-   specify. *)
-let create_instance st (fp : Dispatch.fprod) row =
-  charge_instance st;
-  let p = fp.Dispatch.prod in
-  let children = row_children row (fp.Dispatch.arity - 1) [] in
-  let sem = p.G.Production.build row in
-  let inst =
-    Instance.make ~id:(fresh_id st) ~sym:p.head ~prod:p.name ~children ~sem
-  in
-  st.created <- st.created + 1;
-  let bits = if st.small then Bitset.to_word inst.Instance.cover else 0 in
-  add_instance st fp.Dispatch.head inst ~bits
-
-(* Word-cover creation path: the enumeration already carried the cover
-   as a raw word and the bound slots' coordinates in the arena scratch,
-   so the instance is assembled without re-unioning anything.  Field
-   values are identical to what [Instance.make] computes. *)
-let create_instance_small st (fp : Dispatch.fprod) chosen cover_bits =
+(* The head instance of a binding row.  The enumeration already carried
+   its cover in the arena's running-cover slot [arity] and the bound
+   slots' coordinates in the arena scratch, so nothing is re-unioned from
+   the children: the fields are exactly what [Instance.make] computes. *)
+let create_instance st (fp : Dispatch.fprod) chosen =
   charge_instance st;
   let p = fp.Dispatch.prod in
   let children = row_children chosen (fp.Dispatch.arity - 1) [] in
@@ -164,14 +130,15 @@ let create_instance_small st (fp : Dispatch.fprod) chosen cover_bits =
   let box =
     { Wqi_layout.Geometry.x1 = !x1; y1 = !y1; x2 = !x2; y2 = !y2 }
   in
+  let top = fp.Dispatch.arity * a.Arena.nw in
   let inst =
     Instance.prebuilt ~id:(fresh_id st) ~sym:p.G.Production.head ~prod:p.name
       ~children ~sem
-      ~cover:(Bitset.of_word st.universe cover_bits)
+      ~cover:(Bitset.of_words st.universe a.Arena.cov top)
       ~box
   in
   st.created <- st.created + 1;
-  add_instance st fp.Dispatch.head inst ~bits:cover_bits
+  add_instance st fp.Dispatch.head inst ~off:top
 
 let guard_admits st (fp : Dispatch.fprod) chosen =
   st.guards_tried <- st.guards_tried + 1;
@@ -433,11 +400,10 @@ let scope_exists st sym (r : G.Hint.region) test =
    scans, by checking the packed relations inline before recursing.
    The guard is still evaluated on every surviving combination.
 
-   Common prologue for both cover representations: snapshot the slot
-   lengths (instances created by this very application only become
-   candidates in the next round, as in the reference), compute the
-   delta-from flags, and report whether anything can fire at all.
-   Returns true when the enumeration should run. *)
+   Prologue: snapshot the slot lengths (instances created by this very
+   application only become candidates in the next round, as in the
+   reference), compute the delta-from flags, and report whether anything
+   can fire at all.  Returns true when the enumeration should run. *)
 let application_ready (a : Arena.t) (fp : Dispatch.fprod) =
   let arity = fp.Dispatch.arity in
   let mb = fp.Dispatch.mark_base and db = fp.Dispatch.delta_base in
@@ -473,165 +439,122 @@ let application_ready (a : Arena.t) (fp : Dispatch.fprod) =
     true
   end
 
-(* Word-cover enumeration: covers are raw ints carried through the
-   recursion (zero allocation per step), candidate filtering runs on the
-   arena columns, and the instance is assembled from tracked state.
-   Cheapest rejections first: liveness, then cover disjointness (word
+(* Cover-word tests on [n >= 1] words of [x] from [xo] against [y] from
+   [yo]: [meet] — a token in common; [within] — every token of [x] in
+   [y].  [meet] runs per candidate and per winner, so its first word is
+   tested inline and only a second word costs a call. *)
+let rec meet_from x xo y yo n =
+  n > 0
+  && (Array.unsafe_get x xo land Array.unsafe_get y yo <> 0
+      || meet_from x (xo + 1) y (yo + 1) (n - 1))
+
+let[@inline] meet x xo y yo n =
+  Array.unsafe_get x xo land Array.unsafe_get y yo <> 0
+  || (n > 1 && meet_from x (xo + 1) y (yo + 1) (n - 1))
+
+let rec within x xo y yo n =
+  n = 0
+  || Array.unsafe_get x xo land lnot (Array.unsafe_get y yo) = 0
+     && within x (xo + 1) y (yo + 1) (n - 1)
+
+(* Bind slot [i] of [fp] and recurse.  The running cover of the slots
+   bound so far is [w0], its first word — carried in a register, since
+   most universes have no other — and the rest of the arena's cover slot
+   [i]; binding a candidate writes slot [i + 1], so no step allocates,
+   and slot [arity] receives the head instance's whole cover.
+   Everything else comes from the arena and [fp], so the recursion is a
+   plain function, not a closure built per application.  Cheapest
+   rejections first: liveness, then cover disjointness (word
    operations), then the packed hint relations — geometry runs only on
    candidates that would otherwise recurse.  Filter order cannot change
    the admitted set, only who pays for the rejection. *)
-let apply_production_small st (fp : Dispatch.fprod) =
+let rec assign st (fp : Dispatch.fprod) i have_delta w0 =
+  probe st;
   let a = st.arena in
-  if not (application_ready a fp) then false
+  let chosen = Array.unsafe_get a.Arena.chosen fp.Dispatch.ord in
+  if i = fp.Dispatch.arity then begin
+    if guard_admits st fp chosen then begin
+      a.Arena.cov.(i * a.Arena.nw) <- w0;
+      create_instance st fp chosen
+    end
+  end
   else begin
-    let arity = fp.Dispatch.arity in
-    let mb = fp.Dispatch.mark_base and db = fp.Dispatch.delta_base in
-    let marks = a.Arena.marks and lens = a.Arena.lens in
-    let deltas = a.Arena.deltas in
-    let pcols = a.Arena.pcols.(fp.Dispatch.ord) in
-    let chosen = a.Arena.chosen.(fp.Dispatch.ord) in
-    let all_checks = fp.Dispatch.checks in
-    let added = ref false in
-    let rec assign i cover have_delta =
-      probe st;
-      if i = arity then begin
-        if guard_admits st fp chosen then begin
-          create_instance_small st fp chosen cover;
-          added := true
+    let mb = fp.Dispatch.mark_base in
+    let col =
+      Array.unsafe_get (Array.unsafe_get a.Arena.pcols fp.Dispatch.ord) i
+    in
+    let checks =
+      if st.hints_enabled then Array.unsafe_get fp.Dispatch.checks i
+      else Dispatch.no_checks
+    in
+    let mark0 = Array.unsafe_get a.Arena.marks (mb + i) in
+    (* If no delta child is bound yet and no later slot can supply one,
+       this slot must: start at its watermark. *)
+    let start =
+      if
+        have_delta
+        || Bytes.unsafe_get a.Arena.deltas (fp.Dispatch.delta_base + i + 1)
+           <> '\000'
+      then 0
+      else mark0
+    in
+    let stop = Array.unsafe_get a.Arena.lens (mb + i) in
+    let insts = col.Arena.inst and covers = col.Arena.covers in
+    let ax1 = col.Arena.x1 and ay1 = col.Arena.y1 in
+    let ax2 = col.Arena.x2 and ay2 = col.Arena.y2 in
+    let alive = col.Arena.alive in
+    let nw = a.Arena.nw and cov = a.Arena.cov in
+    let here = i * nw in
+    let nchecks = Array.length checks in
+    let probed = probe_candidates st col i mb checks ~start ~stop in
+    let cands = !(Array.unsafe_get a.Arena.qbufs i) in
+    let lo = if probed < 0 then start else 0 in
+    let hi = if probed < 0 then stop else probed in
+    for k = lo to hi - 1 do
+      let idx = if probed < 0 then k else Array.unsafe_get cands k in
+      let base = idx * nw in
+      let cw0 = Array.unsafe_get covers base in
+      if
+        Bytes.unsafe_get alive idx <> '\000'
+        && cw0 land w0 = 0
+        && not
+             (nw > 1 && meet_from covers (base + 1) cov (here + 1) (nw - 1))
+      then begin
+        let x1 = Array.unsafe_get ax1 idx in
+        let y1 = Array.unsafe_get ay1 idx in
+        let x2 = Array.unsafe_get ax2 idx in
+        let y2 = Array.unsafe_get ay2 idx in
+        if nchecks = 0 || checks_hold a mb checks x1 y1 x2 y2 then begin
+          Array.unsafe_set chosen i (Array.unsafe_get insts idx);
+          let o = mb + i in
+          Array.unsafe_set a.Arena.sx1 o x1;
+          Array.unsafe_set a.Arena.sy1 o y1;
+          Array.unsafe_set a.Arena.sx2 o x2;
+          Array.unsafe_set a.Arena.sy2 o y2;
+          for j = 1 to nw - 1 do
+            Array.unsafe_set cov (here + nw + j)
+              (Array.unsafe_get cov (here + j)
+               lor Array.unsafe_get covers (base + j))
+          done;
+          assign st fp (i + 1) (have_delta || idx >= mark0) (w0 lor cw0)
         end
       end
-      else begin
-        let col = Array.unsafe_get pcols i in
-        let checks =
-          if st.hints_enabled then Array.unsafe_get all_checks i
-          else Dispatch.no_checks
-        in
-        let mark0 = Array.unsafe_get marks (mb + i) in
-        (* If no delta child is bound yet and no later slot can supply
-           one, this slot must: start at its watermark. *)
-        let start =
-          if have_delta || Bytes.unsafe_get deltas (db + i + 1) <> '\000'
-          then 0
-          else mark0
-        in
-        let stop = Array.unsafe_get lens (mb + i) in
-        let insts = col.Arena.inst and cbits = col.Arena.bits in
-        let ax1 = col.Arena.x1 and ay1 = col.Arena.y1 in
-        let ax2 = col.Arena.x2 and ay2 = col.Arena.y2 in
-        let alive = col.Arena.alive in
-        let nchecks = Array.length checks in
-        let probed = probe_candidates st col i mb checks ~start ~stop in
-        let cands = !(Array.unsafe_get a.Arena.qbufs i) in
-        let lo = if probed < 0 then start else 0 in
-        let hi = if probed < 0 then stop else probed in
-        for k = lo to hi - 1 do
-          let idx = if probed < 0 then k else Array.unsafe_get cands k in
-          if Bytes.unsafe_get alive idx <> '\000' then begin
-            let cb = Array.unsafe_get cbits idx in
-            if cb land cover = 0 then begin
-              let x1 = Array.unsafe_get ax1 idx in
-              let y1 = Array.unsafe_get ay1 idx in
-              let x2 = Array.unsafe_get ax2 idx in
-              let y2 = Array.unsafe_get ay2 idx in
-              if nchecks = 0 || checks_hold a mb checks x1 y1 x2 y2 then begin
-                Array.unsafe_set chosen i (Array.unsafe_get insts idx);
-                let o = mb + i in
-                Array.unsafe_set a.Arena.sx1 o x1;
-                Array.unsafe_set a.Arena.sy1 o y1;
-                Array.unsafe_set a.Arena.sx2 o x2;
-                Array.unsafe_set a.Arena.sy2 o y2;
-                assign (i + 1) (cover lor cb) (have_delta || idx >= mark0)
-              end
-            end
-          end
-        done
-      end
-    in
-    (try assign 0 0 false
-     with Truncated ->
-       Array.blit lens mb marks mb arity;
-       raise Truncated);
-    Array.blit lens mb marks mb arity;
-    !added
+    done
   end
 
-(* Boxed-cover enumeration for universes past one word: same delta
-   discipline and candidate filtering (the coordinate columns and
-   packed checks still apply), with covers as [Bitset.t]. *)
-let apply_production_big st (fp : Dispatch.fprod) =
+(* Returns whether the application created anything. *)
+let apply_production st (fp : Dispatch.fprod) =
   let a = st.arena in
-  if not (application_ready a fp) then false
-  else begin
-    let arity = fp.Dispatch.arity in
-    let mb = fp.Dispatch.mark_base and db = fp.Dispatch.delta_base in
-    let marks = a.Arena.marks and lens = a.Arena.lens in
-    let deltas = a.Arena.deltas in
-    let pcols = a.Arena.pcols.(fp.Dispatch.ord) in
-    let chosen = a.Arena.chosen.(fp.Dispatch.ord) in
-    let all_checks = fp.Dispatch.checks in
-    let added = ref false in
-    let rec assign i cover have_delta =
-      probe st;
-      if i = arity then begin
-        if guard_admits st fp chosen then begin
-          create_instance st fp chosen;
-          added := true
-        end
-      end
-      else begin
-        let col = Array.unsafe_get pcols i in
-        let checks =
-          if st.hints_enabled then Array.unsafe_get all_checks i
-          else Dispatch.no_checks
-        in
-        let mark0 = Array.unsafe_get marks (mb + i) in
-        let start =
-          if have_delta || Bytes.unsafe_get deltas (db + i + 1) <> '\000'
-          then 0
-          else mark0
-        in
-        let stop = Array.unsafe_get lens (mb + i) in
-        let insts = col.Arena.inst in
-        let ax1 = col.Arena.x1 and ay1 = col.Arena.y1 in
-        let ax2 = col.Arena.x2 and ay2 = col.Arena.y2 in
-        let alive = col.Arena.alive in
-        let nchecks = Array.length checks in
-        let probed = probe_candidates st col i mb checks ~start ~stop in
-        let cands = !(Array.unsafe_get a.Arena.qbufs i) in
-        let lo = if probed < 0 then start else 0 in
-        let hi = if probed < 0 then stop else probed in
-        for k = lo to hi - 1 do
-          let idx = if probed < 0 then k else Array.unsafe_get cands k in
-          if Bytes.unsafe_get alive idx <> '\000' then begin
-            let cand = Array.unsafe_get insts idx in
-            if Bitset.disjoint cover cand.Instance.cover then begin
-              let x1 = Array.unsafe_get ax1 idx in
-              let y1 = Array.unsafe_get ay1 idx in
-              let x2 = Array.unsafe_get ax2 idx in
-              let y2 = Array.unsafe_get ay2 idx in
-              if nchecks = 0 || checks_hold a mb checks x1 y1 x2 y2 then begin
-                Array.unsafe_set chosen i cand;
-                let o = mb + i in
-                Array.unsafe_set a.Arena.sx1 o x1;
-                Array.unsafe_set a.Arena.sy1 o y1;
-                Array.unsafe_set a.Arena.sx2 o x2;
-                Array.unsafe_set a.Arena.sy2 o y2;
-                assign (i + 1)
-                  (Bitset.union cover cand.Instance.cover)
-                  (have_delta || idx >= mark0)
-              end
-            end
-          end
-        done
-      end
-    in
-    (try assign 0 (Bitset.empty st.universe) false
-     with Truncated ->
-       Array.blit lens mb marks mb arity;
-       raise Truncated);
-    Array.blit lens mb marks mb arity;
-    !added
-  end
+  application_ready a fp
+  &&
+  let created0 = st.created in
+  let mb = fp.Dispatch.mark_base and arity = fp.Dispatch.arity in
+  (try assign st fp 0 false 0
+   with Truncated ->
+     Array.blit a.Arena.lens mb a.Arena.marks mb arity;
+     raise Truncated);
+  Array.blit a.Arena.lens mb a.Arena.marks mb arity;
+  st.created > created0
 
 (* Fix-point instantiation of one symbol (procedure [instantiate] of
    Figure 11).  Under a trace, every fix-point round becomes one span
@@ -642,13 +565,11 @@ let apply_production_big st (fp : Dispatch.fprod) =
 let instantiate st sid =
   let prods = st.tables.Dispatch.prods in
   let ords = st.tables.Dispatch.by_head.(sid) in
-  let apply =
-    if st.small then apply_production_small else apply_production_big
-  in
   let run_round () =
     let progressed = ref false in
     for k = 0 to Array.length ords - 1 do
-      if apply st prods.(Array.unsafe_get ords k) then progressed := true
+      if apply_production st prods.(Array.unsafe_get ords k) then
+        progressed := true
     done;
     !progressed
   in
@@ -702,182 +623,202 @@ let kill_loser st (v2 : Instance.t) =
   st.pruned <- st.pruned + 1;
   st.rolled_back <- st.rolled_back + (killed - 1)
 
-(* Mark in [marks] every instance built on [v] — its transitive parents,
-   live or dead — and return their ids.  Children lists are fixed at
+(* Stamp in [anc] every instance built on the instances of [parents] —
+   their transitive parents, live or dead.  Children lists are fixed at
    creation and every parent registers itself with its children, so
-   this is exactly the set of instances [Instance.is_descendant v ~of_]
-   accepts, computed once per loser instead of walked per winner. *)
-let mark_ancestors marks (v : Instance.t) =
-  let ids = ref [] in
-  let rec go (i : Instance.t) =
-    List.iter
-      (fun (p : Instance.t) ->
-         if Bytes.unsafe_get marks p.id = '\000' then begin
-           Bytes.unsafe_set marks p.id '\001';
-           ids := p.id :: !ids;
-           go p
-         end)
-      i.parents
-  in
-  go v;
-  !ids
+   stamping from a loser's parents marks exactly the instances
+   [Instance.is_descendant loser ~of_] accepts. *)
+let rec mark_ancestors anc stamp = function
+  | [] -> ()
+  | (p : Instance.t) :: rest ->
+    if Array.unsafe_get anc p.id <> stamp then begin
+      Array.unsafe_set anc p.id stamp;
+      mark_ancestors anc stamp p.parents
+    end;
+    mark_ancestors anc stamp rest
 
-(* Boxed enforcement (universes past one word): each loser, in creation
-   order, meets its candidate winners until one kills it — the
-   reference pair test of procedure [enforce] with its conjuncts
-   reordered, which cannot change a pure conjunction.  As in
-   [enforce_columns], winner order is free while the loser lives, and
-   enforcement only ever kills, so snapshotting both sides and
-   re-checking [alive] per pair equals re-filtering the store after
-   every rollback.
+(* Is winner [v1] (entry [w] of [wcol]) built on loser [v2] (entry [li]
+   of [lcol])?  The caller has checked that [v1] is the newer — children
+   are created before their parents.  A winner whose cover does not hold
+   the loser's cannot be; otherwise the loser's ancestors are drawn, once
+   per loser. *)
+let descends (a : Arena.t) (wcol : Arena.col) w (lcol : Arena.col) li
+    (v1 : Instance.t) (v2 : Instance.t) =
+  if a.Arena.drawn = a.Arena.stamp then
+    Array.unsafe_get a.Arena.anc v1.id = a.Arena.stamp
+  else
+    let nw = a.Arena.nw in
+    within lcol.Arena.covers (li * nw) wcol.Arena.covers (w * nw) nw
+    && begin
+      a.Arena.drawn <- a.Arena.stamp;
+      mark_ancestors a.Arena.anc a.Arena.stamp v2.parents;
+      Array.unsafe_get a.Arena.anc v1.id = a.Arena.stamp
+    end
 
-   A winner must share a token with the loser, so the candidates are
-   either every winner or the merged buckets of the loser's tokens,
-   whichever is shorter: row-local preferences on many-row interfaces
-   meet a few winners each, while a nested chain (QI over rows 1..k
-   for every k) would gather each winner once per shared token.  The
-   descent test runs right after the conflict test and costs one byte:
-   a winner created after the loser is looked up in the loser's
-   ancestor marks, drawn on first need — a chain's winners are all its
-   losers' ancestors, and walking down to each loser per winner would
-   cost the chain's length per pair. *)
-let enforce_boxed st (fr : Dispatch.fpref) =
-  let r = fr.Dispatch.pref in
-  let warr = Array.of_list (live_instances st fr.Dispatch.wsid) in
-  let losers = live_instances st fr.Dispatch.lsid in
-  let nw = Array.length warr in
-  if nw > 0 then begin
-    let sizes = Array.make st.universe 0 in
-    Array.iter
-      (fun (w : Instance.t) ->
-         Bitset.iter (fun t -> sizes.(t) <- sizes.(t) + 1) w.cover)
-      warr;
-    let buckets =
-      lazy
-        (let b = Array.make st.universe [] in
-         for ord = nw - 1 downto 0 do
-           Bitset.iter
-             (fun t -> b.(t) <- ord :: b.(t))
-             warr.(ord).Instance.cover
-         done;
-         b)
-    in
-    let marks = Bytes.make st.next_id '\000' in
-    let seen = Bytes.make nw '\000' in
-    List.iter
-      (fun (v2 : Instance.t) ->
-         probe st;
-         if v2.alive then begin
-           let marked = ref None in
-           let spared (v1 : Instance.t) =
-             v1.id > v2.id
-             &&
-             (if Option.is_none !marked then
-                marked := Some (mark_ancestors marks v2);
-              Bytes.unsafe_get marks v1.id <> '\000')
-           in
-           let try_winner ord =
-             let v1 = Array.unsafe_get warr ord in
-             if v1.alive && v2.alive && v1.id <> v2.id
-                && Instance.conflicts v1 v2
-                && (not (spared v1))
-                && r.conflict v1 v2 && r.wins v1 v2
-             then kill_loser st v2
-           in
-           let gathered = ref 0 in
-           Bitset.iter (fun t -> gathered := !gathered + sizes.(t)) v2.cover;
-           if !gathered >= nw then begin
-             let ord = ref 0 in
-             while v2.alive && !ord < nw do
-               try_winner !ord;
-               incr ord
-             done
-           end
-           else begin
-             (* Dedup by marking winner ordinals: each bucket entry is
-                visited once, and only the marked ordinals are sorted
-                back into creation order. *)
-             let buckets = Lazy.force buckets in
-             let touched = ref [] in
-             Bitset.iter
-               (fun t ->
-                  List.iter
-                    (fun ord ->
-                       if Bytes.unsafe_get seen ord = '\000' then begin
-                         Bytes.unsafe_set seen ord '\001';
-                         touched := ord :: !touched
-                       end)
-                    buckets.(t))
-               v2.cover;
-             List.iter
-               (fun ord ->
-                  Bytes.unsafe_set seen ord '\000';
-                  try_winner ord)
-               (List.sort Int.compare !touched)
-           end;
-           match !marked with
-           | None -> ()
-           | Some ids ->
-             List.iter (fun id -> Bytes.unsafe_set marks id '\000') ids
-         end)
-      losers
-  end
+(* The pair test of procedure [enforce] for a winner [w] whose cover
+   meets loser [li]'s ([v2]): does it kill the loser?  The reference
+   conjunction with its conjuncts reordered, which cannot change a pure
+   conjunction: the callers test the covers on the columns, then come
+   liveness and identity, also on the columns.  Descent goes ahead of
+   the preference's own predicates once the loser's ancestors are drawn,
+   when it is one lookup: a nested chain's winners are all its losers'
+   ancestors, and a subsumption test per pair would cost the covers'
+   length.  Until then it goes last, so a loser draws its ancestors only
+   when some winner would otherwise kill it. *)
+let[@inline] strikes (a : Arena.t) (r : G.Preference.t)
+    (wcol : Arena.col) w (lcol : Arena.col) li (v2 : Instance.t) =
+  Bytes.unsafe_get wcol.Arena.alive w <> '\000'
+  && (wcol != lcol || w <> li)
+  &&
+  let v1 = Array.unsafe_get wcol.Arena.inst w in
+  let newer = v1.id > v2.id in
+  not
+    (newer
+     && a.Arena.drawn = a.Arena.stamp
+     && Array.unsafe_get a.Arena.anc v1.id = a.Arena.stamp)
+  && r.conflict v1 v2 && r.wins v1 v2
+  && not (newer && descends a wcol w lcol li v1 v2)
 
-(* Column enforcement for word-cover universes: [try_kill] on the arena
-   columns.  Liveness is the [alive] bytes, identity is (column, index),
-   conflict is a cover-word intersection, and descent — which needs the
-   loser's cover inside the winner's and, since children are created
-   before their parents, the loser's id below the winner's — is walked
-   only when both word tests pass.
+(* The least token from [t] on of the cover at [base] ([nw] words), or
+   -1 when none is left. *)
+let rec next_token covers base nw t =
+  let bpw = Bitset.bits_per_word in
+  let k = t / bpw in
+  if k >= nw then -1
+  else
+    let w = Array.unsafe_get covers (base + k) lsr (t mod bpw) in
+    if w = 0 then next_token covers base nw ((k + 1) * bpw)
+    else lowest_bit w t
 
-   Each loser meets the winners newest first and its scan stops at its
-   first kill.  Winner order is free: until the loser dies nothing is
-   killed, so every pair of its scan sees the same live set; the pair
-   tests are pure functions of the two instances; and a kill's effect
-   depends on the loser alone (see [kill_loser]).  So whichever winner
-   strikes first, the loser dies exactly when some winner would kill it
-   in the creation-order scan, with the same rollback — the kills, their
-   order and every counter match [enforce_boxed].  Newest first finds
-   the killer early: a subsumption winner is usually the latest, widest
+and lowest_bit w t = if w land 1 <> 0 then t else lowest_bit (w lsr 1) (t + 1)
+
+(* One pass over the winners' tokens, dead entries included (they stay
+   put while the buckets are in use): count each token's winners one
+   place up ([place = false]), or append each winner to its token's
+   bucket at the cursor in [at].  Over the counts' prefix sums, bucket
+   [t] spans [bucket.(tok.(t)) .. bucket.(tok.(t + 1) - 1)]. *)
+let bucket_pass (a : Arena.t) (wcol : Arena.col) ~place =
+  let nw = a.Arena.nw and tok = a.Arena.tok and at = a.Arena.at in
+  for w = 0 to wcol.Arena.len - 1 do
+    let t = ref (next_token wcol.Arena.covers (w * nw) nw 0) in
+    while !t >= 0 do
+      if place then begin
+        a.Arena.bucket.(at.(!t)) <- w;
+        at.(!t) <- at.(!t) + 1
+      end
+      else tok.(!t + 1) <- tok.(!t + 1) + 1;
+      t := next_token wcol.Arena.covers (w * nw) nw (!t + 1)
+    done
+  done
+
+(* Count each token's winners into the bucket bounds [tok]. *)
+let count_buckets st (wcol : Arena.col) =
+  let a = st.arena in
+  let n = st.universe in
+  a.Arena.tok <- Arena.reserve a.Arena.tok (n + 1);
+  a.Arena.at <- Arena.reserve a.Arena.at n;
+  let tok = a.Arena.tok in
+  Array.fill tok 0 (n + 1) 0;
+  bucket_pass a wcol ~place:false;
+  for t = 1 to n do
+    tok.(t) <- tok.(t) + tok.(t - 1)
+  done
+
+(* Fill the buckets, each cursor in [at] starting at its bucket's bound. *)
+let fill_buckets st (wcol : Arena.col) =
+  let a = st.arena in
+  a.Arena.bucket <- Arena.reserve a.Arena.bucket a.Arena.tok.(st.universe);
+  Array.blit a.Arena.tok 0 a.Arena.at 0 st.universe;
+  bucket_pass a wcol ~place:true
+
+(* How many bucket entries the tokens of loser [li] gather, counted up
+   to [limit]. *)
+let gathered (a : Arena.t) (lcol : Arena.col) li limit =
+  let nw = a.Arena.nw and tok = a.Arena.tok in
+  let sum = ref 0 and t = ref (next_token lcol.Arena.covers (li * nw) nw 0) in
+  while !t >= 0 && !sum < limit do
+    sum := !sum + tok.(!t + 1) - tok.(!t);
+    t := next_token lcol.Arena.covers (li * nw) nw (!t + 1)
+  done;
+  !sum
+
+(* Enforcement on the arena columns.  Each live loser, in creation
+   order, meets its candidate winners until one kills it.  A winner must
+   share a token with the loser, so the candidates are either every
+   winner, newest first, or the loser's tokens' buckets, whichever is
+   shorter: row-local preferences on many-row interfaces meet a few
+   winners each, while a nested chain (QI over rows 1..k for every k)
+   would gather each winner once per shared token.  Reading a loser's
+   tokens costs up to [bits_per_word] steps a word, and the full scan
+   one word test a winner a word, so with no more winners than
+   [bits_per_word] the buckets cannot pay and are not built.
+
+   Winner order is free: until the loser dies nothing is killed, so
+   every pair of its scan sees the same live set; the pair tests are pure
+   functions of the two instances; and a kill's effect depends on the
+   loser alone (see [kill_loser]).  So whichever winner strikes first,
+   the loser dies exactly when some winner would kill it in the
+   reference's creation-order scan, with the same rollback — the kills,
+   their order and every counter match it.  Newest first finds the
+   killer early: a subsumption winner is usually the latest, widest
    instance of its symbol. *)
-let enforce_columns st (fr : Dispatch.fpref) =
+let enforce_scan st (fr : Dispatch.fpref) =
   let r = fr.Dispatch.pref in
   let a = st.arena in
   let wcol = a.Arena.cols.(fr.Dispatch.wsid) in
   let lcol = a.Arena.cols.(fr.Dispatch.lsid) in
-  let same = fr.Dispatch.wsid = fr.Dispatch.lsid in
-  let wlen = wcol.Arena.len and llen = lcol.Arena.len in
+  let wlen = wcol.Arena.len and nw = a.Arena.nw in
   if wlen > 0 then begin
-    let winsts = wcol.Arena.inst and wbits = wcol.Arena.bits in
-    let walive = wcol.Arena.alive in
-    let linsts = lcol.Arena.inst and lbits = lcol.Arena.bits in
-    let lalive = lcol.Arena.alive in
-    for li = 0 to llen - 1 do
-      if Bytes.unsafe_get lalive li <> '\000' then begin
+    if Array.length a.Arena.anc < st.next_id then
+      a.Arena.anc <- Arena.reserve a.Arena.anc st.next_id;
+    if Array.length a.Arena.seen < wlen then
+      a.Arena.seen <- Arena.reserve a.Arena.seen wlen;
+    let bucketed = wlen > Bitset.bits_per_word && lcol.Arena.len > 0 in
+    if bucketed then count_buckets st wcol;
+    (* the buckets are filled by the first loser that walks them *)
+    let filled = ref false in
+    for li = 0 to lcol.Arena.len - 1 do
+      if Bytes.unsafe_get lcol.Arena.alive li <> '\000' then begin
         probe st;
-        let lb = Array.unsafe_get lbits li in
-        let v2 = Array.unsafe_get linsts li in
-        let wi = ref (wlen - 1) in
-        while !wi >= 0 do
-          let w = !wi in
-          let wb = Array.unsafe_get wbits w in
-          if
-            wb land lb <> 0
-            && Bytes.unsafe_get walive w <> '\000'
-            && not (same && w = li)
-            &&
-            let v1 = Array.unsafe_get winsts w in
-            r.conflict v1 v2 && r.wins v1 v2
-            && not
-                 (lb land lnot wb = 0
-                  && v2.Instance.id < v1.Instance.id
-                  && Instance.is_descendant v2 ~of_:v1)
-          then begin
-            kill_loser st v2;
-            wi := -1
-          end
-          else wi := w - 1
-        done
+        let v2 = Array.unsafe_get lcol.Arena.inst li in
+        a.Arena.stamp <- a.Arena.stamp + 1;
+        if (not bucketed) || gathered a lcol li wlen >= wlen then begin
+          let wcovers = wcol.Arena.covers and lcovers = lcol.Arena.covers in
+          let w = ref (wlen - 1) in
+          while !w >= 0 do
+            if
+              meet wcovers (!w * nw) lcovers (li * nw) nw
+              && strikes a r wcol !w lcol li v2
+            then begin
+              kill_loser st v2;
+              w := -1
+            end
+            else decr w
+          done
+        end
+        else begin
+          if not !filled then begin
+            fill_buckets st wcol;
+            filled := true
+          end;
+          (* Each winner once — [seen] holds the stamp of its last visit —
+             and its cover meets the loser's: they share the bucket's
+             token. *)
+          let stamp = a.Arena.stamp and tok = a.Arena.tok in
+          let t = ref (next_token lcol.Arena.covers (li * nw) nw 0) in
+          while !t >= 0 && v2.alive do
+            let j = ref tok.(!t) in
+            while !j < tok.(!t + 1) && v2.alive do
+              let w = a.Arena.bucket.(!j) in
+              if a.Arena.seen.(w) <> stamp then begin
+                a.Arena.seen.(w) <- stamp;
+                if strikes a r wcol w lcol li v2 then kill_loser st v2
+              end;
+              incr j
+            done;
+            t := next_token lcol.Arena.covers (li * nw) nw (!t + 1)
+          done
+        end
       end
     done
   end
@@ -888,13 +829,12 @@ let enforce_columns st (fr : Dispatch.fpref) =
    enforcements (no conflict on the current front) are not recorded — a
    trace shows where trees died, not every scan. *)
 let enforce st (fr : Dispatch.fpref) =
-  let scan = if st.small then enforce_columns else enforce_boxed in
   match st.trace with
-  | None -> scan st fr
+  | None -> enforce_scan st fr
   | Some _ ->
     let t0 = Budget.now_s () in
     let pruned0 = st.pruned and rolled0 = st.rolled_back in
-    scan st fr;
+    enforce_scan st fr;
     if st.pruned > pruned0 || st.rolled_back > rolled0 then
       Trace.span st.trace ~cat:"parser.enforce"
         fr.Dispatch.pref.G.Preference.name ~t0
@@ -1048,6 +988,7 @@ let parse ?gauge ?trace ?(options = default_options) compiled tokens =
   let universe = List.length tokens in
   let hints_enabled = options.use_hints in
   let arena = Arena.acquire compiled.pool tables in
+  Arena.set_universe arena universe;
   Fun.protect ~finally:(fun () -> Arena.release compiled.pool arena)
   @@ fun () ->
   let on_kill =
@@ -1068,7 +1009,6 @@ let parse ?gauge ?trace ?(options = default_options) compiled tokens =
     { tables;
       arena;
       universe;
-      small = universe <= Bitset.bits_per_word;
       hints_enabled;
       on_kill;
       next_id = 0;
@@ -1105,8 +1045,7 @@ let parse ?gauge ?trace ?(options = default_options) compiled tokens =
           let inst = Instance.of_token ~id:(fresh_id st) ~universe tok in
           st.created <- st.created + 1;
           let sid = Dispatch.token_sid tok.Token.kind in
-          let bits = if st.small then 1 lsl tok.Token.id else 0 in
-          add_instance st sid inst ~bits;
+          add_instance st sid inst ~off:(Arena.token_cover arena tok.Token.id);
           go (inst :: acc) rest
         end
     in

@@ -6,10 +6,12 @@
    enforcement order.  The suite sweeps generated corpus sources across
    grammars, grammar complexities and parser configurations (a
    three-way pass per source: oracle / engine unhinted / engine
-   hinted), plus the single-word bitset specialization boundary the
-   fast path relies on, plus a property test that randomly drops
-   production hints — hints are pure pruning advice, so any subset of
-   them must leave every observable unchanged. *)
+   hinted), single-word and multi-word universes alike (the engine
+   keeps every cover as arena words, the oracle as {!Bitset} sets),
+   plus the bitset word boundary and the raw-word constructor the
+   arena builds instance covers with, plus a property test that
+   randomly drops production hints — hints are pure pruning advice, so
+   any subset of them must leave every observable unchanged. *)
 
 module G = Wqi_grammar
 module Symbol = G.Symbol
@@ -153,11 +155,11 @@ let test_realestate_equivalence () =
    noise and header rates, stacked two to a page, kept when their parse
    creates at least 200 instances on a single-word universe.  These are
    the parses where the longest QI chains meet R-subsume-QI, so the
-   column enforcement scan faces its largest winner and loser fronts —
-   and the oracle, which enforces through the boxed creation-order scan,
-   checks every kill it makes.  A single Rich form does not get there:
-   with rows joined only when adjacent, the heaviest of 2000 creates
-   under 200 instances. *)
+   engine's enforcement scan faces its largest winner and loser fronts —
+   and the oracle, which enforces through the plain creation-order pair
+   scan, checks every kill it makes.  A single Rich form does not get
+   there: with rows joined only when adjacent, the heaviest of 2000
+   creates under 200 instances. *)
 let slow_tail_sources n =
   let g = Wqi_corpus.Prng.create 0x5107AL in
   let grammar = Wqi_stdgrammar.Std.compiled in
@@ -198,6 +200,90 @@ let test_slow_tail_equivalence () =
        let fast, slow = parse_both grammar tokens in
        check_equivalent s.id fast slow)
     sources
+
+(* Multi-word universes: Rich forms (every domain, the benchmark's noise
+   and header rates) stacked on one page until it holds 64 to 250
+   tokens, three pages for each of 2, 3 and 4 cover words.  The arena
+   keeps one cover layout for every universe size, so these pages run
+   the code the single-word sources do, with covers, conflicts and
+   descent tests spanning several words. *)
+let stacked_sources () =
+  let g = Wqi_corpus.Prng.create 0x3A11DL in
+  let bpw = Bitset.bits_per_word in
+  let rich id =
+    Generator.generate g ~id
+      ~domain:(Wqi_corpus.Prng.pick g Wqi_corpus.Vocabulary.all)
+      ~complexity:`Rich ~oog_prob:0.1 ~header_prob:0.2 ()
+  in
+  (* Stack forms until the page reaches [words] words; a page that
+     overshoots (past 250 tokens or into the next word) is dropped. *)
+  let rec page words id (acc : Generator.source option) k =
+    let s = rich (Printf.sprintf "%s.%d" id k) in
+    let s =
+      match acc with
+      | None -> s
+      | Some a ->
+        { a with
+          Generator.id = a.Generator.id ^ "+" ^ s.Generator.id;
+          html = a.Generator.html ^ s.Generator.html }
+    in
+    let n = List.length (Tokenize.of_html s.Generator.html) in
+    if n <= (words - 1) * bpw then page words id (Some s) (k + 1)
+    else if n <= Int.min 250 (words * bpw) then Some s
+    else None
+  in
+  List.concat_map
+    (fun words ->
+       let rec go acc i =
+         if List.length acc = 3 then List.rev acc
+         else
+           match page words (Printf.sprintf "w%d-%d" words i) None 0 with
+           | Some s -> go (s :: acc) (i + 1)
+           | None -> go acc (i + 1)
+       in
+       go [] 0)
+    [ 2; 3; 4 ]
+
+let test_multiword_equivalence () =
+  let grammar = Wqi_stdgrammar.Std.compiled in
+  let sources = stacked_sources () in
+  let words (s : Generator.source) =
+    let n = List.length (Tokenize.of_html s.Generator.html) in
+    (n + Bitset.bits_per_word - 1) / Bitset.bits_per_word
+  in
+  Alcotest.(check (list int))
+    "cover words per page" [ 2; 2; 2; 3; 3; 3; 4; 4; 4 ]
+    (List.map words sources);
+  let pruned = ref 0 in
+  List.iter
+    (fun (s : Generator.source) ->
+       let tokens = Tokenize.of_html s.Generator.html in
+       let fast, slow = parse_both grammar tokens in
+       check_equivalent s.Generator.id fast slow;
+       pruned := !pruned + fast.Engine.stats.pruned)
+    sources;
+  check_bool "preferences fired" true (!pruned > 0);
+  (* One page cut short by the instance cap, without preferences so
+     that its live tops outnumber the truncated parse's 1024-top window:
+     the window's ranking and cut are compared on a multi-word universe
+     too. *)
+  let s = List.hd sources in
+  let tokens = Tokenize.of_html s.Generator.html in
+  let options =
+    { Engine.default_options with use_preferences = false;
+      max_instances = 2_000 }
+  in
+  let fast, slow = parse_both ~options grammar tokens in
+  check_bool "multi-word page truncated" true fast.Engine.stats.truncated;
+  let tops =
+    List.filter
+      (fun (i : Instance.t) ->
+         (not (Symbol.is_terminal i.sym))
+         && not (List.exists (fun (p : Instance.t) -> p.alive) i.parents))
+      fast.Engine.all_live
+  in
+  check_bool "tops outnumber the window" true (List.length tops > 1024);
+  check_equivalent (s.Generator.id ^ "/capped") fast slow
 
 (* The ablation configurations let instances breed before pruning, and
    the naive oracle's cost explodes with the instance count (that is the
@@ -368,6 +454,32 @@ let test_bitset_boundary_algebra () =
          (Bitset.cardinal evens))
     boundary_universes
 
+(* [of_words] reads the arena's layout — member [i] at bit
+   [i mod bits_per_word] of word [i / bits_per_word], from an offset —
+   and must give the very set [of_list] builds. *)
+let test_bitset_of_words () =
+  List.iter
+    (fun n ->
+       let bpw = Bitset.bits_per_word in
+       let members = List.filter (fun i -> i mod 3 <> 1) (List.init n Fun.id) in
+       let nw = max 1 ((n + bpw - 1) / bpw) in
+       (* a junk word ahead of the set: [off] must be honoured *)
+       let words = Array.make (nw + 1) 0 in
+       words.(0) <- -1;
+       List.iter
+         (fun i ->
+            words.(1 + (i / bpw)) <- words.(1 + (i / bpw)) lor (1 lsl (i mod bpw)))
+         members;
+       let s = Bitset.of_words n words 1 in
+       let ctx = Printf.sprintf "n=%d" n in
+       check_bool (ctx ^ " of_words = of_list") true
+         (Bitset.equal s (Bitset.of_list n members));
+       check_int (ctx ^ " hash") (Bitset.hash (Bitset.of_list n members))
+         (Bitset.hash s);
+       Alcotest.(check (list int)) (ctx ^ " elements") members
+         (Bitset.elements s))
+    (0 :: boundary_universes)
+
 let test_bitset_universe_mismatch () =
   (* 63 is single-word, 64 multi-word: mixed-representation operations
      must fail loudly, exactly like same-representation size mismatches. *)
@@ -382,8 +494,8 @@ let test_bitset_universe_mismatch () =
   check_bool "equal across boundary is false" false (Bitset.equal a b)
 
 let test_parse_across_boundary () =
-  (* A token row wider than one word exercises the Big representation
-     through the whole engine; the two engines must still agree. *)
+  (* A table wider than one word takes multi-word covers through the
+     whole engine, and the oracle's boxed sets; the two must agree. *)
   let grammar = Wqi_stdgrammar.Std.compiled in
   let html =
     let row i =
@@ -397,9 +509,8 @@ let test_parse_across_boundary () =
   in
   let tokens = Tokenize.of_html html in
   check_bool "crosses the word boundary" true (List.length tokens > 63);
-  (* A uniform table this wide breeds combinatorially many instances, so
-     keep a tight budget: the point is the multi-word covers, not the
-     blowup, and truncation must bite identically anyway. *)
+  (* Rows assemble linearly, so the cap never bites here; it stays as
+     a guard against a regression that would let the table breed. *)
   let options = { Engine.default_options with max_instances = 5_000 } in
   let fast, slow = parse_both ~options grammar tokens in
   check_equivalent "wide interface" fast slow
@@ -450,6 +561,8 @@ let suite =
   [ ("delta = naive on 60 corpus sources", `Quick, test_corpus_equivalence);
     ("delta = naive on slow-tail sources", `Quick,
      test_slow_tail_equivalence);
+    ("delta = naive on multi-word universes", `Quick,
+     test_multiword_equivalence);
     ("delta = naive without scheduling", `Quick,
      test_corpus_equivalence_unscheduled);
     ("delta = naive exhaustive", `Quick, test_corpus_equivalence_exhaustive);
@@ -459,6 +572,7 @@ let suite =
     ("bitset word-boundary membership", `Quick,
      test_bitset_boundary_membership);
     ("bitset word-boundary algebra", `Quick, test_bitset_boundary_algebra);
+    ("bitset of_words = of_list", `Quick, test_bitset_of_words);
     ("bitset universe mismatch", `Quick, test_bitset_universe_mismatch);
     ("parse across the word boundary", `Quick, test_parse_across_boundary);
     ("random hint subsets are observationally inert", `Quick,
