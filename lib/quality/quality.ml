@@ -216,12 +216,15 @@ let of_json line =
     in
     let num k =
       match List.assoc_opt k fields with
-      | Some (`Num v) -> v
+      | Some (`Num v) when Float.is_finite v -> v
       | _ -> raise (Bad (k ^ ": expected number"))
     in
+    (* From 2^53 on a float no longer holds every integer (2^53 + 1
+       reads as 2^53), and past [max_int] [int_of_float] answers
+       garbage: an over-long count is an error, not a wrong number. *)
     let int k =
       let v = num k in
-      if Float.is_integer v then int_of_float v
+      if Float.is_integer v && Float.abs v < 0x1p53 then int_of_float v
       else raise (Bad (k ^ ": expected integer"))
     in
     (match

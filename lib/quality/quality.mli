@@ -99,7 +99,9 @@ val to_json : t -> string
 val of_json : string -> (t, string) result
 (** Parse one record line.  Requires the version tag to match
     {!version}; unknown fields are ignored so minor forward revisions
-    stay readable. *)
+    stay readable.  Never raises: a malformed line, a non-finite
+    [score] or [coverage], or a count of 2{^53} or more is an
+    [Error]. *)
 
 (** {1 Streaming aggregation}
 

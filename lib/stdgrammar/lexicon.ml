@@ -64,16 +64,37 @@ let is_month_name = function
     true
   | _ -> false
 
-(* An integer literal starts with a digit or a sign; anything else is
-   rejected before [int_of_string_opt], whose failure path raises and
-   allocates. *)
+(* [int_of_string_opt] raises and catches internally on every failure,
+   and the date and select placeholders ("--", "-- Any --") reach it
+   three times per option.  A scan decides the common cases: an optional
+   sign and up to 18 decimal digits (never past [max_int]) is the
+   number; no digit after the sign, or a byte no OCaml integer literal
+   contains, is none.  The rest ([1_000], [0x1f], 19+ digits, ...) goes
+   to [int_of_string_opt]. *)
+let is_digit c = c >= '0' && c <= '9'
+
 let as_int s =
   let s = String.trim s in
-  if s = "" then None
-  else
-    match String.unsafe_get s 0 with
-    | '0' .. '9' | '-' | '+' -> int_of_string_opt s
-    | _ -> None
+  let n = String.length s in
+  let start = if n > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  if start >= n || not (is_digit s.[start]) then None
+  else begin
+    let i = ref start and v = ref 0 in
+    while !i < n && is_digit (String.unsafe_get s !i) do
+      v := (10 * !v) + Char.code (String.unsafe_get s !i) - 48;
+      incr i
+    done;
+    if !i = n && n - start <= 18 then Some (if s.[0] = '-' then - !v else !v)
+    else begin
+      while
+        !i < n
+        && (match String.unsafe_get s !i with
+            | '0' .. '9' | 'a' .. 'z' | 'A' .. 'Z' | '_' -> true
+            | _ -> false)
+      do incr i done;
+      if !i < n then None else int_of_string_opt s
+    end
+  end
 
 let is_int s = Option.is_some (as_int s)
 

@@ -25,6 +25,12 @@ val is_bound_marker : string -> bool
 (** Range-bound wording: "from", "to", "min", "max", "between", "under",
     "over", "at least", "at most", "and". *)
 
+val as_int : string -> int option
+(** [as_int s = int_of_string_opt (String.trim s)], without the raise
+    and catch inside [int_of_string_opt] on the common non-numbers
+    ("--", "-- Any --", "12:30"): the integer a select option or a
+    label reads as. *)
+
 val date_component : string list -> [ `Month | `Day | `Year | `Time | `None ]
 (** Classify a selection list's options as one date/time component. *)
 

@@ -35,10 +35,12 @@
     [segments/*] deletion alongside a fresh manifest, which the store
     never does on its own.
 
-    The checksum is {!Crc32}, a C slicing-by-8 stub, computed by {!put}
-    and checked by every {!find}.  Its tables are built when the
-    program is loaded, because a lazily built table raised when two
-    domains made their first lookups at once.
+    The checksum is {!Crc32}, a C stub computed by {!put} and checked
+    by every {!find}: a carry-less-multiply (PCLMULQDQ) kernel on
+    x86-64 CPUs that have one, slicing-by-8 tables elsewhere and for
+    values under 64 bytes.  Its tables are built, and its path chosen,
+    when the program is loaded, because a lazily built table raised
+    when two domains made their first lookups at once.
 
     {b Manifest codec.}  {!open_} reads the manifest in 64 KiB blocks
     and parses each line where it lies in the block, in one pass: field

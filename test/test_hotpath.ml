@@ -279,6 +279,38 @@ let prop_date_component =
          (show_component (Lexicon.date_component options))
          (show_component (old_date_component options)))
 
+(* Integer-literal edges on both sides of the scan: signs, 18 and 19
+   digits around [max_int] and [min_int], underscores, base prefixes,
+   the placeholders, and bytes after the digits; then printable soup
+   and digit-heavy text. *)
+let as_int_gen =
+  let edges =
+    [ ""; " "; "-"; "+"; "--"; "-- Any --"; "+-1"; "-+1"; "0"; "-0"; "+0";
+      "007"; " 42 "; "\t12\n"; "1_000"; "_1"; "1_"; "0x1f"; "0X1F"; "-0x1f";
+      "0o17"; "0b101"; "0u42"; "0xg"; "12:30"; "10am"; "2 pm"; "1.5"; "1e3";
+      "999999999999999999"; "-999999999999999999"; "1000000000000000000";
+      "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+      "-4611686018427387905"; "99999999999999999999999"; "0x7fffffffffffffff";
+      "1\x00"; "\xff1"; "1\xff" ]
+  in
+  let digits =
+    Gen.(map (String.concat "")
+           (list_size (int_range 1 22) (map string_of_int (int_bound 9))))
+  in
+  Gen.(
+    frequency
+      [ (2, oneofl edges);
+        (3, digits);
+        (2, map2 (fun sign d -> sign ^ d) (oneofl [ "-"; "+"; " "; "- " ]) digits);
+        (2, map2 ( ^ ) digits (string_size ~gen:printable (int_range 0 3)));
+        (2, string_size ~gen:printable (int_range 0 8));
+        (1, string_size ~gen:char (int_range 0 6)) ])
+
+let prop_as_int =
+  Q.Test.make ~name:"as_int = int_of_string_opt (String.trim s)" ~count:3000
+    (Q.make ~print:String.escaped as_int_gen)
+    (fun s -> Lexicon.as_int s = old_as_int s)
+
 let prop_date_combo =
   Q.Test.make ~name:"plausible_date_combo = old polymorphic sort" ~count:2000
     (Q.make
@@ -557,7 +589,8 @@ let suite =
     to_alcotest prop_dom_attr;
     to_alcotest prop_contains_substring ]
   @ List.map to_alcotest prop_sets
-  @ [ to_alcotest prop_date_component;
+  @ [ to_alcotest prop_as_int;
+      to_alcotest prop_date_component;
       to_alcotest prop_date_combo;
       to_alcotest prop_merge;
       to_alcotest prop_export_string;

@@ -229,6 +229,108 @@ let prop_json_round_trip =
         | Ok r' -> r = r'
         | Error _ -> false)
 
+(* quality.jsonl is read back from disk by wqi_report, so a line may
+   be anything a torn write or a hand edit leaves: [of_json] answers
+   [Ok] or [Error] and never raises.  Mutations of canonical lines, one
+   to four deep: byte flips (any byte), truncations, a member repeated
+   with another value, numbers hundreds of digits long, and inserted
+   escapes and delimiters, half of them where the line then ends (a
+   [\u] escape cut short). *)
+let mutate_line rand line =
+  let n = String.length line in
+  let long_number () =
+    let digits = String.init (20 + Random.State.int rand 400) (fun _ ->
+        Char.chr (48 + Random.State.int rand 10)) in
+    match Random.State.int rand 4 with
+    | 0 -> digits
+    | 1 -> "-" ^ digits
+    | 2 -> digits ^ "." ^ digits
+    | _ -> "1e" ^ digits
+  in
+  (* The members of a flat canonical line: no commas inside values. *)
+  let members () =
+    if n >= 2 && line.[0] = '{' && line.[n - 1] = '}' then
+      String.split_on_char ',' (String.sub line 1 (n - 2))
+    else []
+  in
+  let rebuild ms = "{" ^ String.concat "," ms ^ "}" in
+  let with_value m v =
+    match String.index_opt m ':' with
+    | Some i -> String.sub m 0 (i + 1) ^ v
+    | None -> m
+  in
+  let pick l = List.nth l (Random.State.int rand (List.length l)) in
+  match Random.State.int rand 5 with
+  | 4 ->
+    let i = Random.State.int rand (n + 1) in
+    String.sub line 0 i
+    ^ pick [ "\\"; "\\u"; "\\u00"; "\\u0"; "\""; "{"; ":"; ","; "}" ]
+    ^ (if Random.State.bool rand then String.sub line i (n - i) else "")
+  | 0 when n > 0 ->
+    let b = Bytes.of_string line in
+    Bytes.set b (Random.State.int rand n) (Char.chr (Random.State.int rand 256));
+    Bytes.to_string b
+  | 1 -> String.sub line 0 (Random.State.int rand (n + 1))
+  | 2 ->
+    (match members () with
+     | [] -> line
+     | ms ->
+       let m = pick ms in
+       let v = pick [ "\"x\""; "0"; "-1"; "0.5"; long_number (); "" ] in
+       rebuild (ms @ [ with_value m v ]))
+  | _ ->
+    (match members () with
+     | [] -> line
+     | ms ->
+       let target = pick ms in
+       rebuild
+         (List.map
+            (fun m -> if m == target then with_value m (long_number ()) else m)
+            ms))
+
+let prop_of_json_never_raises =
+  Q.Test.make ~name:"of_json never raises on mutated lines" ~count:2000
+    (Q.make ~print:(fun (r, _) -> Quality.to_json r)
+       Q.Gen.(pair gen_record int))
+    (fun (r, seed) ->
+       let rand = Random.State.make [| seed |] in
+       let line = ref (Quality.to_json r) in
+       for _ = 0 to Random.State.int rand 3 do
+         line := mutate_line rand !line
+       done;
+       match Quality.of_json !line with
+       | Ok _ | Error _ -> true
+       | exception e ->
+         Q.Test.fail_reportf "%s raised %s" (String.escaped !line)
+           (Printexc.to_string e))
+
+(* Numbers the reader cannot hold exactly are errors, not wrong
+   values: 2^53 + 1 reads as 2^53 through a float, [int_of_float]
+   answers garbage past [max_int], and an overflowing score is
+   infinite. *)
+let test_of_json_over_long_numbers () =
+  let with_member key v =
+    String.split_on_char ',' golden_line
+    |> List.map (fun m ->
+        if String.starts_with ~prefix:(key ^ ":") m then key ^ ":" ^ v else m)
+    |> String.concat ","
+  in
+  let with_tokens = with_member "\"tokens\"" in
+  List.iter
+    (fun line ->
+       match Quality.of_json line with
+       | Ok _ -> Alcotest.failf "accepted %s" line
+       | Error _ -> ())
+    (with_member "\"score\"" "1e999"
+     :: List.map with_tokens
+       [ "99999999999999999999999"; "9007199254740993"; "9007199254740992";
+         "1e400"; "-1e30" ]);
+  match Quality.of_json (with_tokens "9007199254740991") with
+  | Ok r ->
+    Alcotest.(check int) "2^53 - 1 still reads" ((1 lsl 53) - 1)
+      r.Quality.tokens
+  | Error e -> Alcotest.failf "2^53 - 1 rejected: %s" e
+
 let test_agg_buckets () =
   let agg = Agg.create () in
   List.iter
@@ -277,4 +379,7 @@ let suite =
     Alcotest.test_case "agg buckets" `Quick test_agg_buckets;
     to_alcotest prop_merge_equals_single_pass;
     to_alcotest prop_json_round_trip;
+    to_alcotest prop_of_json_never_raises;
+    Alcotest.test_case "of_json: over-long numbers" `Quick
+      test_of_json_over_long_numbers;
     Alcotest.test_case "trace doc file name" `Quick test_trace_doc_file_name ]

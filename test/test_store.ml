@@ -138,6 +138,64 @@ let prop_crc_matches_reference =
        done;
        !ok)
 
+(* Bytes from a fixed LCG: the sweeps below are reproducible. *)
+let lcg_bytes n =
+  let x = ref 0x2545F491 in
+  String.init n (fun _ ->
+      x := (!x * 1103515245 + 12345) land 0x7fffffff;
+      Char.chr ((!x lsr 16) land 0xff))
+
+(* Every length 0..320 at start offsets 0..15 reaches each kernel shape
+   (under 64 bytes: tables only; then one to five 64-byte blocks, zero
+   to three 16-byte folds and a 0..15-byte table tail, in every
+   combination), and 1 MiB runs the four-way fold for 16k steps.  [String.sub] copies
+   each slice to a word-aligned start, so the offsets vary the content
+   around the block boundaries; the kernel's loads are unaligned
+   ([loadu]) whatever the start.  The portable path gets the same
+   sweep, so the tables are checked on machines that never run them
+   alone. *)
+let check_crc_sweep name f =
+  let buf = lcg_bytes (320 + 16) in
+  for off = 0 to 15 do
+    for len = 0 to 320 do
+      let s = String.sub buf off len in
+      let want = crc_reference s in
+      if f s <> want then
+        Alcotest.failf "%s: offset %d, length %d: got %08x, want %08x" name
+          off len (f s) want
+    done
+  done;
+  let big = lcg_bytes ((1 lsl 20) + 13) in
+  Alcotest.(check int) (name ^ ": 1 MiB + 13 B") (crc_reference big) (f big)
+
+let test_crc_sweep () = check_crc_sweep "Crc32.digest" Crc32.digest
+
+let test_crc_portable_sweep () =
+  check_crc_sweep "Crc32.portable_digest" Crc32.portable_digest
+
+(* A build that silently lost the kernel (a dropped target attribute,
+   a failed CPU probe) would still pass every digest check, only
+   slower: on an x86-64 Linux machine whose /proc/cpuinfo lists both
+   features, the kernel must be the active path.  Only x86 kernels
+   print a "flags" line with these names; a 64-bit word rules out
+   32-bit x86 builds, which have no kernel. *)
+let test_crc_kernel_active () =
+  let flags =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | text ->
+      String.split_on_char '\n' text
+      |> List.find_opt (fun l -> String.starts_with ~prefix:"flags" l)
+      |> Option.map (fun l -> String.split_on_char ' ' l)
+    | exception Sys_error _ -> None
+  in
+  match flags with
+  | Some flags
+    when Sys.word_size = 64 && List.mem "pclmulqdq" flags
+         && List.mem "sse4_1" flags ->
+    Alcotest.(check bool) "carry-less-multiply kernel active" true
+      (Crc32.accelerated ())
+  | _ -> ()
+
 (* --- manifest codec ----------------------------------------------- *)
 
 (* The Printf writer and the closure-based reader the manifest codec
@@ -579,6 +637,11 @@ let test_alloc_ceilings () =
     (minor_words (fun () -> Crc32.digest small));
   Alcotest.(check (float 0.)) "Crc32.digest 100 KB allocates nothing" 0.
     (minor_words (fun () -> Crc32.digest large));
+  Alcotest.(check (float 0.)) "Crc32.portable_digest 100 B allocates nothing"
+    0. (minor_words (fun () -> Crc32.portable_digest small));
+  Alcotest.(check (float 0.))
+    "Crc32.portable_digest 100 KB allocates nothing" 0.
+    (minor_words (fun () -> Crc32.portable_digest large));
   (* Text-only markup: one text event however long, so a per-byte
      allocation in the collapsed fold would show as a difference. *)
   let sig_words html = minor_words (fun () -> Signature.structural html) in
@@ -1032,6 +1095,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_make_is_fold_of_normalize;
     ("crc-32 known answer", `Quick, test_crc_known_answer);
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+    ("crc-32: lengths 0..320 x offsets 0..15, 1 MiB", `Quick, test_crc_sweep);
+    ("crc-32 portable path: same sweep", `Quick, test_crc_portable_sweep);
+    ("crc-32 kernel active where the CPU has it", `Quick,
+     test_crc_kernel_active);
     QCheck_alcotest.to_alcotest prop_codec_matches_reference;
     ("manifest codec: number and escape edges", `Quick, test_codec_edges);
     ("allocation ceilings: key, crc, signature", `Quick, test_alloc_ceilings);
