@@ -366,11 +366,9 @@ let batch120 () =
   let run_with ~jobs =
     let t0 = Unix.gettimeofday () in
     let results =
-      Pool.run ~jobs (fun pool ->
-          Pool.map_array pool
-            (fun tokens ->
-               Engine.parse Wqi_stdgrammar.Std.compiled tokens)
-            tokenized)
+      Pool.map_array ~jobs
+        (fun tokens -> Engine.parse Wqi_stdgrammar.Std.compiled tokens)
+        tokenized
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let created =
@@ -413,15 +411,14 @@ let batch120 () =
      sweep against at 2%. *)
   let sweep ~traced =
     let t0 = Unix.gettimeofday () in
-    Pool.run ~jobs:1 (fun pool ->
-        ignore
-          (Pool.map_array pool
-             (fun tokens ->
-                let trace =
-                  if traced then Some (Wqi_obs.Trace.create ()) else None
-                in
-                Engine.parse ?trace Wqi_stdgrammar.Std.compiled tokens)
-             tokenized));
+    ignore
+      (Pool.map_array ~jobs:1
+         (fun tokens ->
+            let trace =
+              if traced then Some (Wqi_obs.Trace.create ()) else None
+            in
+            Engine.parse ?trace Wqi_stdgrammar.Std.compiled tokens)
+         tokenized);
     Unix.gettimeofday () -. t0
   in
   let trace_off_seconds = best (fun () -> sweep ~traced:false) in

@@ -4,9 +4,9 @@
 
    This is the mediator-bootstrap workflow the paper motivates: crawl a
    directory of query interfaces, get machine-readable capability
-   descriptions out.  Extraction fans out over a fixed pool of domains
-   (--jobs); output is gathered by file index, so the emitted JSONL is
-   byte-identical whatever the parallelism.
+   descriptions out.  Extraction fans out over --jobs domains; results
+   are committed in file order, so the emitted JSONL and the store's
+   bytes are identical whatever the parallelism.
 
    Per-document failures are isolated: a document whose read or
    extraction fails is reported on stderr (as a version-2 failed-source
@@ -22,7 +22,8 @@
    means the document (or the grammar) changed and is re-extracted;
    store mode therefore emits version-2 extraction lines — the exact
    stored bytes — so a resumed run's stdout is byte-identical to the
-   cold run's. *)
+   cold run's.  Stores are written in file order as results commit, so
+   a store left by a killed run holds a prefix of the sorted input. *)
 
 module Pool = Wqi_parallel.Pool
 module Extractor = Wqi_core.Extractor
@@ -57,6 +58,7 @@ type doc = {
   d_errors : bool;  (* the model carried error reports *)
   d_quality : Quality.t option;  (* None only for pre-quality store hits *)
   d_seconds : float;
+  d_put : (Key.t * Store.meta * string) option;  (* committed in file order *)
 }
 
 (* Trace files are suffixed with the document's content key so stems
@@ -96,7 +98,8 @@ let process config ?store ?trace_dir dir file =
       d_conditions = 0;
       d_errors = false;
       d_quality = Some (Quality.failed ~source:file ~grammar:grammar_id ());
-      d_seconds = Budget.now_s () -. t0 }
+      d_seconds = Budget.now_s () -. t0;
+      d_put = None }
   | html ->
     (* The content key names the store entry and suffixes the trace
        file, so it is computed whenever either consumer is active. *)
@@ -124,7 +127,8 @@ let process config ?store ?trace_dir dir file =
          d_conditions = 0;
          d_errors = false;
          d_quality = Quality.of_meta m;
-         d_seconds = Budget.now_s () -. t0 }
+         d_seconds = Budget.now_s () -. t0;
+         d_put = None }
      | None ->
        (* One trace per document; workers write distinct files, so
           tracing needs no cross-domain coordination. *)
@@ -151,18 +155,16 @@ let process config ?store ?trace_dir dir file =
             d_conditions = 0;
             d_errors = false;
             d_quality = Some q;
-            d_seconds = seconds }
+            d_seconds = seconds;
+            d_put = None }
         | Budget.Complete | Budget.Degraded _ ->
           let model = e.Extractor.model in
-          let line =
+          let line, put =
             match (store, key) with
-            | Some st, Some k ->
+            | Some _, Some k ->
               let bytes = Extractor.export ~timings:false ~name e in
-              (* Value first, manifest line second, all flushed: a kill
-                 between put and exit still leaves a resumable store. *)
-              Store.put st k ~meta:(Quality.to_meta q) bytes;
-              bytes
-            | _ -> Wqi_model.Export.source_description ~name model
+              (bytes, Some (k, Quality.to_meta q, bytes))
+            | _ -> (Wqi_model.Export.source_description ~name model, None)
           in
           { d_file = file;
             d_disposition = Emit line;
@@ -172,20 +174,15 @@ let process config ?store ?trace_dir dir file =
               List.length model.Wqi_model.Semantic_model.conditions;
             d_errors = model.Wqi_model.Semantic_model.errors <> [];
             d_quality = Some q;
-            d_seconds = seconds }))
+            d_seconds = seconds;
+            d_put = put }))
 
 (* With SIGPIPE ignored, writing JSONL to a closed pipe surfaces as a
    [Sys_error] carrying the strerror text; a reader like `head` closing
    stdout early is normal pipeline behaviour, not a batch failure. *)
 let is_broken_pipe msg =
-  let msg = String.lowercase_ascii msg in
-  let sub = "broken pipe" in
-  let n = String.length msg and m = String.length sub in
-  let found = ref false in
-  for i = 0 to n - m do
-    if String.sub msg i m = sub then found := true
-  done;
-  !found
+  Wqi_stdgrammar.Lexicon.contains_substring ~needle:"broken pipe"
+    (String.lowercase_ascii msg)
 
 let run_guarded dir output jobs grammar_file deadline_ms max_instances
     trace_dir store_dir errors_json quality_jsonl =
@@ -231,10 +228,18 @@ let run_guarded dir output jobs grammar_file deadline_ms max_instances
     in
     let store = Option.map Store.open_ store_dir in
     let t0 = Unix.gettimeofday () in
-    let results =
-      Pool.run ~jobs (fun pool ->
-          Pool.map_array pool (process config ?store ?trace_dir dir) files)
+    let results = Array.make (Array.length files) None in
+    (* Value first, manifest line second, all flushed: a kill between
+       two commits still leaves a resumable store. *)
+    let commit i d =
+      (match (store, d.d_put) with
+       | Some st, Some (k, meta, bytes) -> Store.put st k ~meta bytes
+       | _ -> ());
+      results.(i) <- Some d
     in
+    Pool.map_ordered ~jobs (process config ?store ?trace_dir dir) ~commit
+      files;
+    let results = Array.map Option.get results in
     let wall = Unix.gettimeofday () -. t0 in
     (match store with Some st -> Store.close st | None -> ());
     let oc =
@@ -323,7 +328,8 @@ let output =
 let jobs =
   let doc =
     "Extract with $(docv) parallel domains (default: the machine's \
-     recommended domain count).  Output order is independent of $(docv)."
+     recommended domain count).  Output order and the bytes written to \
+     --store are independent of $(docv)."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

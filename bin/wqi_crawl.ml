@@ -18,6 +18,10 @@
    - {b Failure isolation.}  A document whose read or extraction fails
      is counted, reported (stderr and --errors-json), and never stops
      the crawl.
+   - {b Reproducible stores.}  Documents are extracted in parallel
+     but committed to the store in frontier order, so a store built at
+     any --jobs is byte-identical to the --jobs 1 store, and a killed
+     crawl leaves a prefix of the deduplicated frontier.
    - {b Domain classification.}  Unless --no-classify, each extracted
      document is scored against the corpus domain vocabularies
      (keyword-count argmax) and the winning domain name is recorded in
@@ -32,6 +36,7 @@ module Signature = Wqi_store.Signature
 module Report = Wqi_store.Report
 module Vocabulary = Wqi_corpus.Vocabulary
 module Quality = Wqi_quality.Quality
+module Lexicon = Wqi_stdgrammar.Lexicon
 
 let read_file path =
   let ic = open_in_bin path in
@@ -100,19 +105,6 @@ let read_list path =
 (* Domain classification                                              *)
 (* ------------------------------------------------------------------ *)
 
-let contains haystack needle =
-  let n = String.length haystack and m = String.length needle in
-  if m = 0 || m > n then false
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    while (not !found) && !i <= n - m do
-      if String.sub haystack !i m = needle then found := true;
-      incr i
-    done;
-    !found
-  end
-
 (* Keyword-count argmax over the corpus vocabularies: one point per
    attribute whose label (or any variant) appears in the page.  Scoring
    attributes rather than raw terms keeps verbose attribute lists from
@@ -125,7 +117,8 @@ let classify html =
          let hit =
            List.exists
              (fun term ->
-                term <> "" && contains page (String.lowercase_ascii term))
+                Lexicon.contains_substring
+                  ~needle:(String.lowercase_ascii term) page)
              (a.Vocabulary.label :: a.Vocabulary.variants)
          in
          if hit then acc + 1 else acc)
@@ -154,6 +147,7 @@ type cres = {
   r_kind : result_kind;
   r_domain : string;
   r_quality : Quality.t option;  (* None only for pre-quality store hits *)
+  r_put : (Key.t * Store.meta * string) option;  (* committed in order *)
 }
 
 let process config store ~no_classify doc =
@@ -165,7 +159,8 @@ let process config store ~no_classify doc =
       r_kind = R_failed ("read-error", Printexc.to_string e);
       r_domain = "";
       r_quality =
-        Some (Quality.failed ~source:doc.f_id ~grammar:grammar_id ()) }
+        Some (Quality.failed ~source:doc.f_id ~grammar:grammar_id ());
+      r_put = None }
   | html ->
     let spec =
       Key.spec ~grammar_name:pack.Wqi_parser.Engine.name
@@ -182,7 +177,8 @@ let process config store ~no_classify doc =
        { r_doc = doc;
          r_kind = R_hit;
          r_domain = m.Store.domain;
-         r_quality = Quality.of_meta m }
+         r_quality = Quality.of_meta m;
+         r_put = None }
      | None ->
        let domain = if no_classify then "" else classify html in
        let e = Extractor.run config (Extractor.Html html) in
@@ -194,7 +190,8 @@ let process config store ~no_classify doc =
           { r_doc = doc;
             r_kind = R_failed ("failed", err.Budget.message);
             r_domain = domain;
-            r_quality = Some q }
+            r_quality = Some q;
+            r_put = None }
         | Budget.Complete | Budget.Degraded _ ->
           let tag =
             match e.Extractor.outcome with
@@ -206,11 +203,11 @@ let process config store ~no_classify doc =
               ~name:(Filename.basename doc.f_id)
               e
           in
-          Store.put store key ~meta:(Quality.to_meta q) bytes;
           { r_doc = doc;
             r_kind = R_extracted tag;
             r_domain = domain;
-            r_quality = Some q }))
+            r_quality = Some q;
+            r_put = Some (key, Quality.to_meta q, bytes) }))
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
@@ -278,10 +275,14 @@ let run roots lists store_dir jobs grammar_file deadline_ms max_instances
     let unique = Array.of_list (List.rev !unique) in
     let read_errors = List.length !errors in
     let store = Store.open_ store_dir in
-    let results =
-      Pool.run ~jobs (fun pool ->
-          Pool.map_array pool (process config store ~no_classify) unique)
+    let results = Array.make (Array.length unique) None in
+    let commit i r =
+      Option.iter (fun (k, meta, bytes) -> Store.put store k ~meta bytes)
+        r.r_put;
+      results.(i) <- Some r
     in
+    Pool.map_ordered ~jobs (process config store ~no_classify) ~commit unique;
+    let results = Array.map Option.get results in
     let store_stats = Store.stats store in
     Store.close store;
     let seconds = Unix.gettimeofday () -. t0 in
@@ -385,7 +386,8 @@ let store_dir =
 let jobs =
   let doc =
     "Extract with $(docv) parallel domains (default: the machine's \
-     recommended domain count)."
+     recommended domain count).  Extractions are written to the store \
+     in frontier order, so its bytes are independent of $(docv)."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

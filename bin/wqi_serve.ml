@@ -172,8 +172,10 @@ let cap_instances =
 
 let idle_timeout_s =
   let doc =
-    "Keep-alive receive timeout in seconds; also bounds how long idle \
-     connections can delay a graceful drain."
+    "Keep-alive receive timeout in seconds, and the bound on reading \
+     one request from its first byte, so a client trickling bytes is \
+     closed too; also bounds how long idle connections can delay a \
+     graceful drain."
   in
   Arg.(value
        & opt float Serve.default_config.Serve.idle_timeout_s

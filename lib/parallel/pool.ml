@@ -1,256 +1,78 @@
-type task = unit -> unit
+(* One call of [map_ordered] owns its domains: [jobs - 1] are spawned
+   for the call and joined before it returns.  Workers (the caller
+   among them) claim chunks of indices from one atomic cursor and
+   publish each result in its index's slot; only the caller commits,
+   walking a cursor of its own over the slots in input order between
+   the items it computes, and once more after the join. *)
 
-(* The pool is a FIFO queue of thunks drained by [jobs - 1] worker
-   domains.  Two usage styles share it:
+type 'b slot =
+  | Empty  (* not computed yet, or already committed *)
+  | Done of 'b
+  | Raised of exn * Printexc.raw_backtrace
 
-   - {!map_array} (batch work): the caller enqueues helper thunks that
-     drain a chunk cursor and participates itself, exactly as before the
-     queue existed.
-   - {!submit} (service work): independent tasks are queued and their
-     results delivered through futures, so a long-lived process (the
-     extraction server) can park requests on the pool without blocking
-     its accept loop.
-
-   Workers exit only once the pool is stopped AND the queue is empty, so
-   [shutdown] is drain-then-join: work queued before the shutdown still
-   runs to completion. *)
-
-type t = {
-  jobs : int;
-  mutex : Mutex.t;
-  work_ready : Condition.t;  (* queue non-empty, or stopping *)
-  queue : task Queue.t;
-  mutable inflight : int;    (* dequeued and currently executing *)
-  mutable peak_inflight : int;  (* high-water mark of [inflight] *)
-  mutable stopped : bool;
-  mutable domains : unit Domain.t list;
-}
-
-let rec worker_loop pool =
-  Mutex.lock pool.mutex;
-  while Queue.is_empty pool.queue && not pool.stopped do
-    Condition.wait pool.work_ready pool.mutex
-  done;
-  if Queue.is_empty pool.queue then
-    (* stopped, nothing left to drain *)
-    Mutex.unlock pool.mutex
-  else begin
-    let task = Queue.pop pool.queue in
-    pool.inflight <- pool.inflight + 1;
-    if pool.inflight > pool.peak_inflight then
-      pool.peak_inflight <- pool.inflight;
-    Mutex.unlock pool.mutex;
-    (* Tasks are wrapped at enqueue time and never raise; the handler is
-       a backstop so a buggy thunk cannot kill a worker domain. *)
-    (try task () with _ -> ());
-    Mutex.lock pool.mutex;
-    pool.inflight <- pool.inflight - 1;
-    Mutex.unlock pool.mutex;
-    worker_loop pool
-  end
-
-let create ?jobs () =
-  let jobs =
-    match jobs with
-    | None -> Domain.recommended_domain_count ()
-    | Some j -> max 1 j  (* j <= 0 clamps to sequential, never raises *)
-  in
-  let pool =
-    { jobs;
-      mutex = Mutex.create ();
-      work_ready = Condition.create ();
-      queue = Queue.create ();
-      inflight = 0;
-      peak_inflight = 0;
-      stopped = false;
-      domains = [] }
-  in
-  pool.domains <-
-    List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  pool
-
-let jobs pool = pool.jobs
-
-let queue_depth pool =
-  Mutex.lock pool.mutex;
-  let n = Queue.length pool.queue in
-  Mutex.unlock pool.mutex;
-  n
-
-let inflight pool =
-  Mutex.lock pool.mutex;
-  let n = pool.inflight in
-  Mutex.unlock pool.mutex;
-  n
-
-let peak_inflight pool =
-  Mutex.lock pool.mutex;
-  let n = pool.peak_inflight in
-  Mutex.unlock pool.mutex;
-  n
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  let already = pool.stopped in
-  if not already then begin
-    pool.stopped <- true;
-    Condition.broadcast pool.work_ready
-  end;
-  Mutex.unlock pool.mutex;
-  if not already && pool.domains = [] then begin
-    (* Sequential pool: no workers will drain the queue, so the caller
-       does.  ({!submit} runs inline on sequential pools, so the queue
-       is normally empty here; this is a backstop for tasks enqueued by
-       a concurrent caller racing the shutdown.) *)
-    let rec drain () =
-      Mutex.lock pool.mutex;
-      let next = Queue.take_opt pool.queue in
-      Mutex.unlock pool.mutex;
-      match next with
-      | None -> ()
-      | Some task ->
-        (try task () with _ -> ());
-        drain ()
-    in
-    drain ()
-  end;
-  List.iter Domain.join pool.domains;
-  pool.domains <- []
-
-(* ------------------------------------------------------------------ *)
-(* Futures                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type 'a state =
-  | Pending
-  | Resolved of 'a
-  | Faulted of exn * Printexc.raw_backtrace
-
-type 'a future = {
-  f_mutex : Mutex.t;
-  f_cond : Condition.t;
-  mutable f_state : 'a state;
-}
-
-let fulfil fut state =
-  Mutex.lock fut.f_mutex;
-  fut.f_state <- state;
-  Condition.broadcast fut.f_cond;
-  Mutex.unlock fut.f_mutex
-
-let submit pool f =
-  let fut =
-    { f_mutex = Mutex.create ();
-      f_cond = Condition.create ();
-      f_state = Pending }
-  in
-  let task () =
-    match f () with
-    | v -> fulfil fut (Resolved v)
-    | exception e -> fulfil fut (Faulted (e, Printexc.get_raw_backtrace ()))
-  in
-  Mutex.lock pool.mutex;
-  if pool.stopped then begin
-    Mutex.unlock pool.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  if pool.domains = [] then begin
-    (* Sequential pool: run now, on the submitting thread.  The future
-       is already fulfilled when it is returned. *)
-    Mutex.unlock pool.mutex;
-    task ();
-    fut
-  end
-  else begin
-    Queue.push task pool.queue;
-    Condition.signal pool.work_ready;
-    Mutex.unlock pool.mutex;
-    fut
-  end
-
-let await fut =
-  Mutex.lock fut.f_mutex;
-  let rec wait () =
-    match fut.f_state with
-    | Pending ->
-      Condition.wait fut.f_cond fut.f_mutex;
-      wait ()
-    | Resolved v ->
-      Mutex.unlock fut.f_mutex;
-      v
-    | Faulted (e, bt) ->
-      Mutex.unlock fut.f_mutex;
-      Printexc.raise_with_backtrace e bt
-  in
-  wait ()
-
-let is_done fut =
-  Mutex.lock fut.f_mutex;
-  let done_ = match fut.f_state with Pending -> false | _ -> true in
-  Mutex.unlock fut.f_mutex;
-  done_
-
-(* ------------------------------------------------------------------ *)
-(* Batch mapping                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let map_array pool f input =
-  if pool.stopped then invalid_arg "Pool: used after shutdown";
+let map_ordered ~jobs f ~commit input =
   let n = Array.length input in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    let next = Atomic.make 0 in
-    let error = Atomic.make None in
-    (* Chunked queue, no stealing: workers claim fixed-size index ranges
-       off a single atomic cursor.  Results land at their input index,
-       so the output order is deterministic regardless of parallelism. *)
-    let chunk = max 1 (n / (pool.jobs * 8)) in
-    let work () =
-      let rec drain () =
-        let start = Atomic.fetch_and_add next chunk in
-        if start < n && Atomic.get error = None then begin
-          let stop = min n (start + chunk) in
-          (try
-             for i = start to stop - 1 do
-               out.(i) <- Some (f input.(i))
-             done
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             ignore (Atomic.compare_and_set error None (Some (e, bt))));
-          drain ()
-        end
-      in
-      drain ()
-    in
-    if pool.domains = [] then work ()
-    else begin
-      (* Enqueue one helper per worker; the caller participates too, so
-         the map makes progress even while the queue is busy with
-         submitted tasks.  Helpers that arrive after the cursor is
-         exhausted return immediately. *)
-      let helpers =
-        List.init (min (pool.jobs - 1) n) (fun _ -> submit pool work)
-      in
-      work ();
-      List.iter (fun fut -> await fut) helpers
-    end;
-    (match Atomic.get error with
-     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-     | None -> ());
-    Array.map (function Some v -> v | None -> assert false) out
-  end
+  let slots = Array.init n (fun _ -> Atomic.make Empty) in
+  let cursor = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let chunk = max 1 (n / (max 1 jobs * 8)) in
+  (* [stop] is read before the claim, never between the claim and the
+     chunk, so every chunk below a failing index runs to completion and
+     the commit cursor meets the lowest failure before any gap. *)
+  let rec work ~after_item =
+    if not (Atomic.get stop) then begin
+      let start = Atomic.fetch_and_add cursor chunk in
+      if start < n then begin
+        let rec run i =
+          if i < min n (start + chunk) then
+            match f input.(i) with
+            | v ->
+              Atomic.set slots.(i) (Done v);
+              after_item ();
+              run (i + 1)
+            | exception e ->
+              Atomic.set slots.(i) (Raised (e, Printexc.get_raw_backtrace ()));
+              Atomic.set stop true
+        in
+        run start;
+        work ~after_item
+      end
+    end
+  in
+  let next = ref 0 in
+  let rec commit_ready () =
+    if !next < n then
+      match Atomic.get slots.(!next) with
+      | Empty -> ()
+      | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Done v ->
+        Atomic.set slots.(!next) Empty;
+        incr next;
+        commit (!next - 1) v;
+        commit_ready ()
+  in
+  let helpers =
+    List.init
+      (max 0 (min (jobs - 1) (n - 1)))
+      (fun _ -> Domain.spawn (fun () -> work ~after_item:ignore))
+  in
+  match work ~after_item:commit_ready with
+  | () ->
+    List.iter Domain.join helpers;
+    commit_ready ();
+    assert (!next = n)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Atomic.set stop true;
+    List.iter Domain.join helpers;
+    Printexc.raise_with_backtrace e bt
 
-let map_list pool f input =
-  Array.to_list (map_array pool f (Array.of_list input))
-
-let run ?jobs f =
-  let pool = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-(* ------------------------------------------------------------------ *)
-(* Domain groups                                                      *)
-(* ------------------------------------------------------------------ *)
+let map_array ~jobs f input =
+  let out = ref [||] in
+  map_ordered ~jobs f input ~commit:(fun i v ->
+      if i = 0 then out := Array.make (Array.length input) v
+      else !out.(i) <- v);
+  !out
 
 module Group = struct
   type t = unit Domain.t array

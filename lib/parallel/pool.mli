@@ -1,102 +1,45 @@
-(** A fixed pool of OCaml 5 domains for parallel work.
+(** OCaml 5 domains for parallel work: one ordered map and one group.
 
-    The pool is created once and reused: spawning a domain costs
-    milliseconds, so per-call spawning would dominate the per-interface
-    parse times the extractor actually sees.  Internally the pool is a
-    FIFO queue of thunks drained by [jobs - 1] worker domains, serving
-    two workloads:
+    {!map_ordered} is the batch primitive: many independent items of
+    broadly similar cost (the extraction of one query interface each).
+    It spawns [jobs - 1] domains for the duration of one call, the
+    calling domain working as the last of them; workers claim
+    fixed-size index chunks from one atomic cursor, with no per-item
+    locking and no stealing.  Each result is handed to a [commit]
+    function on the calling domain, once, in input order, so whatever
+    [commit] writes (a store, a file) comes out the same at any [jobs].
 
-    - {b batch mapping} ({!map_array}): many independent items of
-      broadly similar cost, distributed as fixed-size index chunks
-      claimed from a single atomic cursor — no per-item locking, no
-      stealing.  The calling domain participates as the [jobs]-th
-      worker.
-    - {b task submission} ({!submit}): independent one-off tasks whose
-      results come back through futures ({!await}), so a long-lived
-      process (e.g. the extraction server) can park work on the pool
-      without blocking the thread that produced it.
+    {!Group} is for long-lived loops over state that each member owns
+    (the extraction server's accept loops).
 
-    The executed function runs concurrently on several domains; it must
+    The mapped function runs concurrently on several domains; it must
     not touch shared mutable state.  (The parser engine allocates all of
     its state per [parse] call, so parsing and extraction qualify.) *)
 
-type t
+val map_ordered :
+  jobs:int -> ('a -> 'b) -> commit:(int -> 'b -> unit) -> 'a array -> unit
+(** [map_ordered ~jobs f ~commit input] computes [f input.(i)] for
+    every [i] on up to [jobs] domains ([jobs <= 1] runs sequentially on
+    the caller and never raises for it) and calls [commit i] on each
+    result exactly once, in increasing [i], never concurrently, always
+    on the calling domain: between the items the caller computes itself
+    and, for what is left, after the other domains finish.
 
-val create : ?jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs - 1] worker domains.  [jobs]
-    defaults to [Domain.recommended_domain_count ()]; values [<= 1]
-    (including [0]) clamp to [1] — a sequential pool that spawns no
-    domains and never raises. *)
+    If [f] raises on some indices, the exception of the lowest such
+    index [k] is re-raised once the workers have drained, after exactly
+    the indices below [k] were committed.  If [commit] raises, no
+    further index is committed and no further chunk is claimed, and the
+    exception is re-raised once the workers have drained. *)
 
-val jobs : t -> int
-(** Parallelism degree, including the calling domain. *)
-
-(** {1 Futures} *)
-
-type 'a future
-(** The pending result of a {!submit}ted task. *)
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** [submit pool f] enqueues [f] for execution on a worker domain and
-    returns a future for its result.  Tasks run in FIFO order.  On a
-    sequential pool ([jobs = 1]) the task runs inline, on the calling
-    thread, before [submit] returns.  Raises [Invalid_argument] after
-    {!shutdown}. *)
-
-val await : 'a future -> 'a
-(** Block until the task completes and return its result.  If the task
-    raised, the exception is re-raised here with its backtrace.  May be
-    called from any thread or domain, any number of times. *)
-
-val is_done : 'a future -> bool
-(** Whether {!await} would return without blocking. *)
-
-val queue_depth : t -> int
-(** Tasks enqueued and not yet started — the backlog an extraction
-    server reports as its queue-depth gauge. *)
-
-val inflight : t -> int
-(** Tasks currently executing on worker domains. *)
-
-val peak_inflight : t -> int
-(** High-water mark of {!inflight} over the pool's lifetime — how close
-    the pool ever came to saturating its worker domains.  Tasks run
-    inline by a sequential pool never count. *)
-
-(** {1 Batch mapping} *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array pool f input] applies [f] to every element on the pool
-    and returns the results in input order (gathered by index, not by
-    completion).  If some application raises, the first exception
-    observed is re-raised in the caller after all workers have
-    drained.  The call shares the pool's queue with {!submit}ted tasks:
-    the caller always participates, so the map progresses even while
-    the queue is busy. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map_array} over lists. *)
-
-val shutdown : t -> unit
-(** Drain then join: no new work is accepted (later {!submit} or
-    {!map_array} raise [Invalid_argument]), but every task already
-    queued still runs, and the worker domains are joined only once the
-    queue is empty and in-flight tasks have finished.  Futures for
-    queued tasks are therefore always eventually fulfilled.
-    Idempotent. *)
-
-val run : ?jobs:int -> (t -> 'a) -> 'a
-(** [run f] = create a pool, apply [f], and shut the pool down even on
-    exceptions. *)
+val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+(** {!map_ordered} gathering the results in input order. *)
 
 (** {1 Domain groups}
 
-    The shared-nothing alternative to the queue: instead of parking
-    tasks on a shared pool, spawn one long-lived domain per core and
-    give each its own loop over state it exclusively owns (the
-    extraction server runs one accept loop, cache shard and telemetry
-    arena per group member).  There is no queue, no futures and no
-    shared mutex — the group only knows how to spawn and join. *)
+    One long-lived domain per core, each running its own loop over
+    state it exclusively owns (the extraction server runs one accept
+    loop, cache shard and telemetry arena per group member).  The group
+    only knows how to spawn and join. *)
 module Group : sig
   type t
 

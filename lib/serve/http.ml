@@ -28,12 +28,20 @@ type conn = {
   buf : Bytes.t;
   mutable pos : int;  (* consumed prefix of [0, len) *)
   mutable len : int;  (* valid bytes in [buf] *)
+  mutable deadline : float;
+      (* when the request being read must be complete; [infinity] while
+         waiting for a request's first byte *)
 }
 
-let conn fd = { fd; buf = Bytes.create 8192; pos = 0; len = 0 }
+let conn fd =
+  { fd; buf = Bytes.create 8192; pos = 0; len = 0; deadline = infinity }
 
-(* Refill returns false on EOF. *)
+(* Refill returns false on EOF.  Past the request's deadline it raises
+   ETIMEDOUT instead of reading, so a client trickling bytes within the
+   socket's per-receive timeout still cannot hold the connection. *)
 let refill c =
+  if c.deadline < Unix.gettimeofday () then
+    raise (Unix.Unix_error (Unix.ETIMEDOUT, "read_request", ""));
   if c.pos = c.len then begin
     c.pos <- 0;
     c.len <- 0
@@ -180,7 +188,10 @@ let content_length headers =
          | _ -> Some n)
     None headers
 
-let read_request c ~max_body =
+let read_request ?(timeout_s = infinity) c ~max_body =
+  c.deadline <- infinity;
+  if c.pos < c.len || refill c then
+    c.deadline <- Unix.gettimeofday () +. timeout_s;
   match read_line c ~budget:max_head_bytes with
   | None -> None
   | Some request_line ->

@@ -36,7 +36,7 @@ type conn
 
 val conn : Unix.file_descr -> conn
 
-val read_request : conn -> max_body:int -> request option
+val read_request : ?timeout_s:float -> conn -> max_body:int -> request option
 (** Read one request.  [None] on a clean end-of-stream before the first
     byte of a request; raises {!Malformed} on protocol errors (including
     EOF mid-request, and a header whose field name is not an RFC 9110
@@ -44,6 +44,13 @@ val read_request : conn -> max_body:int -> request option
     headers exceed 32 KiB or the body exceeds [max_body].
     [Unix.Unix_error] from the socket (e.g. a receive timeout) passes
     through.
+
+    [timeout_s] (default: none) bounds the whole request read, counted
+    from its first byte: a read that would start later raises
+    [Unix.Unix_error (ETIMEDOUT, _, _)].  It is checked between
+    receives, so with a per-receive socket timeout of [r] seconds a
+    request is abandoned at most [timeout_s + r] seconds after its
+    first byte, however slowly the client trickles it.
 
     The body is framed by [Content-Length], whose value must be ASCII
     digits only (RFC 9110 §8.6: no sign, [0x] prefix or [_]); a

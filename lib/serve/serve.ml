@@ -900,7 +900,10 @@ let handle_conn t sh token fd =
   let scratch = Buffer.create 4096 in
   let rec loop () =
     if not (draining t) then
-      match Http.read_request c ~max_body:t.config.max_body with
+      match
+        Http.read_request c ~timeout_s:t.config.idle_timeout_s
+          ~max_body:t.config.max_body
+      with
       | None -> ()
       | exception Http.Malformed msg ->
         let t0 = Budget.now_s () in

@@ -146,8 +146,10 @@ type config = {
           can tighten a cap but never exceed these; unlimited fields
           are uncapped *)
   idle_timeout_s : float;
-      (** keep-alive receive timeout; also bounds how long an idle
-          connection can delay a drain *)
+      (** keep-alive receive timeout, and the bound on reading one
+          request counted from its first byte (a trickling client is
+          closed after at most twice this); also bounds how long an
+          idle connection can delay a drain *)
   drain_grace_s : float;
       (** how long a drain waits for live handlers before
           deadline-killing their sockets *)

@@ -13,8 +13,8 @@
     {b On-disk layout.}  A store directory holds
 
     - [segments/seg-NNN.dat] — append-only value segments, sharded by
-      key fingerprint so concurrent writers from a [Pool] rarely
-      contend on one file;
+      key fingerprint so concurrent writers (serve's handler domains)
+      rarely contend on one file;
     - [manifest.jsonl] — an append-only manifest, one JSON object per
       completed put: key (hash/len/spec), segment, offset, byte count,
       CRC-32 of the value bytes, plus provenance (source path or URL,

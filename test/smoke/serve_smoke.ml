@@ -276,6 +276,40 @@ let () =
     fail "/healthz: %d %S" r.status r.body;
   note "healthz ok";
 
+  (* A client trickling one byte every 0.3 s stays inside the 2 s
+     per-receive timeout, but the whole request is bounded by the same
+     2 s from its first byte: the server closes the connection about
+     2 s in.  Writes after the close fail with EPIPE, not SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let slow = kconnect port in
+  let raw =
+    "GET /healthz HTTP/1.1\r\nhost: smoke\r\nx-pad: trickle\r\n\r\n"
+  in
+  let t0 = Unix.gettimeofday () in
+  let closed_after =
+    let rec go i =
+      if i = String.length raw then None
+      else
+        match Unix.write_substring slow raw i 1 with
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+          Some (Unix.gettimeofday () -. t0)
+        | _ ->
+          (match Unix.select [ slow ] [] [] 0.3 with
+           | [], _, _ -> go (i + 1)
+           | _ ->
+             (match Unix.read slow (Bytes.create 1) 0 1 with
+              | 0 | (exception Unix.Unix_error (ECONNRESET, _, _)) ->
+                Some (Unix.gettimeofday () -. t0)
+              | _ -> fail "trickled request was answered"))
+    in
+    go 0
+  in
+  Unix.close slow;
+  (match closed_after with
+   | Some dt when dt < 3.5 -> note "trickling client closed after %.2f s" dt
+   | Some dt -> fail "trickling client closed only after %.2f s" dt
+   | None -> fail "trickling client was never closed");
+
   (* Complete extraction — on a keep-alive connection, because the
      cache-hit check below must land on the same domain (per-domain
      cache shards; a new connection could reach a different shard). *)

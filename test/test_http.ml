@@ -1,7 +1,9 @@
 (* Http.read_request, driven over a socket pair: request framing by
    Content-Length.  The header takes ASCII digits only (RFC 9110 §8.6),
    repeated headers must agree, a body cut short is malformed, and a
-   field name must be a token (RFC 9112 §5.1).  A property mutates
+   field name must be a token (RFC 9112 §5.1).  A request read is
+   bounded from its first byte, so a trickling client is cut off while
+   well-paced keep-alive requests are not.  A property mutates
    well-formed requests and requires the reader to answer or raise
    only its own two exceptions. *)
 
@@ -171,10 +173,71 @@ let prop_never_raises =
        in
        Fun.protect ~finally:(fun () -> Unix.close b) (fun () -> go 0))
 
+(* The whole-request deadline, with a per-receive timeout set as serve
+   sets it.  [writes] are (delay, bytes) steps run on a writer domain;
+   the reader's socket is closed only after the writer has finished. *)
+let with_writer ~rcvtimeo writes f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float b Unix.SO_RCVTIMEO rcvtimeo;
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        List.iter
+          (fun (delay, bytes) ->
+             if not (Atomic.get stop) then begin
+               Unix.sleepf delay;
+               ignore (Unix.write_substring a bytes 0 (String.length bytes))
+             end)
+          writes)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join writer;
+        Unix.close a;
+        Unix.close b)
+    (fun () -> f (Http.conn b))
+
+(* One byte every 0.3 s keeps every receive inside a 1 s socket
+   timeout; the 1 s request bound still ends the read, well within
+   2 s of the first byte. *)
+let test_trickling_client () =
+  let raw = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" in
+  let writes =
+    List.init (String.length raw) (fun i -> (0.3, String.make 1 raw.[i]))
+  in
+  with_writer ~rcvtimeo:1.0 writes (fun c ->
+      let t0 = Unix.gettimeofday () in
+      match Http.read_request ~timeout_s:1.0 c ~max_body:64 with
+      | _ -> Alcotest.fail "a trickled request must not complete"
+      | exception Unix.Unix_error (Unix.ETIMEDOUT, _, _) ->
+        let elapsed = Unix.gettimeofday () -. t0 in
+        if elapsed > 2.5 then
+          Alcotest.failf "read abandoned after %.2f s, want about 2 s" elapsed)
+
+(* Keep-alive: the bound counts from each request's first byte, not
+   from the call.  The second request arrives 1.3 s after the first, in
+   two parts 0.4 s apart, and still reads under a 1 s bound. *)
+let test_paced_keep_alive () =
+  let writes =
+    [ (0., "GET /a HTTP/1.1\r\nHost: x\r\n\r\n");
+      (1.3, "GET /b HTTP/1.1\r\n");
+      (0.4, "Host: x\r\n\r\n") ]
+  in
+  with_writer ~rcvtimeo:2.0 writes (fun c ->
+      List.iter
+        (fun path ->
+           match Http.read_request ~timeout_s:1.0 c ~max_body:64 with
+           | Some r -> Alcotest.(check string) "path" path r.Http.path
+           | None -> Alcotest.fail "connection closed early")
+        [ "/a"; "/b" ])
+
 let suite =
   [ ("content-length: accepted forms", `Quick, test_accepted);
     ("content-length: non-digit forms rejected", `Quick, test_rejected);
     ("content-length: repeated headers must agree", `Quick, test_conflicting);
     ("content-length: bounds and short bodies", `Quick, test_sizes);
     ("field names must be tokens", `Quick, test_field_names);
+    ("slow client: request read deadline", `Quick, test_trickling_client);
+    ("paced keep-alive: deadline per request", `Quick, test_paced_keep_alive);
     QCheck_alcotest.to_alcotest prop_never_raises ]

@@ -1,88 +1,142 @@
-(* The domain pool's task-queue API (lib/parallel/pool.ml): futures,
-   exception propagation, drain-then-join shutdown, the jobs clamp, and
-   map_array determinism alongside submitted tasks. *)
+(* The parallel primitives (lib/parallel/pool.ml): the ordered map's
+   commit order and exception paths, the jobs clamp, map_array
+   determinism, and domain groups. *)
 
 module Pool = Wqi_parallel.Pool
 
-let test_submit_await () =
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-       let futures =
-         List.init 100 (fun i -> Pool.submit pool (fun () -> i * i))
-       in
-       List.iteri
-         (fun i fut -> Alcotest.(check int) "result" (i * i) (Pool.await fut))
-         futures)
+(* Uneven work, so items finish out of input order on several domains:
+   the cost falls with the index. *)
+let uneven x =
+  let acc = ref x in
+  for _ = 1 to (200 - x) * 200 do
+    acc := (!acc * 31 + 7) land 0xffff
+  done;
+  ignore (Sys.opaque_identity !acc);
+  x * x
 
-let test_exception_propagates () =
-  let pool = Pool.create ~jobs:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-       let fut = Pool.submit pool (fun () -> raise Not_found) in
-       (match Pool.await fut with
-        | _ -> Alcotest.fail "await must re-raise the task's exception"
-        | exception Not_found -> ());
-       (* The pool survives a task failure. *)
-       Alcotest.(check int) "next task" 7
-         (Pool.await (Pool.submit pool (fun () -> 7))))
+(* Spin (sleeping) until [flag] is set or five seconds pass; returns
+   whether it was set.  Index 0 is always claimed first, so an [f] that
+   waits there for a later index forces that later index to finish on
+   another domain before index 0 does. *)
+let wait_for flag =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Atomic.get flag
 
-let test_shutdown_drains () =
-  (* Shutdown must run every queued task before joining, so futures
-     taken before shutdown always fulfil. *)
-  let pool = Pool.create ~jobs:2 () in
-  let ran = Atomic.make 0 in
-  let futures =
-    List.init 64 (fun i ->
-        Pool.submit pool (fun () ->
-            Atomic.incr ran;
-            i))
+let committed_indices ~jobs f input =
+  let seen = ref [] in
+  let outcome =
+    match
+      Pool.map_ordered ~jobs f input ~commit:(fun i v ->
+          seen := (i, v) :: !seen)
+    with
+    | () -> None
+    | exception e -> Some e
   in
-  Pool.shutdown pool;
-  List.iteri
-    (fun i fut -> Alcotest.(check int) "drained result" i (Pool.await fut))
-    futures;
-  Alcotest.(check int) "all tasks ran" 64 (Atomic.get ran)
+  (List.rev !seen, outcome)
 
-let test_submit_after_shutdown_raises () =
-  let pool = Pool.create ~jobs:2 () in
-  Pool.shutdown pool;
-  match Pool.submit pool (fun () -> ()) with
-  | _ -> Alcotest.fail "submit after shutdown must raise"
-  | exception Invalid_argument _ -> ()
-
-let test_jobs_clamp () =
-  (* jobs:0 and negative values clamp to a sequential pool instead of
-     raising Invalid_argument from Domain spawning or chunk math. *)
+let test_commit_in_input_order () =
+  let input = Array.init 200 (fun i -> i) in
+  let expected = List.init 200 (fun i -> (i, i * i)) in
   List.iter
     (fun jobs ->
-       let pool = Pool.create ~jobs () in
-       Alcotest.(check int) "clamped" 1 (Pool.jobs pool);
-       let out = Pool.map_array pool (fun x -> x + 1) [| 1; 2; 3 |] in
+       (* At jobs > 1 the last index completes before the first. *)
+       let last_done = Atomic.make false in
+       let f x =
+         if x = 0 && jobs > 1 then
+           Alcotest.(check bool) "last index finished first" true
+             (wait_for last_done);
+         let v = uneven x in
+         if x = 199 then Atomic.set last_done true;
+         v
+       in
+       let seen, outcome = committed_indices ~jobs f input in
+       Alcotest.(check bool) "no exception" true (outcome = None);
+       Alcotest.(check (list (pair int int)))
+         (Printf.sprintf "each index once, in order, jobs=%d" jobs)
+         expected seen)
+    [ 1; 2; 3; 4 ]
+
+let test_jobs_clamp () =
+  (* jobs:0 and negative values clamp to the sequential path instead
+     of raising Invalid_argument from Domain spawning or chunk math. *)
+  List.iter
+    (fun jobs ->
+       let out = Pool.map_array ~jobs (fun x -> x + 1) [| 1; 2; 3 |] in
        Alcotest.(check (array int)) "map works" [| 2; 3; 4 |] out;
-       Alcotest.(check int) "inline submit" 9
-         (Pool.await (Pool.submit pool (fun () -> 9)));
-       Pool.shutdown pool)
+       Alcotest.(check (array int)) "empty input" [||]
+         (Pool.map_array ~jobs (fun x -> x + 1) [||]))
     [ 0; -3 ]
 
 let test_map_array_deterministic () =
   let input = Array.init 101 (fun i -> i) in
   let expected = Array.map (fun x -> (x * 7) mod 31) input in
-  let pool = Pool.create ~jobs:3 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-       for _ = 1 to 5 do
-         let out = Pool.map_array pool (fun x -> (x * 7) mod 31) input in
-         Alcotest.(check (array int)) "input order" expected out
-       done)
+  for _ = 1 to 5 do
+    let out = Pool.map_array ~jobs:3 (fun x -> (x * 7) mod 31) input in
+    Alcotest.(check (array int)) "input order" expected out
+  done
 
-let test_shutdown_idempotent () =
-  let pool = Pool.create ~jobs:3 () in
-  Pool.shutdown pool;
-  Pool.shutdown pool
+exception Boom of int
+
+(* [f] raising on one index: the exception comes back to the caller
+   and exactly the indices below it were committed, at any jobs. *)
+let test_f_raises_commits_prefix () =
+  let input = Array.init 150 (fun i -> i) in
+  List.iter
+    (fun (jobs, k) ->
+       let f x = if x = k then raise (Boom x) else uneven x in
+       let seen, outcome = committed_indices ~jobs f input in
+       Alcotest.(check bool)
+         (Printf.sprintf "Boom %d re-raised, jobs=%d" k jobs)
+         true
+         (outcome = Some (Boom k));
+       Alcotest.(check (list int))
+         (Printf.sprintf "prefix below %d committed, jobs=%d" k jobs)
+         (List.init k Fun.id) (List.map fst seen))
+    [ (1, 0); (1, 37); (2, 0); (2, 37); (2, 149); (4, 5); (4, 120) ]
+
+(* Several failing indices: the lowest wins, even when a domain met a
+   later failure first (index 49 waits for index 99's). *)
+let test_lowest_failure_wins () =
+  let input = Array.init 150 (fun i -> i) in
+  List.iter
+    (fun jobs ->
+       let late_raised = Atomic.make false in
+       let f x =
+         if x = 49 && jobs > 1 then ignore (wait_for late_raised);
+         if x = 99 then Atomic.set late_raised true;
+         if x mod 50 = 49 then raise (Boom x) else uneven x
+       in
+       let seen, outcome = committed_indices ~jobs f input in
+       Alcotest.(check bool) "Boom 49" true (outcome = Some (Boom 49));
+       Alcotest.(check (list int)) "0..48 committed" (List.init 49 Fun.id)
+         (List.map fst seen))
+    [ 1; 2; 4 ]
+
+(* A raising [commit] stops the run with its exception; nothing after
+   the failing commit is committed. *)
+let test_commit_raises_stops () =
+  let input = Array.init 150 (fun i -> i) in
+  List.iter
+    (fun jobs ->
+       let calls = ref [] in
+       let outcome =
+         match
+           Pool.map_ordered ~jobs uneven input ~commit:(fun i _ ->
+               calls := i :: !calls;
+               if i = 60 then raise (Boom i))
+         with
+         | () -> None
+         | exception e -> Some e
+       in
+       Alcotest.(check bool) "Boom 60 re-raised" true
+         (outcome = Some (Boom 60));
+       Alcotest.(check (list int))
+         (Printf.sprintf "commits stop at the failing one, jobs=%d" jobs)
+         (List.init 61 Fun.id) (List.rev !calls))
+    [ 1; 2; 4 ]
 
 (* Domain groups: every member runs with its own index, exactly once,
    truly in parallel (join returns only after all bodies finish), and
@@ -116,13 +170,12 @@ let test_group_members_concurrent () =
   Alcotest.(check int) "both arrived" n (Atomic.get arrived)
 
 let suite =
-  [ ("submit/await", `Quick, test_submit_await);
-    ("exception propagation", `Quick, test_exception_propagates);
-    ("shutdown drains queued futures", `Quick, test_shutdown_drains);
-    ("submit after shutdown raises", `Quick, test_submit_after_shutdown_raises);
+  [ ("commit in input order", `Quick, test_commit_in_input_order);
     ("jobs clamp to sequential", `Quick, test_jobs_clamp);
     ("map_array deterministic", `Quick, test_map_array_deterministic);
-    ("shutdown idempotent", `Quick, test_shutdown_idempotent);
+    ("f raises: prefix committed", `Quick, test_f_raises_commits_prefix);
+    ("lowest failing index wins", `Quick, test_lowest_failure_wins);
+    ("commit raises: run stops", `Quick, test_commit_raises_stops);
     ("group spawn/join", `Quick, test_group_spawn_join);
     ("group clamps jobs", `Quick, test_group_clamp);
     ("group members run concurrently", `Quick, test_group_members_concurrent) ]

@@ -1,8 +1,8 @@
 (* The persistent extraction store (lib/store): keys must stay
    byte-compatible with the serve cache's, a reopened store must see
    exactly what was put (including after a torn manifest tail or a
-   corrupted value — as misses, never wrong answers), concurrent Pool
-   writers must not lose entries, and a stored value must be
+   corrupted value — as misses, never wrong answers), concurrent
+   writers on several domains must not lose entries, and a stored value must be
    byte-identical to a fresh extraction. *)
 
 module Store = Wqi_store.Store
@@ -822,15 +822,20 @@ let test_corrupt_value_is_a_miss () =
 let test_concurrent_writers () =
   let dir = temp_dir () in
   let st = Store.open_ dir in
-  let n = 200 in
-  let results =
-    Pool.run ~jobs:4 (fun pool ->
-        Pool.map_array pool
-          (fun i ->
+  let n = 200 and writers = 4 in
+  (* Four domains put concurrently, as serve's handler domains do; each
+     index is written, and its flag set, by exactly one member. *)
+  let results = Array.make n false in
+  let g =
+    Pool.Group.spawn ~jobs:writers (fun m ->
+        for i = 0 to n - 1 do
+          if i mod writers = m then begin
             Store.put st (key_of i) ~meta (Printf.sprintf "value %d" i);
-            Store.find st (key_of i) <> None)
-          (Array.init n (fun i -> i)))
+            results.(i) <- Store.find st (key_of i) <> None
+          end
+        done)
   in
+  Pool.Group.join g;
   Array.iteri
     (fun i ok ->
        if not ok then Alcotest.failf "writer %d: own put not visible" i)
@@ -847,7 +852,7 @@ let test_concurrent_writers () =
 
 (* Resuming over a warm store must pay off: 120 generated documents
    (all domains, Simple and Rich, 10% out-of-grammar) ingested cold
-   through a 2-job Pool, the store closed and reopened, then the same
+   through a 2-job ordered map, the store closed and reopened, then the same
    pass again.  The resumed pass, replay included, answers every
    document from the store and runs at least 1.5x faster than the cold
    one: the floor that catches a resume that silently re-extracts,
@@ -876,23 +881,25 @@ let test_resume_faster_than_cold () =
   let pass dir =
     let t0 = Unix.gettimeofday () in
     let st = Store.open_ dir in
-    let extracted =
-      Pool.run ~jobs:2 (fun pool ->
-          Pool.map_array pool
-            (fun (name, html, key) ->
-               match Store.find st key with
-               | Some _ -> 0
-               | None ->
-                 let e = Extractor.run config (Extractor.Html html) in
-                 Store.put st key ~meta
-                   (Extractor.export ~timings:false ~name e);
-                 1)
-            docs)
-    in
+    let extracted = ref 0 in
+    Pool.map_ordered ~jobs:2
+      (fun (name, html, key) ->
+         match Store.find st key with
+         | Some _ -> None
+         | None ->
+           let e = Extractor.run config (Extractor.Html html) in
+           Some (key, Extractor.export ~timings:false ~name e))
+      ~commit:(fun _ fresh ->
+          Option.iter
+            (fun (key, bytes) ->
+               incr extracted;
+               Store.put st key ~meta bytes)
+            fresh)
+      docs;
     let seconds = Unix.gettimeofday () -. t0 in
     let stats = Store.stats st in
     Store.close st;
-    (seconds, Array.fold_left ( + ) 0 extracted, stats)
+    (seconds, !extracted, stats)
   in
   (* One untimed extraction first, so the cold pass does not also pay
      the process's first-use costs: a re-extracting resume then reads
