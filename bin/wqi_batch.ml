@@ -33,14 +33,7 @@ module Store = Wqi_store.Store
 module Key = Wqi_store.Key
 module Report = Wqi_store.Report
 module Quality = Wqi_quality.Quality
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-       let n = in_channel_length ic in
-       really_input_string ic n)
+module Ingest = Wqi_quality.Ingest
 
 (* What one document contributed, in both modes.  [d_bytes] is the line
    to emit on stdout: v1 source descriptions in plain mode, stored /
@@ -87,102 +80,68 @@ let write_doc_trace trace_dir file ~key trace =
 let process config ?store ?trace_dir dir file =
   let t0 = Budget.now_s () in
   let name = Filename.remove_extension file in
-  let pack = config.Extractor.Config.grammar in
-  let grammar_id = Quality.grammar_id pack in
-  match read_file (Filename.concat dir file) with
-  | exception e ->
+  let doc ?(conditions = 0) ?(errors = false) ?put ~outcome ~store ~quality
+      disposition =
     { d_file = file;
-      d_disposition = Fail (Printexc.to_string e);
-      d_outcome = "read-error";
-      d_store = (if Option.is_none store then `Off else `New);
-      d_conditions = 0;
-      d_errors = false;
-      d_quality = Some (Quality.failed ~source:file ~grammar:grammar_id ());
+      d_disposition = disposition;
+      d_outcome = outcome;
+      d_store = store;
+      d_conditions = conditions;
+      d_errors = errors;
+      d_quality = quality;
       d_seconds = Budget.now_s () -. t0;
-      d_put = None }
+      d_put = put }
+  in
+  match Cli.read_file (Filename.concat dir file) with
+  | exception e ->
+    doc (Fail (Printexc.to_string e)) ~outcome:"read-error"
+      ~store:(if Option.is_none store then `Off else `New)
+      ~quality:
+        (Some
+           (Quality.failed ~source:file
+              ~grammar:(Quality.grammar_id config.Extractor.Config.grammar)
+              ()))
   | html ->
     (* The content key names the store entry and suffixes the trace
-       file, so it is computed whenever either consumer is active. *)
+       file, so it is computed whenever either consumer is active.  One
+       trace per document; workers write distinct files, so tracing
+       needs no cross-domain coordination. *)
     let key =
       if Option.is_some store || Option.is_some trace_dir then
-        let spec =
-          Key.spec ~grammar_name:pack.Wqi_parser.Engine.name
-            ~grammar_version:pack.Wqi_parser.Engine.version ~name
-            config.Extractor.Config.budget
-        in
-        Some (Key.make ~html ~spec)
+        Some (Ingest.key config ~name html)
       else None
     in
-    let hit =
-      match (store, key) with
-      | Some st, Some k -> Store.find_entry st k
-      | _ -> None
-    in
-    (match hit with
-     | Some (m, bytes) ->
-       { d_file = file;
-         d_disposition = Emit bytes;
-         d_outcome = m.Store.outcome;
-         d_store = `Hit;
-         d_conditions = 0;
-         d_errors = false;
-         d_quality = Quality.of_meta m;
-         d_seconds = Budget.now_s () -. t0;
-         d_put = None }
-     | None ->
-       (* One trace per document; workers write distinct files, so
-          tracing needs no cross-domain coordination. *)
-       let trace =
-         match trace_dir with None -> None | Some _ -> Some (Trace.create ())
-       in
-       (* [run] itself never raises — in-pipeline errors come back as a
-          [Failed] outcome — so only the file read needed a handler. *)
-       let e = Extractor.run ?trace config (Extractor.Html html) in
+    let trace = Option.map (fun _ -> Trace.create ()) trace_dir in
+    (match
+       (Ingest.resolve ?store ?key ?trace config ~name ~source:file html)
+         .Ingest.resolved
+     with
+     | Ingest.Hit (m, bytes) ->
+       doc (Emit bytes) ~outcome:m.Store.outcome ~store:`Hit
+         ~quality:(Quality.of_meta m)
+     | Ingest.Fresh f ->
        write_doc_trace trace_dir file ~key trace;
-       let seconds = Budget.now_s () -. t0 in
-       let q = Quality.of_extraction ~source:file ~grammar:grammar_id e in
-       let store_kind =
+       let store =
          match store with
          | None -> `Off
          | Some st -> if Store.source_known st file then `Changed else `New
        in
-       (match e.Extractor.outcome with
-        | Budget.Failed err ->
-          { d_file = file;
-            d_disposition = Fail err.Budget.message;
-            d_outcome = "failed";
-            d_store = store_kind;
-            d_conditions = 0;
-            d_errors = false;
-            d_quality = Some q;
-            d_seconds = seconds;
-            d_put = None }
-        | Budget.Complete | Budget.Degraded _ ->
-          let model = e.Extractor.model in
-          let line, put =
-            match (store, key) with
-            | Some _, Some k ->
-              let bytes = Extractor.export ~timings:false ~name e in
-              (bytes, Some (k, Quality.to_meta q, bytes))
-            | _ -> (Wqi_model.Export.source_description ~name model, None)
+       let q = f.Ingest.quality in
+       let doc = doc ~outcome:q.Quality.outcome ~store ~quality:(Some q) in
+       (match f.Ingest.extraction with
+        | { Extractor.outcome = Budget.Failed err; _ } ->
+          doc (Fail err.Budget.message)
+        | { Extractor.model; _ } ->
+          (* Store mode emits the exact stored bytes; plain mode the v1
+             source description. *)
+          let line =
+            match f.Ingest.bytes with
+            | Some bytes -> bytes
+            | None -> Wqi_model.Export.source_description ~name model
           in
-          { d_file = file;
-            d_disposition = Emit line;
-            d_outcome = q.Quality.outcome;
-            d_store = store_kind;
-            d_conditions =
-              List.length model.Wqi_model.Semantic_model.conditions;
-            d_errors = model.Wqi_model.Semantic_model.errors <> [];
-            d_quality = Some q;
-            d_seconds = seconds;
-            d_put = put }))
-
-(* With SIGPIPE ignored, writing JSONL to a closed pipe surfaces as a
-   [Sys_error] carrying the strerror text; a reader like `head` closing
-   stdout early is normal pipeline behaviour, not a batch failure. *)
-let is_broken_pipe msg =
-  Wqi_stdgrammar.Lexicon.contains_substring ~needle:"broken pipe"
-    (String.lowercase_ascii msg)
+          doc (Emit line) ?put:f.Ingest.put
+            ~conditions:(List.length model.Wqi_model.Semantic_model.conditions)
+            ~errors:(model.Wqi_model.Semantic_model.errors <> [])))
 
 let run_guarded dir output jobs grammar_file deadline_ms max_instances
     trace_dir store_dir errors_json quality_jsonl =
@@ -200,31 +159,11 @@ let run_guarded dir output jobs grammar_file deadline_ms max_instances
       |> List.sort compare
       |> Array.of_list
     in
-    let jobs =
-      match jobs with
-      | Some n when n >= 1 -> n
-      | Some n ->
-        Format.eprintf "--jobs %d: must be >= 1@." n;
-        exit 2
-      | None -> Domain.recommended_domain_count ()
-    in
-    let budget =
-      match (deadline_ms, max_instances) with
-      | None, None -> Budget.unlimited
-      | _ -> Budget.make ?deadline_ms ?max_instances ()
-    in
-    let config = Extractor.Config.(default |> with_budget budget) in
+    let jobs = Cli.jobs jobs in
     (* Load once, share the compiled pack across all worker domains —
        packs are immutable after compile. *)
     let config =
-      match grammar_file with
-      | None -> config
-      | Some path ->
-        (match Extractor.load_grammar path with
-         | Ok pack -> Extractor.Config.with_compiled pack config
-         | Error msg ->
-           Format.eprintf "%s@." msg;
-           exit 2)
+      Cli.config ?grammar:grammar_file ?deadline_ms ?max_instances ()
     in
     let store = Option.map Store.open_ store_dir in
     let t0 = Unix.gettimeofday () in
@@ -310,7 +249,7 @@ let run dir output jobs grammar_file deadline_ms max_instances trace_dir
   try
     run_guarded dir output jobs grammar_file deadline_ms max_instances
       trace_dir store_dir errors_json quality_jsonl
-  with Sys_error msg when is_broken_pipe msg ->
+  with Sys_error msg when Cli.is_broken_pipe msg ->
     (* The downstream reader went away mid-stream (e.g. `| head -1`);
        the documents already emitted reached it, so exit clean. *)
     0

@@ -12,9 +12,12 @@
      collapsed text; see Wqi_store.Signature) in a cheap sequential
      pre-pass, and only the first document per signature is extracted —
      later copies are counted as aliases and skipped.
-   - {b Resume for free.}  The extract phase probes the store by content
-     key first, so re-crawling a frontier re-extracts only documents
-     whose bytes (or grammar) changed; everything else is a store hit.
+   - {b Resume for free.}  The extract phase resolves each document
+     against the store through the shared ingestion step
+     (Wqi_quality.Ingest), so re-crawling a frontier re-extracts only
+     documents whose bytes (or grammar) changed; everything else is a
+     store hit.  Hits are CRC-verified: a corrupt stored value is
+     re-extracted, never counted as a hit.
    - {b Failure isolation.}  A document whose read or extraction fails
      is counted, reported (stderr and --errors-json), and never stops
      the crawl.
@@ -36,15 +39,8 @@ module Signature = Wqi_store.Signature
 module Report = Wqi_store.Report
 module Vocabulary = Wqi_corpus.Vocabulary
 module Quality = Wqi_quality.Quality
+module Ingest = Wqi_quality.Ingest
 module Lexicon = Wqi_stdgrammar.Lexicon
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-       let n = in_channel_length ic in
-       really_input_string ic n)
 
 (* ------------------------------------------------------------------ *)
 (* Frontier discovery                                                 *)
@@ -151,26 +147,25 @@ type cres = {
 }
 
 let process config store ~no_classify doc =
-  let pack = config.Extractor.Config.grammar in
-  let grammar_id = Quality.grammar_id pack in
-  match read_file doc.f_path with
+  match Cli.read_file doc.f_path with
   | exception e ->
     { r_doc = doc;
       r_kind = R_failed ("read-error", Printexc.to_string e);
       r_domain = "";
       r_quality =
-        Some (Quality.failed ~source:doc.f_id ~grammar:grammar_id ());
+        Some
+          (Quality.failed ~source:doc.f_id
+             ~grammar:(Quality.grammar_id config.Extractor.Config.grammar)
+             ());
       r_put = None }
   | html ->
-    let spec =
-      Key.spec ~grammar_name:pack.Wqi_parser.Engine.name
-        ~grammar_version:pack.Wqi_parser.Engine.version
-        ~name:(Filename.basename doc.f_id)
-        config.Extractor.Config.budget
-    in
-    let key = Key.make ~html ~spec in
-    (match Store.meta store key with
-     | Some m ->
+    let classify = if no_classify then None else Some classify in
+    (match
+       (Ingest.resolve ~store ?classify config
+          ~name:(Filename.basename doc.f_id) ~source:doc.f_id html)
+         .Ingest.resolved
+     with
+     | Ingest.Hit (m, _) ->
        (* Store hits roll up from the persisted headline fields — this
           is what lets a re-crawl emit a complete quality.jsonl without
           re-extracting anything. *)
@@ -179,35 +174,19 @@ let process config store ~no_classify doc =
          r_domain = m.Store.domain;
          r_quality = Quality.of_meta m;
          r_put = None }
-     | None ->
-       let domain = if no_classify then "" else classify html in
-       let e = Extractor.run config (Extractor.Html html) in
-       let q =
-         Quality.of_extraction ~source:doc.f_id ~grammar:grammar_id ~domain e
+     | Ingest.Fresh f ->
+       let q = f.Ingest.quality in
+       let r_kind =
+         match f.Ingest.extraction.Extractor.outcome with
+         | Budget.Failed err -> R_failed ("failed", err.Budget.message)
+         | Budget.Degraded _ -> R_extracted `Degraded
+         | Budget.Complete -> R_extracted `Complete
        in
-       (match e.Extractor.outcome with
-        | Budget.Failed err ->
-          { r_doc = doc;
-            r_kind = R_failed ("failed", err.Budget.message);
-            r_domain = domain;
-            r_quality = Some q;
-            r_put = None }
-        | Budget.Complete | Budget.Degraded _ ->
-          let tag =
-            match e.Extractor.outcome with
-            | Budget.Degraded _ -> `Degraded
-            | _ -> `Complete
-          in
-          let bytes =
-            Extractor.export ~timings:false
-              ~name:(Filename.basename doc.f_id)
-              e
-          in
-          { r_doc = doc;
-            r_kind = R_extracted tag;
-            r_domain = domain;
-            r_quality = Some q;
-            r_put = Some (key, Quality.to_meta q, bytes) }))
+       { r_doc = doc;
+         r_kind;
+         r_domain = q.Quality.domain;
+         r_quality = Some q;
+         r_put = f.Ingest.put })
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                             *)
@@ -215,29 +194,9 @@ let process config store ~no_classify doc =
 
 let run roots lists store_dir jobs grammar_file deadline_ms max_instances
     no_classify summary_json errors_json quality_jsonl =
-  let jobs =
-    match jobs with
-    | Some n when n >= 1 -> n
-    | Some n ->
-      Format.eprintf "--jobs %d: must be >= 1@." n;
-      exit 2
-    | None -> Domain.recommended_domain_count ()
-  in
-  let budget =
-    match (deadline_ms, max_instances) with
-    | None, None -> Budget.unlimited
-    | _ -> Budget.make ?deadline_ms ?max_instances ()
-  in
-  let config = Extractor.Config.(default |> with_budget budget) in
+  let jobs = Cli.jobs jobs in
   let config =
-    match grammar_file with
-    | None -> config
-    | Some path ->
-      (match Extractor.load_grammar path with
-       | Ok pack -> Extractor.Config.with_compiled pack config
-       | Error msg ->
-         Format.eprintf "%s@." msg;
-         exit 2)
+    Cli.config ?grammar:grammar_file ?deadline_ms ?max_instances ()
   in
   let frontier =
     List.concat_map walk_root roots @ List.concat_map read_list lists
@@ -257,7 +216,7 @@ let run roots lists store_dir jobs grammar_file deadline_ms max_instances
     let unique = ref [] in
     List.iter
       (fun doc ->
-         match read_file doc.f_path with
+         match Cli.read_file doc.f_path with
          | exception e ->
            errors :=
              { Report.path = doc.f_path;

@@ -7,60 +7,10 @@ module Budget = Wqi_budget.Budget
 module Trace = Wqi_obs.Trace
 module Quality = Wqi_quality.Quality
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let read_stdin () =
-  let b = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel b stdin 4096
-     done
-   with End_of_file -> ());
-  Buffer.contents b
-
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ());
   if verbose then Logs.set_level (Some Logs.Debug)
-
-let config_of grammar_file width deadline_ms max_instances =
-  let budget =
-    match (deadline_ms, max_instances) with
-    | None, None -> Budget.unlimited
-    | _ -> Budget.make ?deadline_ms ?max_instances ()
-  in
-  let c = Extractor.Config.(default |> with_budget budget) in
-  let c =
-    match grammar_file with
-    | None -> c
-    | Some path ->
-      (match Extractor.load_grammar path with
-       | Ok pack -> Extractor.Config.with_compiled pack c
-       | Error msg ->
-         prerr_endline msg;
-         exit 2)
-  in
-  match width with
-  | Some w -> Extractor.Config.with_width w c
-  | None -> c
-
-(* With SIGPIPE ignored, writing to a closed pipe surfaces as a
-   [Sys_error] carrying the strerror text.  A reader like `head` closing
-   stdout early is normal pipeline behaviour, not an extraction error. *)
-let is_broken_pipe msg =
-  let msg = String.lowercase_ascii msg in
-  let sub = "broken pipe" in
-  let n = String.length msg and m = String.length sub in
-  let found = ref false in
-  for i = 0 to n - m do
-    if String.sub msg i m = sub then found := true
-  done;
-  !found
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -71,9 +21,18 @@ let write_file path s =
 let run_guarded input show_tokens show_trees show_stats show_ascii as_json
     grammar_file width deadline_ms max_instances trace_file profile quality =
   let html =
-    match input with Some path -> read_file path | None -> read_stdin ()
+    match input with
+    | Some path -> Cli.read_file path
+    | None -> In_channel.input_all stdin
   in
-  let config = config_of grammar_file width deadline_ms max_instances in
+  let config =
+    Cli.config ?grammar:grammar_file ?deadline_ms ?max_instances ()
+  in
+  let config =
+    match width with
+    | Some w -> Extractor.Config.with_width w config
+    | None -> config
+  in
   let trace =
     if trace_file <> None || profile then Some (Trace.create ()) else None
   in
@@ -93,16 +52,12 @@ let run_guarded input show_tokens show_trees show_stats show_ascii as_json
   (* The quality record is always the last stdout line, in text and
      --json mode alike, so `tail -1` scrapes it from either. *)
   let print_quality () =
-    if quality then begin
-      let pack = config.Extractor.Config.grammar in
+    if quality then
       print_endline
         (Quality.to_json
            (Quality.of_extraction ~source:name
-              ~grammar:
-                (pack.Wqi_parser.Engine.name ^ "@"
-                 ^ pack.Wqi_parser.Engine.version)
+              ~grammar:(Quality.grammar_id config.Extractor.Config.grammar)
               e))
-    end
   in
   if as_json then begin
     print_endline (Extractor.export ~name e);
@@ -153,7 +108,7 @@ let run input show_tokens show_trees show_stats show_ascii as_json verbose
   try
     run_guarded input show_tokens show_trees show_stats show_ascii as_json
       grammar_file width deadline_ms max_instances trace_file profile quality
-  with Sys_error msg when is_broken_pipe msg ->
+  with Sys_error msg when Cli.is_broken_pipe msg ->
     (* The downstream reader went away mid-output; what was written is
        whatever it asked for.  Drop anything still buffered in the
        formatter — its at_exit flush would re-raise into the dead pipe —

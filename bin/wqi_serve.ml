@@ -16,16 +16,9 @@ let run host port jobs max_inflight max_body cache_bytes
     cache_ttl_s cache_shards store grammar_dir deadline_ms max_instances
     cap_deadline_ms cap_instances idle_timeout_s drain_grace_s trace_sample
     trace_dir slow_ms access_log quality_exemplars quality_window =
-  let budget =
-    match (deadline_ms, max_instances) with
-    | None, None -> Budget.unlimited
-    | _ -> Budget.make ?deadline_ms ?max_instances ()
-  in
+  let budget = Budget.make ?deadline_ms ?max_instances () in
   let cap_budget =
-    match (cap_deadline_ms, cap_instances) with
-    | None, None -> Budget.unlimited
-    | _ ->
-      Budget.make ?deadline_ms:cap_deadline_ms ?max_instances:cap_instances ()
+    Budget.make ?deadline_ms:cap_deadline_ms ?max_instances:cap_instances ()
   in
   let cache =
     if cache_bytes <= 0 then None

@@ -79,16 +79,6 @@ let create ?(clock = Wqi_budget.Budget.now_s) (config : config) =
 (* Keys                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Keying lives in [Wqi_store.Key] so the in-memory cache and the
-   persistent store can never drift apart: the same bytes under the
-   same spec hash to the same key in both tiers. *)
-
-let fingerprint = Wqi_store.Key.fingerprint
-
-let normalize = Wqi_store.Key.normalize
-
-let key ~html ~spec = Wqi_store.Key.make ~html ~spec
-
 let shard_of t (k : key) =
   (* The high half selects the shard: [Key.Tbl] buckets by the low
      bits, which must stay spread within each shard. *)

@@ -50,22 +50,9 @@ val create : ?clock:(unit -> float) -> config -> t
 type key = Wqi_store.Key.t
 (** Cache keys {i are} store keys — the equality is deliberate and
     load-bearing: the persistent store ({!Wqi_store.Store}) sits under
-    this cache as a warm tier, and a key computed once per request
-    addresses both. *)
-
-val fingerprint : string -> int64
-(** The raw FNV-1a/64 hash (offset basis 0xcbf29ce484222325, prime
-    0x100000001b3); delegates to {!Wqi_store.Key.fingerprint}. *)
-
-val normalize : string -> string
-(** Line-ending and outer-whitespace normalization applied to HTML
-    before hashing; delegates to {!Wqi_store.Key.normalize}. *)
-
-val key : html:string -> spec:string -> key
-(** [key ~html ~spec] fingerprints [normalize html] together with
-    [spec] — the caller's rendering of everything else that shapes the
-    response (budget caps, source name, format version).  Delegates to
-    {!Wqi_store.Key.make}. *)
+    this cache as a warm tier, and one key per request, made by
+    {!Wqi_quality.Ingest.key} ({!Wqi_store.Key.make} over the
+    canonical spec), addresses both. *)
 
 val find : t -> key -> string option
 (** A hit refreshes the entry's LRU position.  Expired entries are

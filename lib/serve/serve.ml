@@ -5,8 +5,8 @@ module Export = Wqi_model.Export
 module Trace = Wqi_obs.Trace
 module Group = Wqi_parallel.Pool.Group
 module Store = Wqi_store.Store
-module Key = Wqi_store.Key
 module Quality = Wqi_quality.Quality
+module Ingest = Wqi_quality.Ingest
 
 let version = "1.0.0"
 
@@ -488,8 +488,7 @@ let respond_hit t sh ~scratch fd req ~t0 ~id ~grammar stored =
 (* Run the extraction on this handler thread, inside this domain: the
    whole accept → parse → extract → respond path stays on one core.
    [publish] tells the single-flight leader path to feed waiters. *)
-let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
-    ckey =
+let run_extraction t sh ~scratch fd req ~t0 ~id ~config ~name ~publish ckey =
   if not (admit t) then begin
     publish None;
     Telemetry.shed sh.s_telemetry;
@@ -511,10 +510,7 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
           release t;
           publish_once None)
     @@ fun () ->
-    let config =
-      Extractor.Config.(
-        t.config.extractor |> with_budget budget |> with_compiled pack)
-    in
+    let grammar = config.Extractor.Config.grammar.Engine.name in
     let tdir = want_trace t req in
     (* Exemplar capture needs a trace for every fresh extraction — the
        worst-quality ones are only known after the fact.  Tracing is
@@ -530,15 +526,14 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
     (* Warm tier: a store hit skips the extractor entirely.  Probed
        only on the leader path, under admission, so a popular key costs
        one probe per flight, not one per waiter. *)
-    let from_store =
-      match (t.store, ckey) with
-      | Some store, Some k ->
-        let p0 = Trace.now () in
-        let r = try Store.find_entry store k with Invalid_argument _ -> None in
-        Trace.span trace ~cat:"store" "store.probe" ~t0:p0 ~t1:(Trace.now ());
-        r
-      | _ -> None
+    let r =
+      Ingest.resolve ?store:t.store ?key:ckey ?trace ~export:true config
+        ~name ~source:name req.Http.body
     in
+    Option.iter
+      (fun (p0, p1) ->
+         Trace.span trace ~cat:"store" "store.probe" ~t0:p0 ~t1:p1)
+      r.Ingest.probe;
     (* The trace file must exist by the time the client reads its
        response (x-wqi-trace-id names it), so every branch writes the
        trace before [finish]. *)
@@ -547,8 +542,8 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
       | Some tr, Some dir -> write_trace dir ~id tr
       | _ -> ()
     in
-    match from_store with
-    | Some (m, body) ->
+    match r.Ingest.resolved with
+    | Ingest.Hit (m, body) ->
       let tag = if m.Store.outcome = "degraded" then `Degraded else `Complete in
       let stored = encode_cached tag body in
       (match (sh.s_cache, ckey) with
@@ -560,22 +555,19 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
         ~headers:
           [ ("x-wqi-outcome", outcome_name tag);
             ("x-wqi-cache", "store");
-            ("x-wqi-grammar", pack.Engine.name);
+            ("x-wqi-grammar", grammar);
             ("x-wqi-trace-id", id) ]
-        ~grammar:pack.Engine.name ~outcome:tag ~cache_hit:true
+        ~grammar ~outcome:tag ~cache_hit:true
         ?quality:
           (Option.map
              (fun q ->
                 (q.Store.q_score, q.Store.q_coverage, q.Store.q_conflicts))
              m.Store.quality)
         ~cache:"store" body
-    | None ->
-      let e = Extractor.run ?trace config (Extractor.Html req.Http.body) in
-      let body = Extractor.export ~timings:false ~name e in
+    | Ingest.Fresh f ->
+      let e = f.Ingest.extraction and q = f.Ingest.quality in
+      let body = Option.value ~default:"" f.Ingest.bytes in
       let tag = outcome_tag e.Extractor.outcome in
-      let q =
-        Quality.of_extraction ~source:name ~grammar:(Quality.grammar_id pack) e
-      in
       let status = match tag with `Failed -> 500 | _ -> 200 in
       (match (sh.s_cache, ckey, tag) with
        | Some cache, Some k, (`Complete | `Degraded) ->
@@ -587,11 +579,10 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
          microseconds against an extraction's milliseconds, and it
          makes the contract simple — once a client has its bytes, a
          restarted server can serve them from the store. *)
-      (match (t.store, ckey, tag) with
-       | Some store, Some k, (`Complete | `Degraded) ->
+      (match (t.store, f.Ingest.put) with
+       | Some store, Some (k, meta, bytes) ->
          let w0 = Trace.now () in
-         (try
-            Store.put store k ~meta:(Quality.to_meta q) body
+         (try Store.put store k ~meta bytes
           with Invalid_argument _ | Sys_error _ -> ());
          Trace.span trace ~cat:"store" "store.write" ~t0:w0 ~t1:(Trace.now ())
        | _ -> ());
@@ -604,9 +595,9 @@ let run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name ~publish
         ~headers:
           [ ("x-wqi-outcome", outcome_name tag);
             ("x-wqi-cache", cache);
-            ("x-wqi-grammar", pack.Engine.name);
+            ("x-wqi-grammar", grammar);
             ("x-wqi-trace-id", id) ]
-        ~grammar:pack.Engine.name ~outcome:tag
+        ~grammar ~outcome:tag
         ~stats:e.Extractor.diagnostics.Extractor.parse_stats
         ~stage_seconds:(stage_seconds_of e.Extractor.diagnostics)
         ~quality:(q.Quality.score, q.Quality.coverage, q.Quality.conflicts)
@@ -656,19 +647,18 @@ let handle_extract t sh ~scratch fd req t0 ~id =
          | Some n when n <> "" -> n
          | _ -> "request"
        in
+       let config =
+         Extractor.Config.(
+           t.config.extractor |> with_budget budget |> with_compiled pack)
+       in
        (* The grammar identity (name and version) is part of the cache
           key: the same HTML under two grammars — or two versions of
           one grammar, e.g. across a hot reload — never shares an
-          entry.  The canonical spec renderer lives next to the key so
-          the cache, the store and the batch tools agree byte for
-          byte. *)
-       let spec =
-         Key.spec ~grammar_name:pack.Engine.name
-           ~grammar_version:pack.Engine.version ~name budget
-       in
+          entry.  The key is the ingestion step's, so the cache, the
+          store and the batch tools agree byte for byte. *)
        let ckey =
          if Option.is_some sh.s_cache || Option.is_some t.store then
-           Some (Cache.key ~html:req.Http.body ~spec)
+           Some (Ingest.key config ~name req.Http.body)
          else None
        in
        (* Single-flight retry loop: a follower woken without a value
@@ -691,11 +681,11 @@ let handle_extract t sh ~scratch fd req t0 ~id =
                  respond_hit t sh ~scratch fd req ~t0 ~id ~grammar stored
                | Cache.Follower None -> attempt (n + 1)
                | Cache.Leader ->
-                 run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name
+                 run_extraction t sh ~scratch fd req ~t0 ~id ~config ~name
                    ~publish:(fun v -> Cache.end_flight cache k v)
                    ckey)
             | _ ->
-              run_extraction t sh ~scratch fd req ~t0 ~id ~budget ~pack ~name
+              run_extraction t sh ~scratch fd req ~t0 ~id ~config ~name
                 ~publish:(fun _ -> ())
                 ckey)
        in

@@ -129,7 +129,7 @@ type config = {
           before extracting ([x-wqi-cache: store] on a hit), and fresh
           extractions are persisted before the response goes out, so
           warm throughput survives restarts.  Cache and store
-          share keys ({!Cache.key} {i is} {!Wqi_store.Key.make}), the
+          share keys (one {!Wqi_quality.Ingest.key} per request), the
           store holds the same Export-v2 bytes a fresh extraction
           produces, and {!wait} compacts it on shutdown.  [None]
           disables the tier. *)

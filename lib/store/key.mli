@@ -13,11 +13,11 @@
     never builds the normalized copy, keeps the hash state unboxed, and
     allocates only the returned key, whatever the document's size.
 
-    This module is the single definition of that keying:
-    [Wqi_serve.Cache] re-exports it ([Cache.key = Key.make]) and
-    {!Store} indexes by it, so the in-memory LRU tier and the on-disk
-    warm tier can never drift apart — the same request hashes to the
-    same identity in both. *)
+    This module is the single definition of that keying: the serve
+    cache's key type is {!t}, {!Store} indexes by it, and the fronts
+    make keys through one function ([Wqi_quality.Ingest.key]), so the
+    in-memory LRU tier and the on-disk warm tier can never drift apart
+    — the same request hashes to the same identity in both. *)
 
 type t = {
   hash : int64;  (** FNV-1a/64 over [spec ^ "\x00" ^ normalize html] *)

@@ -713,12 +713,6 @@ let mem t k =
   Mutex.unlock t.idx_mutex;
   r
 
-let meta t k =
-  lock_open t;
-  let r = Option.map (fun e -> e.e_meta) (Key.Tbl.find_opt t.index k) in
-  Mutex.unlock t.idx_mutex;
-  r
-
 (* Read the value bytes for [e]; None on any I/O shortfall. *)
 let read_value t e =
   let seg = t.segs.(e.e_seg) in

@@ -1,14 +1,16 @@
 (** Persistent content-addressed store of extraction results.
 
-    Every run of [wqi_batch] or [wqi_serve] used to start cold,
-    re-extracting documents whose HTML and grammar had not changed and
-    losing the serve cache with the process.  The store is the durable
-    tier underneath both: keys are the {!Key} fingerprints the serve
-    cache already uses (normalized HTML ⊕ budget spec ⊕ grammar
-    name@version), values are the deterministic Export-v2 wire bytes
-    ([Extractor.export ~timings:false]), so a store hit is byte-identical
-    to a fresh extraction and can be served — or emitted by a resumed
-    batch — without re-running the pipeline.
+    The durable tier under [wqi_batch], [wqi_crawl] and [wqi_serve]: a
+    document whose HTML and grammar have not changed is answered from
+    here instead of re-extracted, across runs and restarts.  Keys are
+    the {!Key} fingerprints the serve cache uses too (normalized HTML ⊕
+    budget spec ⊕ grammar name@version), values are the deterministic
+    Export-v2 wire bytes ([Extractor.export ~timings:false]), so a
+    store hit is byte-identical to a fresh extraction and can be served
+    — or emitted by a resumed batch — without re-running the pipeline.
+    All three fronts probe through {!find_entry}, in the shared
+    ingestion step [Wqi_quality.Ingest], so every hit they use is
+    CRC-verified.
 
     {b On-disk layout.}  A store directory holds
 
@@ -147,9 +149,6 @@ val find : t -> Key.t -> string option
 
 val find_entry : t -> Key.t -> (meta * string) option
 (** {!find} plus the entry's provenance. *)
-
-val meta : t -> Key.t -> meta option
-(** Provenance without reading the value bytes. *)
 
 val put : t -> Key.t -> meta:meta -> string -> unit
 (** Append the value and its manifest line, then publish the key in the

@@ -7,6 +7,9 @@
 #   - wqi_crawl ingests it twice: the first pass extracts exactly the
 #     unique documents (signature dedup verified against the manifest),
 #     the second answers every document from the store;
+#   - a value byte flipped on disk fails its CRC on the next crawl,
+#     which re-extracts exactly that document, and the crawl after it
+#     is fully warm again;
 #   - wqi_batch --store runs twice over the same directory with
 #     byte-identical stdout, the second run all store hits, and
 #     re-extracts exactly the one document we then touch;
@@ -46,6 +49,29 @@ grep -q '"failed":0,' "$work/crawl1.json"
 grep -q "\"store_hits\":$uniq," "$work/crawl2.json"
 grep -q '"extracted":0,' "$work/crawl2.json"
 echo "crawl ok: $dup_count/$total deduped, resume all hits"
+
+# --- crawl: a corrupt value is a re-extraction, never a hit --------
+
+# Flip one byte inside the value of the first manifest entry.
+first=$(head -n 1 "$work/store/manifest.jsonl")
+seg=$(printf '%s' "$first" | sed -n 's/.*"seg":\([0-9]*\).*/\1/p')
+off=$(printf '%s' "$first" | sed -n 's/.*"off":\([0-9]*\).*/\1/p')
+segfile=$(printf '%s/store/segments/seg-%03d.dat' "$work" "$seg")
+byte=$(dd if="$segfile" bs=1 skip="$off" count=1 2>/dev/null)
+if [ "$byte" = X ]; then flip=Y; else flip=X; fi
+printf '%s' "$flip" |
+  dd of="$segfile" bs=1 seek="$off" count=1 conv=notrunc 2>/dev/null
+
+"$crawl" "$work/docs" --store "$work/store" --jobs 2 \
+  --summary-json "$work/crawl3.json" 2>/dev/null
+grep -q "\"store_hits\":$((uniq - 1))," "$work/crawl3.json"
+grep -q '"extracted":1,' "$work/crawl3.json"
+
+"$crawl" "$work/docs" --store "$work/store" --jobs 2 \
+  --summary-json "$work/crawl4.json" 2>/dev/null
+grep -q "\"store_hits\":$uniq," "$work/crawl4.json"
+grep -q '"extracted":0,' "$work/crawl4.json"
+echo "crawl ok: corrupt value re-extracted once, then warm"
 
 # --- batch --store: resumable, byte-identical ---------------------
 

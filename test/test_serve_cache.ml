@@ -4,6 +4,7 @@
    injected clock. *)
 
 module Cache = Wqi_serve.Cache
+module Key = Wqi_store.Key
 module Extractor = Wqi_core.Extractor
 module Generator = Wqi_corpus.Generator
 
@@ -31,7 +32,7 @@ let test_hit_is_fresh () =
   let cache = Cache.create Cache.default_config in
   List.iter
     (fun (s : Generator.source) ->
-       let k = Cache.key ~html:s.html ~spec in
+       let k = Key.make ~html:s.html ~spec in
        (match Cache.find cache k with
         | Some _ -> Alcotest.failf "%s: hit before insertion" s.id
         | None -> ());
@@ -39,7 +40,7 @@ let test_hit_is_fresh () =
     sources;
   List.iter
     (fun (s : Generator.source) ->
-       let k = Cache.key ~html:s.html ~spec in
+       let k = Key.make ~html:s.html ~spec in
        match Cache.find cache k with
        | None -> Alcotest.failf "%s: miss after insertion" s.id
        | Some cached ->
@@ -52,7 +53,7 @@ let test_hit_is_fresh () =
   Alcotest.(check int) "insertions" 60 st.Cache.insertions;
   Alcotest.(check int) "evictions" 0 st.Cache.evictions
 
-let key_of i = Cache.key ~html:(Printf.sprintf "<form>doc %d</form>" i) ~spec
+let key_of i = Key.make ~html:(Printf.sprintf "<form>doc %d</form>" i) ~spec
 
 (* Values of 136 bytes cost 200 with the 64-byte node overhead, so a
    1000-byte single-shard cache holds exactly five. *)
@@ -131,21 +132,21 @@ let test_ttl_expiry () =
 let test_spec_distinguishes () =
   let cache = Cache.create Cache.default_config in
   let html = "<form>same markup</form>" in
-  Cache.add cache (Cache.key ~html ~spec:"budget-a") "a";
-  (match Cache.find cache (Cache.key ~html ~spec:"budget-b") with
+  Cache.add cache (Key.make ~html ~spec:"budget-a") "a";
+  (match Cache.find cache (Key.make ~html ~spec:"budget-b") with
    | Some _ -> Alcotest.fail "different budget spec must not hit"
    | None -> ());
-  match Cache.find cache (Cache.key ~html ~spec:"budget-a") with
+  match Cache.find cache (Key.make ~html ~spec:"budget-a") with
   | Some v -> Alcotest.(check string) "value" "a" v
   | None -> Alcotest.fail "same spec must hit"
 
 let test_normalization () =
   (* Line-ending and outer-whitespace variants of the same markup share
      a key; interior whitespace still distinguishes. *)
-  let base = Cache.key ~html:"<form>\nA\n</form>" ~spec in
-  let crlf = Cache.key ~html:"<form>\r\nA\r\n</form>" ~spec in
-  let padded = Cache.key ~html:"  <form>\nA\n</form>\n\n" ~spec in
-  let interior = Cache.key ~html:"<form>\n A\n</form>" ~spec in
+  let base = Key.make ~html:"<form>\nA\n</form>" ~spec in
+  let crlf = Key.make ~html:"<form>\r\nA\r\n</form>" ~spec in
+  let padded = Key.make ~html:"  <form>\nA\n</form>\n\n" ~spec in
+  let interior = Key.make ~html:"<form>\n A\n</form>" ~spec in
   if base <> crlf then Alcotest.fail "CRLF variant must share the key";
   if base <> padded then Alcotest.fail "padded variant must share the key";
   if base = interior then

@@ -1,16 +1,17 @@
-(* The persistent extraction store (lib/store): keys must stay
-   byte-compatible with the serve cache's, a reopened store must see
-   exactly what was put (including after a torn manifest tail or a
-   corrupted value — as misses, never wrong answers), concurrent
-   writers on several domains must not lose entries, and a stored value must be
-   byte-identical to a fresh extraction. *)
+(* The persistent extraction store (lib/store) and the ingestion step
+   over it (Wqi_quality.Ingest): keys must stay stable across builds, a
+   reopened store must see exactly what was put (including after a torn
+   manifest tail or a corrupted value — as misses, never wrong
+   answers), concurrent writers on several domains must not lose
+   entries, a stored value must be byte-identical to a fresh
+   extraction, and a failed extraction must never be stored. *)
 
 module Store = Wqi_store.Store
 module Key = Wqi_store.Key
 module Crc32 = Wqi_store.Crc32
 module Signature = Wqi_store.Signature
-module Cache = Wqi_serve.Cache
 module Extractor = Wqi_core.Extractor
+module Ingest = Wqi_quality.Ingest
 module Generator = Wqi_corpus.Generator
 module Pool = Wqi_parallel.Pool
 module Q = QCheck
@@ -47,19 +48,6 @@ let test_fnv_pinned () =
   Alcotest.(check string) "fold = fingerprint"
     (Key.to_hex (Key.fingerprint "ab"))
     (Key.to_hex (Key.fold (Key.fingerprint "a") "b"))
-
-(* The serve cache delegates its keying to Key; cross-check that both
-   paths produce identical keys, so a store written by wqi_batch is
-   probeable with keys computed by wqi_serve. *)
-let test_cache_key_identity () =
-  List.iter
-    (fun (html, spec) ->
-       let a = Cache.key ~html ~spec and b = Key.make ~html ~spec in
-       Alcotest.(check bool) "cache key = store key" true (Key.equal a b))
-    [ ("<form>a</form>", "v2|name=x|budget=");
-      ("  <FORM>\r\nA</FORM>  ", "v2|name=x|budget=");
-      ("", "");
-      (String.make 4096 'z', "v2|grammar=std@1|name=y|budget={}") ]
 
 let test_spec_distinguishes () =
   let html = "<form><input name=q></form>" in
@@ -676,16 +664,17 @@ let test_put_find_roundtrip () =
   Store.put st k ~meta "value-bytes";
   Alcotest.(check (option string)) "find" (Some "value-bytes")
     (Store.find st k);
-  (match Store.meta st k with
-   | None -> Alcotest.fail "meta absent"
-   | Some m ->
-     Alcotest.(check string) "meta source" "doc.html" m.Store.source);
+  (match Store.find_entry st k with
+   | None -> Alcotest.fail "entry absent"
+   | Some (m, v) ->
+     Alcotest.(check string) "meta source" "doc.html" m.Store.source;
+     Alcotest.(check string) "entry value" "value-bytes" v);
   Alcotest.(check (option string)) "other key misses" None
     (Store.find st (key_of 2));
   let s = Store.stats st in
   Alcotest.(check int) "entries" 1 s.Store.entries;
   Alcotest.(check int) "puts" 1 s.Store.puts;
-  Alcotest.(check int) "hits" 1 s.Store.hits;
+  Alcotest.(check int) "hits" 2 s.Store.hits;
   Store.close st
 
 let test_reopen_replay () =
@@ -852,8 +841,9 @@ let test_concurrent_writers () =
 
 (* Resuming over a warm store must pay off: 120 generated documents
    (all domains, Simple and Rich, 10% out-of-grammar) ingested cold
-   through a 2-job ordered map, the store closed and reopened, then the same
-   pass again.  The resumed pass, replay included, answers every
+   through the ingestion step and a 2-job ordered map — the loop
+   wqi_batch and wqi_crawl run — the store closed and reopened, then
+   the same pass again.  The resumed pass, replay included, answers every
    document from the store and runs at least 1.5x faster than the cold
    one: the floor that catches a resume that silently re-extracts,
    loose enough for the fixed open and replay costs of a small corpus.
@@ -873,28 +863,26 @@ let test_resume_faster_than_cold () =
             ~complexity:(if i land 1 = 0 then `Simple else `Rich)
             ~oog_prob:0.1 ()
         in
-        (name, src.html, Key.make ~html:src.html ~spec:name))
+        (name, src.html))
   in
-  (* Open the store in [dir], then probe, and extract and put on a
-     miss: the wqi_batch --store loop.  Returns the seconds, the number
-     of extractions and the store's stats, and closes it. *)
+  (* Open the store in [dir], resolve every document against it, and
+     put the fresh ones in input order.  Returns the seconds, the
+     number of extractions and the store's stats, and closes it. *)
   let pass dir =
     let t0 = Unix.gettimeofday () in
     let st = Store.open_ dir in
     let extracted = ref 0 in
     Pool.map_ordered ~jobs:2
-      (fun (name, html, key) ->
-         match Store.find st key with
-         | Some _ -> None
-         | None ->
-           let e = Extractor.run config (Extractor.Html html) in
-           Some (key, Extractor.export ~timings:false ~name e))
-      ~commit:(fun _ fresh ->
+      (fun (name, html) ->
+         (Ingest.resolve ~store:st config ~name ~source:name html)
+           .Ingest.resolved)
+      ~commit:(fun _ -> function
+        | Ingest.Hit _ -> ()
+        | Ingest.Fresh f ->
+          incr extracted;
           Option.iter
-            (fun (key, bytes) ->
-               incr extracted;
-               Store.put st key ~meta bytes)
-            fresh)
+            (fun (key, meta, bytes) -> Store.put st key ~meta bytes)
+            f.Ingest.put)
       docs;
     let seconds = Unix.gettimeofday () -. t0 in
     let stats = Store.stats st in
@@ -904,7 +892,7 @@ let test_resume_faster_than_cold () =
   (* One untimed extraction first, so the cold pass does not also pay
      the process's first-use costs: a re-extracting resume then reads
      about 1x, not 1.5x. *)
-  (let _, html, _ = docs.(0) in
+  (let _, html = docs.(0) in
    ignore (Extractor.run config (Extractor.Html html)));
   let best passes =
     List.fold_left (fun m (s, _, _) -> Float.min m s) infinity passes
@@ -934,8 +922,9 @@ let test_resume_faster_than_cold () =
   Alcotest.(check bool) "value bytes stored" true (stats.Store.bytes > 0)
 
 (* The store-level guarantee mirroring the cache suite's: over 60
-   corpus interfaces, a value read back — across a close/reopen — is
-   byte-identical to extracting the same markup again. *)
+   corpus interfaces, what the ingestion step stores and later answers
+   from the store — across a close/reopen — is byte-identical to
+   extracting the same markup again. *)
 let test_stored_is_fresh () =
   let g = Wqi_corpus.Prng.create 0x5704EL in
   let domains = Wqi_corpus.Vocabulary.core_three in
@@ -951,19 +940,65 @@ let test_stored_is_fresh () =
     Extractor.export ~timings:false ~name:s.id
       (Extractor.run Extractor.Config.default (Extractor.Html s.html))
   in
-  let key (s : Generator.source) = Key.make ~html:s.html ~spec:s.id in
+  let resolve st (s : Generator.source) =
+    (Ingest.resolve ~store:st Extractor.Config.default ~name:s.id
+       ~source:s.id s.html)
+      .Ingest.resolved
+  in
   let dir = temp_dir () in
   let st = Store.open_ dir in
-  List.iter (fun s -> Store.put st (key s) ~meta (fresh s)) sources;
+  List.iter
+    (fun (s : Generator.source) ->
+       match resolve st s with
+       | Ingest.Fresh { Ingest.put = Some (k, meta, bytes); _ } ->
+         Store.put st k ~meta bytes
+       | _ -> Alcotest.failf "%s: a cold store must extract and store" s.id)
+    sources;
   Store.close st;
   let st = Store.open_ dir in
   List.iter
     (fun (s : Generator.source) ->
-       match Store.find st (key s) with
-       | None -> Alcotest.failf "%s: miss after reopen" s.id
-       | Some stored ->
+       match resolve st s with
+       | Ingest.Fresh _ -> Alcotest.failf "%s: miss after reopen" s.id
+       | Ingest.Hit (_, stored) ->
          Alcotest.(check string) (s.id ^ ": stored = fresh") (fresh s) stored)
     sources;
+  Store.close st
+
+(* A failed extraction never reaches the store — a crash or a grammar
+   fix must retry it — yet still reports its quality record.  A grammar
+   whose production raises makes the extractor fail on any form. *)
+let test_failed_gets_no_put () =
+  let t = Wqi_grammar.Symbol.terminal "text" in
+  let s = Wqi_grammar.Symbol.nonterminal "S" in
+  let raising =
+    Wqi_grammar.Grammar.make ~terminals:[ t ] ~start:s
+      ~productions:
+        [ Wqi_grammar.Production.make ~name:"p" ~head:s ~components:[ t ]
+            ~build:(fun _ -> failwith "production raised")
+            () ]
+      ()
+  in
+  let config =
+    Extractor.Config.(
+      default |> with_compiled (Wqi_parser.Engine.compile raising))
+  in
+  let st = Store.open_ (temp_dir ()) in
+  (match
+     (Ingest.resolve ~store:st config ~name:"boom" ~source:"boom.html"
+        "<form>Title <input name=t></form>")
+       .Ingest.resolved
+   with
+   | Ingest.Hit _ -> Alcotest.fail "empty store answered a hit"
+   | Ingest.Fresh f ->
+     (match f.Ingest.extraction.Extractor.outcome with
+      | Wqi_budget.Budget.Failed _ -> ()
+      | _ -> Alcotest.fail "expected a Failed extraction");
+     Alcotest.(check bool) "no put payload" true (f.Ingest.put = None);
+     Alcotest.(check string) "quality outcome" "failed"
+       f.Ingest.quality.Wqi_quality.Quality.outcome;
+     Alcotest.(check string) "quality source" "boom.html"
+       f.Ingest.quality.Wqi_quality.Quality.source);
   Store.close st
 
 let test_closed_store_raises () =
@@ -1097,7 +1132,6 @@ let test_signature_pinned () =
 
 let suite =
   [ ("fnv-1a/64 constants pinned", `Quick, test_fnv_pinned);
-    ("cache key = store key", `Quick, test_cache_key_identity);
     ("grammar version bump changes keys", `Quick, test_spec_distinguishes);
     QCheck_alcotest.to_alcotest prop_make_is_fold_of_normalize;
     ("crc-32 known answer", `Quick, test_crc_known_answer);
@@ -1125,6 +1159,8 @@ let suite =
      test_resume_faster_than_cold);
     ("stored bytes = fresh extraction (60 sources)", `Quick,
      test_stored_is_fresh);
+    ("failed extraction: quality record, no put", `Quick,
+     test_failed_gets_no_put);
     ("closed store raises, close idempotent", `Quick,
      test_closed_store_raises);
     ("signature: whitespace-invariant", `Quick,
