@@ -22,7 +22,14 @@ let run_guarded input show_tokens show_trees show_stats show_ascii as_json
     grammar_file width deadline_ms max_instances trace_file profile quality =
   let html =
     match input with
-    | Some path -> Cli.read_file path
+    | Some path ->
+      (* Cmdliner's [file] admits a directory, which fails to read. *)
+      (match Cli.read_file path with
+       | html -> html
+       | exception Sys_error msg ->
+         Format.eprintf "wqi_extract: %s@."
+           (if Sys.is_directory path then path ^ ": is a directory" else msg);
+         exit 2)
     | None -> In_channel.input_all stdin
   in
   let config =

@@ -445,15 +445,120 @@ let parse_range line lo hi =
 let parse_line line = parse_range line 0 (String.length line)
 
 (* ------------------------------------------------------------------ *)
-(* Store                                                              *)
+(* Segments                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* A segment file is read through two paths and written through one
+   descriptor, all under the segment's mutex:
+
+   - the bytes it held at open are mapped once, read-only (segment
+     files only grow, so the mapping never changes under a reader), and
+     a value inside the mapping is one copy out of it;
+   - a value appended by this session lies past the mapping and is read
+     with one exact-length [pread];
+   - a put is one [write] on the descriptor, opened [O_APPEND], at
+     [s_end], the file's end as this session tracks it.
+
+   [close] unmaps and closes under the mutex, and zeroes [s_mapped], so
+   a read that races it finds nothing to copy. *)
+
+external seg_map : Unix.file_descr -> int -> int = "wqi_seg_map" [@@noalloc]
+external seg_unmap : int -> int -> unit = "wqi_seg_unmap" [@@noalloc]
+external seg_copy : int -> int -> int -> string = "wqi_seg_copy"
+external seg_pread : Unix.file_descr -> int -> int -> string = "wqi_seg_pread"
 
 type seg = {
   s_path : string;
   s_mutex : Mutex.t;
-  mutable s_out : out_channel option;   (* lazily opened appender *)
-  mutable s_in : in_channel option;     (* lazily opened reader *)
+  mutable s_fd : Unix.file_descr option;  (* None until the file exists *)
+  mutable s_end : int;     (* the file's size: the next append's offset *)
+  mutable s_map : int;     (* address of the mapping *)
+  mutable s_mapped : int;  (* bytes mapped at open; 0 when none *)
 }
+
+let seg_flags = Unix.[ O_RDWR; O_APPEND; O_CLOEXEC ]
+
+let unix_error path e = raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
+(* The segment as its file stands at open: mapped when it has bytes. *)
+let seg_open path =
+  let seg =
+    { s_path = path; s_mutex = Mutex.create (); s_fd = None; s_end = 0;
+      s_map = 0; s_mapped = 0 }
+  in
+  (match Unix.openfile path seg_flags 0 with
+   | fd ->
+     let size = (Unix.fstat fd).Unix.st_size in
+     seg.s_fd <- Some fd;
+     seg.s_end <- size;
+     if size > 0 then begin
+       seg.s_map <- seg_map fd size;
+       if seg.s_map <> 0 then seg.s_mapped <- size
+     end
+   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+   | exception Unix.Unix_error (e, _, _) -> unix_error path e);
+  seg
+
+(* seg mutex held *)
+let seg_fd seg =
+  match seg.s_fd with
+  | Some fd -> fd
+  | None ->
+    let fd =
+      try Unix.openfile seg.s_path (Unix.O_CREAT :: seg_flags) 0o644
+      with Unix.Unix_error (e, _, _) -> unix_error seg.s_path e
+    in
+    seg.s_fd <- Some fd;
+    seg.s_end <- Unix.lseek fd 0 Unix.SEEK_END;
+    fd
+
+(* Append [value] and return its offset.  After a failed or partial
+   write the end is read back from the file, so the next append's
+   offset is right whatever landed. *)
+let seg_append seg value =
+  Mutex.lock seg.s_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock seg.s_mutex) @@ fun () ->
+  let fd = seg_fd seg in
+  let off = seg.s_end in
+  (try ignore (Unix.write_substring fd value 0 (String.length value))
+   with Unix.Unix_error (e, _, _) ->
+     (try seg.s_end <- Unix.lseek fd 0 Unix.SEEK_END
+      with Unix.Unix_error _ -> ());
+     unix_error seg.s_path e);
+  seg.s_end <- off + String.length value;
+  off
+
+(* The [len] bytes at [off]; None when they are not all in the file. *)
+let seg_read seg off len =
+  Mutex.lock seg.s_mutex;
+  let r =
+    if len <= seg.s_mapped && off <= seg.s_mapped - len then
+      Some (seg_copy seg.s_map off len)
+    else
+      match seg.s_fd with
+      | Some fd when len <= seg.s_end && off <= seg.s_end - len ->
+        (match seg_pread fd off len with
+         | v -> Some v
+         | exception (End_of_file | Sys_error _) -> None)
+      | Some _ | None -> None
+  in
+  Mutex.unlock seg.s_mutex;
+  r
+
+let seg_close seg =
+  Mutex.lock seg.s_mutex;
+  if seg.s_map <> 0 then seg_unmap seg.s_map seg.s_mapped;
+  seg.s_map <- 0;
+  seg.s_mapped <- 0;
+  (match seg.s_fd with
+   | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
+   | None -> ());
+  seg.s_fd <- None;
+  Mutex.unlock seg.s_mutex
+
+(* ------------------------------------------------------------------ *)
+(* Store                                                              *)
+(* ------------------------------------------------------------------ *)
 
 type t = {
   dir : string;
@@ -602,12 +707,7 @@ let open_ ?(segments = 16) dir =
   let t =
     { dir;
       segments;
-      segs =
-        Array.init segments (fun i ->
-            { s_path = seg_path seg_dir i;
-              s_mutex = Mutex.create ();
-              s_out = None;
-              s_in = None });
+      segs = Array.init segments (fun i -> seg_open (seg_path seg_dir i));
       manifest_path = Filename.concat dir "manifest.jsonl";
       manifest_oc = None;
       man_mutex = Mutex.create ();
@@ -632,18 +732,7 @@ let open_ ?(segments = 16) dir =
      bytes — that also counts a crashed writer's value-without-manifest
      tail.  Keep whichever is larger, then accumulate live overwrites
      on top. *)
-  let seg_file_bytes =
-    Array.fold_left
-      (fun acc seg ->
-         if Sys.file_exists seg.s_path then begin
-           let ic = open_in_bin seg.s_path in
-           let len = in_channel_length ic in
-           close_in_noerr ic;
-           acc + len
-         end
-         else acc)
-      0 t.segs
-  in
+  let seg_file_bytes = Array.fold_left (fun acc seg -> acc + seg.s_end) 0 t.segs in
   t.orphaned <- max t.orphaned (seg_file_bytes - t.bytes);
   t
 
@@ -660,33 +749,6 @@ let lock_open t =
 
 let shard_of t (k : Key.t) =
   Int64.to_int k.Key.hash land max_int mod t.segments
-
-(* seg mutex held *)
-(* NOT [Open_append]: an append-mode channel reports [pos_out] from 0
-   regardless of the existing file size, so a store reopened over a
-   non-empty segment would record offset 0 for bytes the kernel lands
-   at the real end — every resumed put unreadable.  The explicit
-   seek-to-end keeps [pos_out] equal to the on-disk offset; the
-   per-segment mutex already serializes writers. *)
-let seg_appender seg =
-  match seg.s_out with
-  | Some oc -> oc
-  | None ->
-    let oc =
-      open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 seg.s_path
-    in
-    seek_out oc (out_channel_length oc);
-    seg.s_out <- Some oc;
-    oc
-
-(* seg mutex held *)
-let seg_reader seg =
-  match seg.s_in with
-  | Some ic -> ic
-  | None ->
-    let ic = open_in_bin seg.s_path in
-    seg.s_in <- Some ic;
-    ic
 
 let manifest_appender t =
   match t.manifest_oc with
@@ -711,24 +773,6 @@ let mem t k =
   lock_open t;
   let r = Key.Tbl.mem t.index k in
   Mutex.unlock t.idx_mutex;
-  r
-
-(* Read the value bytes for [e]; None on any I/O shortfall. *)
-let read_value t e =
-  let seg = t.segs.(e.e_seg) in
-  Mutex.lock seg.s_mutex;
-  let r =
-    match
-      (* The appender flushes before the entry is published, so a
-         separate read descriptor always sees the full value. *)
-      let ic = seg_reader seg in
-      seek_in ic e.e_off;
-      really_input_string ic e.e_len
-    with
-    | v -> Some v
-    | exception (End_of_file | Sys_error _) -> None
-  in
-  Mutex.unlock seg.s_mutex;
   r
 
 let drop_corrupt t k e =
@@ -756,7 +800,9 @@ let find_entry t k =
   match entry with
   | None -> None
   | Some e ->
-    (match read_value t e with
+    (* A put writes the value before it publishes the entry, so a
+       published entry's bytes are all in the file. *)
+    (match seg_read t.segs.(e.e_seg) e.e_off e.e_len with
      | Some v when Crc32.digest v = e.e_crc ->
        Mutex.lock t.idx_mutex;
        t.hits <- t.hits + 1;
@@ -775,25 +821,11 @@ let put t k ~meta value =
   Mutex.unlock t.idx_mutex;
   let si = shard_of t k in
   let seg = t.segs.(si) in
-  (* 1. value bytes, flushed *)
-  Mutex.lock seg.s_mutex;
-  let off, crc =
-    match
-      let oc = seg_appender seg in
-      let off = pos_out oc in
-      output_string oc value;
-      flush oc;
-      off
-    with
-    | off -> (off, Crc32.digest value)
-    | exception e ->
-      Mutex.unlock seg.s_mutex;
-      raise e
-  in
-  Mutex.unlock seg.s_mutex;
+  (* 1. value bytes, written *)
+  let off = seg_append seg value in
   let e =
-    { e_seg = si; e_off = off; e_len = String.length value; e_crc = crc;
-      e_meta = meta }
+    { e_seg = si; e_off = off; e_len = String.length value;
+      e_crc = Crc32.digest value; e_meta = meta }
   in
   (* 2. manifest line, flushed — the durability point *)
   Mutex.lock t.man_mutex;
@@ -857,12 +889,6 @@ let stats t =
   s
 
 let flush t =
-  Array.iter
-    (fun seg ->
-       Mutex.lock seg.s_mutex;
-       (match seg.s_out with Some oc -> flush oc | None -> ());
-       Mutex.unlock seg.s_mutex)
-    t.segs;
   Mutex.lock t.man_mutex;
   (match t.manifest_oc with Some oc -> Stdlib.flush oc | None -> ());
   Mutex.unlock t.man_mutex
@@ -890,33 +916,35 @@ let close t =
   if t.closed then Mutex.unlock t.idx_mutex
   else begin
     t.closed <- true;
-    let entries = Key.Tbl.fold (fun k e acc -> (k, e) :: acc) t.index [] in
-    Mutex.unlock t.idx_mutex;
-    let entries =
-      List.sort
-        (fun (_, a) (_, b) ->
-           match Int.compare a.e_seg b.e_seg with
-           | 0 -> Int.compare a.e_off b.e_off
-           | c -> c)
-        entries
+    (* A session that put nothing, dropped no corrupt entry and replayed
+       one line per live key, none of them malformed, leaves the
+       manifest as compact as it found it: no rewrite. *)
+    let unchanged =
+      t.puts = 0 && t.corrupt = 0 && t.dropped = 0
+      && t.replayed = Key.Tbl.length t.index
     in
+    let entries =
+      if unchanged then []
+      else Key.Tbl.fold (fun k e acc -> (k, e) :: acc) t.index []
+    in
+    Mutex.unlock t.idx_mutex;
     Mutex.lock t.man_mutex;
     (match t.manifest_oc with
      | Some oc ->
        close_out_noerr oc;
        t.manifest_oc <- None
      | None -> ());
-    compact_manifest t entries;
-    Mutex.unlock t.man_mutex;
-    Array.iter
-      (fun seg ->
-         Mutex.lock seg.s_mutex;
-         (match seg.s_out with
-          | Some oc -> close_out_noerr oc; seg.s_out <- None
-          | None -> ());
-         (match seg.s_in with
-          | Some ic -> close_in_noerr ic; seg.s_in <- None
-          | None -> ());
-         Mutex.unlock seg.s_mutex)
-      t.segs
+    Fun.protect
+      ~finally:(fun () ->
+          Mutex.unlock t.man_mutex;
+          Array.iter seg_close t.segs)
+      (fun () ->
+         if not unchanged then
+           compact_manifest t
+             (List.sort
+                (fun (_, a) (_, b) ->
+                   match Int.compare a.e_seg b.e_seg with
+                   | 0 -> Int.compare a.e_off b.e_off
+                   | c -> c)
+                entries))
   end

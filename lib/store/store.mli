@@ -22,6 +22,21 @@
       CRC-32 of the value bytes, plus provenance (source path or URL,
       grammar name@version, outcome, crawl-classified domain).
 
+    {b Read path.}  Segments are append-only: the store never shrinks
+    or rewrites a segment file.  {!open_} opens each existing segment
+    once and maps, read-only and shared, the bytes it holds at that
+    moment; the mapping is never remapped, so no reader sees it
+    change.  A value inside the mapping is one copy into a fresh
+    string, with no system call.  A value this session appended lies
+    past the mapping and is read with one exact-length [pread].  A
+    range that runs past the file's end reads as a miss.  A put is one
+    [write] at the segment's end offset, which the store tracks under
+    the segment's mutex.  Truncating a segment file under a live store
+    is outside the contract: a read of the lost pages of its mapping
+    faults with SIGBUS.  A future compaction must therefore write new
+    segments, never shrink mapped ones.  Truncation between sessions
+    is inside it: the entries past the cut read as misses.
+
     {b Crash safety.}  A put appends and flushes the value bytes
     {i before} appending and flushing its manifest line, so a crash
     (including [kill -9]) between the two leaves only orphaned segment
@@ -33,7 +48,7 @@
     the worst case of any corruption is a re-extraction, never a wrong
     answer.  {!close} compacts the manifest (latest entry per key,
     written to a temp file and renamed over — the rename is the commit
-    point); segment bytes orphaned by overwrites are reclaimed only by
+    point) unless the session changed nothing; segment bytes orphaned by overwrites are reclaimed only by
     [segments/*] deletion alongside a fresh manifest, which the store
     never does on its own.
 
@@ -56,8 +71,9 @@
     under the other ({!parse_line}, {!render_line}).
 
     {b Concurrency.}  All operations are safe from concurrent threads
-    and domains of one process (per-segment mutexes for value I/O, one
-    mutex each for the manifest and the index).  The index is a
+    and domains of one process (per-segment mutexes for value I/O and
+    the mapping's lifetime, one mutex each for the manifest and the
+    index).  The index is a
     {!Key.Tbl}, the table type the serve cache's shards use too.  The
     store is not coordinated across processes — one writer process at
     a time. *)
@@ -133,7 +149,8 @@ type stats = {
 
 val open_ : ?segments:int -> string -> t
 (** [open_ dir] creates [dir] (and [dir/segments]) if missing, replays
-    the manifest, and opens the segments for append.  [segments]
+    the manifest, and opens and maps the existing segments (a segment
+    file is created at its first put).  [segments]
     (default 16, clamped to ≥ 1) is fixed at directory creation: an
     existing store keeps the shard count it was created with.  Raises
     [Sys_error] when the directory cannot be created or opened. *)
@@ -167,10 +184,12 @@ val iter : t -> (Key.t -> meta -> unit) -> unit
 val stats : t -> stats
 
 val flush : t -> unit
-(** Flush segment and manifest channels (puts already flush; this is a
-    belt for long idle periods). *)
+(** Flush the manifest channel (puts already flush, and segment writes
+    are unbuffered; this is a belt for long idle periods). *)
 
 val close : t -> unit
-(** Compact the manifest (write-temp-then-rename) and close every
-    channel.  Idempotent; operations other than {!stats}, {!flush} and
+(** Compact the manifest (write-temp-then-rename), unmap the segments
+    and close every descriptor.  A session that put nothing, dropped no
+    corrupt entry, and replayed one well-formed line per live key
+    leaves the manifest as it was, bytes and inode.  Idempotent; operations other than {!stats}, {!flush} and
     {!close} raise [Invalid_argument] on a closed store. *)

@@ -3,7 +3,8 @@
 # directory with an unreadable "document" (a directory named *.html)
 # must leave stdout byte-for-byte identical — the failure is reported
 # on stderr and counted in the summary, and every healthy document's
-# JSONL line is unchanged.
+# JSONL line is unchanged.  Also: SIGPIPE hygiene of both producers,
+# and wqi_extract given a directory as its FILE exits 2.
 set -euo pipefail
 
 batch=$1
@@ -70,3 +71,18 @@ if [ "$bstat" -ne 0 ]; then
 fi
 
 echo "sigpipe hygiene ok: producers exit 0 into an early-closing reader"
+
+# A directory named as wqi_extract's FILE is a bad argument like any
+# other: exit 2 with a one-line message, not an uncaught exception.
+set +e
+"$extract" "$work/docs" >/dev/null 2>"$work/dir.err"
+dstat=$?
+set -e
+if [ "$dstat" -ne 2 ] || [ "$(wc -l <"$work/dir.err")" -ne 1 ]; then
+  echo "wqi_extract DIR: exited $dstat (want 2) with:" >&2
+  cat "$work/dir.err" >&2
+  exit 1
+fi
+grep -q 'is a directory' "$work/dir.err"
+
+echo "bad FILE ok: a directory exits 2 with one line"

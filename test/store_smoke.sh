@@ -11,8 +11,10 @@
 #     which re-extracts exactly that document, and the crawl after it
 #     is fully warm again;
 #   - wqi_batch --store runs twice over the same directory with
-#     byte-identical stdout, the second run all store hits, and
-#     re-extracts exactly the one document we then touch;
+#     byte-identical stdout, the second run all store hits; a segment
+#     cut mid-value re-extracts exactly the entries past the cut, with
+#     stdout still byte-identical; and it re-extracts exactly the one
+#     document we then touch;
 #   - a torn manifest tail (a crashed writer's final line) is dropped
 #     on reopen and the store stays fully usable;
 #   - a poisoned document fails in isolation and lands in --errors-json.
@@ -83,6 +85,32 @@ grep -q "store: 0 hits, $total new, 0 re-extracted" "$work/cold.err"
   >"$work/resumed.jsonl" 2>"$work/resumed.err"
 grep -q "store: $total hits, 0 new, 0 re-extracted" "$work/resumed.err"
 cmp "$work/cold.jsonl" "$work/resumed.jsonl"
+
+# A segment cut mid-value between runs: the entries whose bytes lie
+# past the cut read as misses and are extracted again, the rest are
+# hits, and stdout is still byte-identical to the cold run.  Cut the
+# lowest-numbered segment's middle entry (the manifest is compacted
+# into segment/offset order) halfway through its value.
+seg=$(head -n 1 "$work/bstore/manifest.jsonl" | sed -n 's/.*"seg":\([0-9]*\).*/\1/p')
+grep "\"seg\":$seg," "$work/bstore/manifest.jsonl" >"$work/seg.jsonl"
+mid=$(( ($(wc -l <"$work/seg.jsonl") + 1) / 2 ))
+line=$(sed -n "${mid}p" "$work/seg.jsonl")
+off=$(printf '%s' "$line" | sed -n 's/.*"off":\([0-9]*\).*/\1/p')
+len=$(printf '%s' "$line" | sed -n 's/.*"bytes":\([0-9]*\).*/\1/p')
+cut=$((off + len / 2))
+past=0
+while read -r l; do
+  o=$(printf '%s' "$l" | sed -n 's/.*"off":\([0-9]*\).*/\1/p')
+  b=$(printf '%s' "$l" | sed -n 's/.*"bytes":\([0-9]*\).*/\1/p')
+  if [ $((o + b)) -gt "$cut" ]; then past=$((past + 1)); fi
+done <"$work/seg.jsonl"
+truncate -s "$cut" "$(printf '%s/bstore/segments/seg-%03d.dat' "$work" "$seg")"
+"$batch" --jobs 2 --store "$work/bstore" "$work/docs" \
+  >"$work/cut.jsonl" 2>"$work/cut.err"
+grep -q "store: $((total - past)) hits, $past new, 0 re-extracted" \
+  "$work/cut.err"
+cmp "$work/cold.jsonl" "$work/cut.jsonl"
+echo "batch ok: segment cut mid-value, $past entries past it re-extracted"
 
 # Touching one document's bytes re-extracts that document only.
 printf '\n<!-- revised -->\n' >>"$work/docs/doc-00000.html"

@@ -36,6 +36,15 @@ let meta =
 
 let key_of i = Key.make ~html:(Printf.sprintf "<form>doc %d</form>" i) ~spec:"s"
 
+let seg0 dir = Filename.concat (Filename.concat dir "segments") "seg-000.dat"
+
+(* Overwrite the byte at [off] of segment 0 with an 'X'. *)
+let poke dir off =
+  let fd = Unix.openfile (seg0 dir) [ Unix.O_WRONLY ] 0o644 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write_substring fd "X" 0 1);
+  Unix.close fd
+
 (* --- keying ------------------------------------------------------- *)
 
 (* The FNV-1a/64 chain is pinned by constant: a silent change to the
@@ -654,6 +663,46 @@ let test_alloc_ceilings () =
     (Printf.sprintf "Store.parse_line allocates <= 101 words (got %.0f)" w_line)
     true (w_line <= 101.)
 
+(* Every word one call of [f] allocates, on the minor heap or straight
+   on the major one (as a string over 256 words is).  [Gc.counters]
+   allocates, so it is read outside the minor-words window; its minor
+   count lags, so the window is read with [Gc.minor_words]. *)
+let words f =
+  let major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = major () in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let w1 = Gc.minor_words () in
+  w1 -. w0 +. (major () -. m0)
+
+(* A hit on a mapped entry copies the value once, into the string it
+   returns (n / 8 + 1 words and a header for n bytes), and allocates 11
+   words of options and tuple beside it: no buffer, no second copy. *)
+let test_alloc_mapped_hit () =
+  let dir = temp_dir () in
+  let small = String.make 100 's' and large = String.make 100_000 'l' in
+  let st = Store.open_ dir in
+  Store.put st (key_of 1) ~meta small;
+  Store.put st (key_of 2) ~meta large;
+  Store.close st;
+  let st = Store.open_ dir in
+  List.iter
+    (fun (k, v) ->
+       ignore (Store.find st k);
+       let w = words (fun () -> Store.find st k) in
+       let value_words = float (1 + (String.length v / 8) + 1) in
+       Alcotest.(check bool)
+         (Printf.sprintf "hit on a %d B value allocates <= %.0f + 12 words \
+                          (got %.0f)"
+            (String.length v) value_words w)
+         true
+         (w <= value_words +. 12.))
+    [ (key_of 1, small); (key_of 2, large) ];
+  Store.close st
+
 (* --- store lifecycle ---------------------------------------------- *)
 
 let test_put_find_roundtrip () =
@@ -795,17 +844,154 @@ let test_corrupt_value_is_a_miss () =
   let st = Store.open_ ~segments:1 dir in
   Store.put st (key_of 1) ~meta "precious bytes";
   Store.close st;
-  let seg = Filename.concat (Filename.concat dir "segments") "seg-000.dat" in
-  let fd = Unix.openfile seg [ Unix.O_WRONLY ] 0o644 in
-  ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  ignore (Unix.write_substring fd "X" 0 1);
-  Unix.close fd;
+  poke dir 0;
   let st = Store.open_ dir in
   Alcotest.(check bool) "indexed at replay" true (Store.mem st (key_of 1));
   Alcotest.(check (option string)) "corrupt value misses" None
     (Store.find st (key_of 1));
   Alcotest.(check int) "corruption counted" 1 (Store.stats st).Store.corrupt;
   Alcotest.(check bool) "entry dropped" false (Store.mem st (key_of 1));
+  Store.close st
+
+(* --- the read path: mapped bytes and the session's tail ------------- *)
+
+(* A value put in this session lies past the segment's mapping and is
+   read with pread; after a reopen the same bytes are mapped. *)
+let test_tail_then_mapped () =
+  let dir = temp_dir () in
+  let value i = String.make (100 + (i * 37)) (Char.chr (97 + (i mod 26))) in
+  let st = Store.open_ ~segments:1 dir in
+  for i = 0 to 9 do
+    Store.put st (key_of i) ~meta (value i);
+    Alcotest.(check (option string)) "tail value readable at once"
+      (Some (value i)) (Store.find st (key_of i))
+  done;
+  Store.close st;
+  let st = Store.open_ dir in
+  for i = 10 to 19 do Store.put st (key_of i) ~meta (value i) done;
+  for i = 0 to 19 do
+    Alcotest.(check (option string))
+      (Printf.sprintf "value %d (%s)" i (if i < 10 then "mapped" else "tail"))
+      (Some (value i)) (Store.find st (key_of i))
+  done;
+  Store.close st;
+  let st = Store.open_ dir in
+  for i = 0 to 19 do
+    Alcotest.(check (option string)) "mapped after reopen" (Some (value i))
+      (Store.find st (key_of i))
+  done;
+  Alcotest.(check int) "no corruption" 0 (Store.stats st).Store.corrupt;
+  Store.close st
+
+(* A segment cut short between sessions: the entries whose bytes now
+   lie past its end read as misses, each counted corrupt once, and the
+   ones before the cut still verify. *)
+let test_truncated_segment () =
+  let dir = temp_dir () in
+  let st = Store.open_ ~segments:1 dir in
+  for i = 0 to 3 do Store.put st (key_of i) ~meta (String.make 1000 'v') done;
+  Store.close st;
+  Unix.truncate (seg0 dir) 2500;  (* mid-value 2; value 3 wholly past *)
+  let st = Store.open_ dir in
+  Alcotest.(check (option string)) "value 2 (cut) misses" None
+    (Store.find st (key_of 2));
+  Alcotest.(check int) "the cut value counted corrupt" 1
+    (Store.stats st).Store.corrupt;
+  Alcotest.(check (option string)) "value 3 (past the end) misses" None
+    (Store.find st (key_of 3));
+  for i = 0 to 1 do
+    Alcotest.(check (option string)) "value before the cut"
+      (Some (String.make 1000 'v')) (Store.find st (key_of i))
+  done;
+  let s = Store.stats st in
+  Alcotest.(check int) "both counted corrupt" 2 s.Store.corrupt;
+  Alcotest.(check int) "entries left" 2 s.Store.entries;
+  (* The next put lands at the cut end and reads back whole. *)
+  Store.put st (key_of 3) ~meta "re-extracted";
+  Alcotest.(check (option string)) "re-put after the cut"
+    (Some "re-extracted") (Store.find st (key_of 3));
+  Store.close st
+
+(* MAP_SHARED: a byte of a mapped value overwritten while the store is
+   open is seen by the next read, which fails its CRC. *)
+let test_mapped_overwrite_is_a_miss () =
+  let dir = temp_dir () in
+  let st = Store.open_ ~segments:1 dir in
+  Store.put st (key_of 1) ~meta "precious bytes";
+  Store.close st;
+  let st = Store.open_ dir in
+  Alcotest.(check (option string)) "mapped value verifies"
+    (Some "precious bytes") (Store.find st (key_of 1));
+  poke dir 3;
+  Alcotest.(check (option string)) "overwritten value misses" None
+    (Store.find st (key_of 1));
+  Alcotest.(check int) "corruption counted" 1 (Store.stats st).Store.corrupt;
+  Store.close st
+
+(* Readers on three domains over mapped and tail entries, while a
+   fourth appends new ones to the same segments: every value any of
+   them reads is whole. *)
+let test_readers_during_appends () =
+  let dir = temp_dir () in
+  let value i = Printf.sprintf "%d:%s" i (String.make (i mod 300) 'x') in
+  let st = Store.open_ ~segments:4 dir in
+  for i = 0 to 199 do Store.put st (key_of i) ~meta (value i) done;
+  Store.close st;
+  let st = Store.open_ dir in
+  for i = 200 to 299 do Store.put st (key_of i) ~meta (value i) done;
+  let bad = Atomic.make 0 in
+  let g =
+    Pool.Group.spawn ~jobs:4 (fun m ->
+        if m = 0 then
+          for i = 300 to 599 do Store.put st (key_of i) ~meta (value i) done
+        else
+          for pass = 0 to 4 do
+            for i = 0 to 599 do
+              (* Keys from 300 are being put: a miss there is a race,
+                 not a fault. *)
+              let j = (i + (pass * 97) + m) mod 600 in
+              match Store.find st (key_of j) with
+              | Some v -> if v <> value j then Atomic.incr bad
+              | None -> if j < 300 then Atomic.incr bad
+            done
+          done)
+  in
+  Pool.Group.join g;
+  Alcotest.(check int) "every value read whole" 0 (Atomic.get bad);
+  Alcotest.(check int) "no corruption" 0 (Store.stats st).Store.corrupt;
+  for i = 0 to 599 do
+    Alcotest.(check (option string)) "value after the run" (Some (value i))
+      (Store.find st (key_of i))
+  done;
+  Store.close st
+
+(* A session that only reads leaves the manifest alone, same bytes and
+   same inode; one that drops a corrupt entry rewrites it. *)
+let test_read_only_close () =
+  let dir = temp_dir () in
+  let manifest = Filename.concat dir "manifest.jsonl" in
+  let st = Store.open_ ~segments:1 dir in
+  for i = 0 to 9 do Store.put st (key_of i) ~meta (Printf.sprintf "v%d" i) done;
+  Store.close st;
+  let state () =
+    ( In_channel.with_open_bin manifest In_channel.input_all,
+      (Unix.stat manifest).Unix.st_ino )
+  in
+  let before = state () in
+  let st = Store.open_ dir in
+  for i = 0 to 10 do ignore (Store.find st (key_of i)) done;
+  Store.close st;
+  Alcotest.(check bool) "read-only session: bytes and inode kept" true
+    (state () = before);
+  poke dir 0;
+  let st = Store.open_ dir in
+  Alcotest.(check (option string)) "corrupt value misses" None
+    (Store.find st (key_of 0));
+  Store.close st;
+  Alcotest.(check bool) "dropping an entry rewrites" true
+    (snd (state ()) <> snd before);
+  let st = Store.open_ dir in
+  Alcotest.(check int) "rewritten without it" 9 (Store.stats st).Store.entries;
   Store.close st
 
 let test_concurrent_writers () =
@@ -1143,6 +1329,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_codec_matches_reference;
     ("manifest codec: number and escape edges", `Quick, test_codec_edges);
     ("allocation ceilings: key, crc, signature", `Quick, test_alloc_ceilings);
+    ("allocation ceiling: mapped store hit, 100 B and 100 KB", `Quick,
+     test_alloc_mapped_hit);
     ("store written by the old key and CRC code replays", `Quick,
      test_compat_store_replays);
     ("put/find round-trip", `Quick, test_put_find_roundtrip);
@@ -1154,6 +1342,16 @@ let suite =
     ("replay across 64 KiB blocks, blank and CRLF lines", `Quick,
      test_replay_blocks);
     ("corrupt value reads as a miss", `Quick, test_corrupt_value_is_a_miss);
+    ("session tail readable at once, mapped after reopen", `Quick,
+     test_tail_then_mapped);
+    ("segment cut between sessions: misses past the cut", `Quick,
+     test_truncated_segment);
+    ("mapped value overwritten while open reads as a miss", `Quick,
+     test_mapped_overwrite_is_a_miss);
+    ("readers over mapped and tail entries during appends", `Quick,
+     test_readers_during_appends);
+    ("read-only session leaves the manifest untouched", `Quick,
+     test_read_only_close);
     ("concurrent pool writers", `Quick, test_concurrent_writers);
     ("resumed pass >= 1.5x faster than cold (120 docs)", `Quick,
      test_resume_faster_than_cold);
