@@ -4,7 +4,10 @@
 
    Usage: main.exe [--json FILE] [--smoke] [section ...]
    Sections: fig4a fig4b fig15 perf batch120 ablation-ambiguity
-             ablation-components baseline.  No arguments = all.
+             ablation-components baseline refinement derivation
+             clustering.  No arguments = all of these.  The opt-in
+             section layers (per-layer us and minor words per document
+             of the ingest-cold path) runs only when named.
 
    --json FILE writes the measurements of the perf and batch120 sections
    (Bechamel OLS ns/run per size, the lowest of 5 fits on full runs,
@@ -732,6 +735,149 @@ let clustering () =
     [ 0.15; 0.25; 0.35; 0.50 ]
 
 (* ------------------------------------------------------------------ *)
+(* Per-layer cost of the ingest path (opt-in)                          *)
+(* ------------------------------------------------------------------ *)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+
+(* The layers of one ingest-cold document, in pipeline order: each is
+   timed on its own, over chunks of documents whose inputs the layer
+   before it produced. *)
+let layer_names =
+  [| "html"; "layout"; "classify"; "parse"; "merge"; "export"; "quality";
+     "key"; "store.put" |]
+
+(* Best-of-passes microseconds and minor words per document for each
+   layer over the benchmark's ingest-cold mix: 3000 seeded generator
+   forms over every vocabulary domain, half Simple half Rich, 10%
+   out-of-grammar, 20% section headers (seed 1, the ingest-cold salt).
+   As in perfbench, each layer's time is the sum over chunks of its
+   fastest pass on that chunk: a host whose speed switches within a
+   pass still yields its fast figure.  Each pass puts into a fresh
+   store under the temporary directory.  Export and quality read an
+   extraction made outside the timed regions; each layer's words include its share of the per-chunk
+   result arrays (one word per document). *)
+let layers () =
+  header
+    "Per-layer cost of the ingest-cold path (us/doc best of passes,\n\
+     minor words/doc)";
+  let module Prng = Wqi_corpus.Prng in
+  let module Extractor = Wqi_core.Extractor in
+  let module Quality = Wqi_quality.Quality in
+  let module Key = Wqi_store.Key in
+  let module Store = Wqi_store.Store in
+  let now = Wqi_budget.Budget.now_s in
+  let n = 3000 and passes = 9 and chunk = 100 in
+  let g = Prng.create (Int64.logxor 1L 0xC01DL) in
+  let docs =
+    Array.init n (fun i ->
+        let domain = Prng.pick g Wqi_corpus.Vocabulary.all in
+        let complexity = if Prng.bernoulli g 0.5 then `Simple else `Rich in
+        Generator.generate g ~id:(Printf.sprintf "doc-%05d" i) ~domain
+          ~complexity ~oog_prob:0.1 ~header_prob:0.2 ())
+  in
+  let config = Extractor.Config.default in
+  let pack = config.Extractor.Config.grammar in
+  let options = config.Extractor.Config.options in
+  let width = config.Extractor.Config.width in
+  let grammar_id = Quality.grammar_id pack in
+  let spec (s : Generator.source) =
+    Key.spec ~grammar_name:pack.Engine.name
+      ~grammar_version:pack.Engine.version ~name:s.id
+      config.Extractor.Config.budget
+  in
+  let nl = Array.length layer_names in
+  let nchunks = (n + chunk - 1) / chunk in
+  let best = Array.make_matrix nl nchunks infinity in
+  let words = Array.make nl 0. in
+  let base =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wqi-layers-%d" (Unix.getpid ()))
+  in
+  for pass = 1 to passes do
+    let wds = Array.make nl 0. in
+    let i = ref 0 in
+    let timed k f =
+      let w0 = Gc.minor_words () in
+      let t0 = now () in
+      let v = f () in
+      let t1 = now () in
+      wds.(k) <- wds.(k) +. (Gc.minor_words () -. w0);
+      let b = best.(k) and ci = !i / chunk in
+      b.(ci) <- Float.min b.(ci) (t1 -. t0);
+      v
+    in
+    let dir = Printf.sprintf "%s-%d" base pass in
+    let st = Store.open_ dir in
+    Fun.protect ~finally:(fun () -> Store.close st; rm_rf dir) @@ fun () ->
+    while !i < n do
+      let c = Array.sub docs !i (Int.min chunk (n - !i)) in
+      let doms =
+        timed 0 (fun () ->
+            Array.map (fun (s : Generator.source) -> Wqi_html.Parser.parse s.html) c)
+      in
+      let atoms =
+        timed 1 (fun () -> Array.map (Wqi_layout.Engine.render ~width) doms)
+      in
+      let tokens = timed 2 (fun () -> Array.map Tokenize.of_atoms atoms) in
+      let results =
+        timed 3 (fun () -> Array.map (Engine.parse ~options pack) tokens)
+      in
+      ignore
+        (timed 4 (fun () -> Array.map2 Extractor.merge_trees tokens results));
+      let es =
+        Array.map (fun t -> Extractor.run config (Extractor.Tokens t)) tokens
+      in
+      let bytes =
+        timed 5 (fun () ->
+            Array.map2
+              (fun (s : Generator.source) e ->
+                 Extractor.export ~timings:false ~name:s.id e)
+              c es)
+      in
+      let quality =
+        timed 6 (fun () ->
+            Array.map2
+              (fun (s : Generator.source) e ->
+                 Quality.of_extraction ~source:s.id ~grammar:grammar_id e)
+              c es)
+      in
+      let keys =
+        timed 7 (fun () ->
+            Array.map
+              (fun (s : Generator.source) -> Key.make ~html:s.html ~spec:(spec s))
+              c)
+      in
+      timed 8 (fun () ->
+          Array.iteri
+            (fun j k ->
+               Store.put st k ~meta:(Quality.to_meta quality.(j)) bytes.(j))
+            keys);
+      i := !i + chunk
+    done;
+    Array.blit wds 0 words 0 nl
+  done;
+  let best = Array.map (Array.fold_left ( +. ) 0.) best in
+  let per_doc x = x /. float_of_int n in
+  note "%d documents, best of %d passes" n passes;
+  Format.printf "  %-10s %10s %14s@." "layer" "us/doc" "minor words/doc";
+  Array.iteri
+    (fun k name ->
+       Format.printf "  %-10s %10.2f %14.0f@." name
+         (1e6 *. per_doc best.(k))
+         (per_doc words.(k)))
+    layer_names;
+  Format.printf "  %-10s %10.2f %14.0f@." "sum"
+    (1e6 *. per_doc (Array.fold_left ( +. ) 0. best))
+    (per_doc (Array.fold_left ( +. ) 0. words))
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -741,6 +887,9 @@ let sections =
     ("ablation-components", ablation_components); ("baseline", baseline);
     ("refinement", refinement); ("derivation", derivation);
     ("clustering", clustering) ]
+
+(* Run only when named: not part of the default "all sections" run. *)
+let opt_in_sections = [ ("layers", layers) ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON regression record (--json)                                     *)
@@ -853,11 +1002,11 @@ let () =
   in
   List.iter
     (fun name ->
-       match List.assoc_opt name sections with
+       match List.assoc_opt name (sections @ opt_in_sections) with
        | Some f -> f ()
        | None ->
          Format.eprintf "unknown section %s; available: %s@." name
-           (String.concat ", " (List.map fst sections));
+           (String.concat ", " (List.map fst (sections @ opt_in_sections)));
          exit 1)
     requested;
   match json with None -> () | Some file -> write_json file

@@ -320,7 +320,7 @@ let export ?(timings = true) ~name ?url e =
     let field ?(first = false) key = E.add_field b ~first key in
     let int ?first key v =
       field ?first key;
-      Buffer.add_string b (Int.to_string v)
+      E.add_int b v
     in
     let bool key v =
       field key;
@@ -364,6 +364,6 @@ let export ?(timings = true) ~name ?url e =
     int "rounds" d.consumption.rounds;
     Buffer.add_char b '}'
   in
-  let b = Buffer.create 1024 in
+  let b = Buffer.create (E.size_hint ~name ?url e.model) in
   E.add_extraction b ~name ?url ~diagnostics ~outcome:e.outcome e.model;
   Buffer.contents b

@@ -127,6 +127,13 @@ val load_grammar :
     malformed file, failed validation) come back as one printable
     [file:line:col]-prefixed string. *)
 
+val merge_trees :
+  Wqi_token.Token.t list -> Wqi_parser.Engine.result ->
+  Wqi_model.Semantic_model.t * Wqi_grammar.Instance.t list
+(** The merge stage of {!run} on its own: the semantic model of a
+    parse's maximal trees over [tokens], and the trees that yield at
+    least one condition.  Exposed for per-stage measurement. *)
+
 val failed : ?stage:Wqi_budget.Budget.stage -> string -> extraction
 (** [failed msg] is an empty extraction with [outcome = Failed _]; for
     drivers that must represent errors arising outside [run] (e.g. a

@@ -152,19 +152,24 @@ let equal a b =
 
 let strict_subset a b = subset a b && not (equal a b)
 
-let elements t =
-  let acc = ref [] in
-  (match t with
-   | Small { size; bits } ->
-     for i = size - 1 downto 0 do
-       if bits land (1 lsl i) <> 0 then acc := i :: !acc
-     done
-   | Big { size; words } ->
-     for i = size - 1 downto 0 do
-       let w = i / bits_per_word and b = i mod bits_per_word in
-       if words.(w) land (1 lsl b) <> 0 then acc := i :: !acc
-     done);
-  !acc
+(* The set bits of [x], ascending and offset by [base], in front of
+   [tail]: one step per member, not per universe position.  The lowest
+   set bit [low] sits at [popcount (low - 1)], the top (sign) bit
+   included. *)
+let rec word_elements x base tail =
+  if x = 0 then tail
+  else
+    let low = x land -x in
+    (base + popcount (low - 1)) :: word_elements (x lxor low) base tail
+
+let elements = function
+  | Small { bits; _ } -> word_elements bits 0 []
+  | Big { words; _ } ->
+    let acc = ref [] in
+    for w = Array.length words - 1 downto 0 do
+      acc := word_elements (Array.unsafe_get words w) (w * bits_per_word) !acc
+    done;
+    !acc
 
 let of_list n items = List.fold_left add (empty n) items
 

@@ -118,16 +118,20 @@ let conditions inst =
 
 let tokens inst = Bitset.elements inst.cover
 
-let collect_conditions inst =
-  let out = ref [] in
-  let rec go inst =
-    match inst.sem with
-    | S_cond c -> out := (c, tokens inst) :: !out
-    | S_none | S_str _ | S_ops _ | S_domain _ | S_conds _ ->
-      List.iter go inst.children
-  in
-  go inst;
-  List.rev !out
+(* Built front to back in front of [tail], so the list needs no
+   reversal and the walk no closure. *)
+let rec conditions_onto inst tail =
+  match inst.sem with
+  | S_cond c -> (c, tokens inst) :: tail
+  | S_none | S_str _ | S_ops _ | S_domain _ | S_conds _ ->
+    children_onto inst.children tail
+
+and children_onto children tail =
+  match children with
+  | [] -> tail
+  | c :: rest -> conditions_onto c (children_onto rest tail)
+
+let collect_conditions inst = conditions_onto inst []
 
 let rec count_conditions inst =
   match inst.sem with

@@ -40,7 +40,7 @@ let max_span_bands = 8
 
 type t = {
   mutable bands : band array;  (* dense, indexed by clamped band number *)
-  mutable nbands : int;        (* bands allocated so far (array prefix) *)
+  mutable nbands : int;  (* bands in use (array prefix); the rest are empty *)
   tall : band;
   alive : int -> bool;
   mutable added : int;  (* instances registered since the last sweep *)
@@ -53,11 +53,16 @@ let create ~alive =
 
 (* Emptying for reuse keeps the band arrays (entries are plain ints, so
    a stale tail pins nothing) — a pooled per-symbol index costs zero
-   allocation per parse in the steady state. *)
+   allocation per parse in the steady state.  Every band at or past
+   [nbands] is empty (only [band_at] hands out bands, and it raises
+   [nbands] past them first), so a reset empties the bands in use and
+   drops [nbands] to 0: the next parse pays for the bands it touches,
+   not for the tallest page the index ever held. *)
 let reset t =
   for bk = 0 to t.nbands - 1 do
     t.bands.(bk).len <- 0
   done;
+  t.nbands <- 0;
   t.tall.len <- 0;
   t.added <- 0;
   t.dead <- 0

@@ -15,31 +15,53 @@ let make ?(operators = []) ~attribute domain =
 
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
 
+(* The normalized label is the words of [s] (runs of non-space bytes),
+   lowercased and joined by one space, with trailing label punctuation
+   (and any space this exposes) stripped: "Author:" and "Author" must
+   agree.  That is the words of [s.[0 .. e)], where [e] is one past the
+   last byte that is neither a space nor ':', '?', '*' or '.', so the
+   length is known before a byte is written and the label is built in
+   one exact-size string. *)
+let rec label_end s i =
+  if i = 0 then 0
+  else
+    match String.unsafe_get s (i - 1) with
+    | ' ' | '\t' | '\n' | '\r' | ':' | '?' | '*' | '.' -> label_end s (i - 1)
+    | _ -> i
+
+let normalized_length s =
+  let e = label_end s (String.length s) in
+  let n = ref 0 in
+  for i = 0 to e - 1 do
+    let c = String.unsafe_get s i in
+    if not (is_space c) then begin
+      (* a word after the first is preceded by its one space *)
+      if !n > 0 && i > 0 && is_space (String.unsafe_get s (i - 1)) then incr n;
+      incr n
+    end
+  done;
+  !n
+
+let blit_normalized s b off =
+  let e = label_end s (String.length s) in
+  let j = ref off in
+  for i = 0 to e - 1 do
+    let c = String.unsafe_get s i in
+    if not (is_space c) then begin
+      if !j > off && i > 0 && is_space (String.unsafe_get s (i - 1)) then begin
+        Bytes.unsafe_set b !j ' ';
+        incr j
+      end;
+      Bytes.unsafe_set b !j (Char.lowercase_ascii c);
+      incr j
+    end
+  done;
+  !j
+
 let normalize_label s =
-  let b = Buffer.create (String.length s) in
-  let pending_space = ref false in
-  String.iter
-    (fun c ->
-       if is_space c then begin
-         if Buffer.length b > 0 then pending_space := true
-       end else begin
-         if !pending_space then Buffer.add_char b ' ';
-         pending_space := false;
-         Buffer.add_char b (Char.lowercase_ascii c)
-       end)
-    s;
-  let s = Buffer.contents b in
-  (* Strip trailing label punctuation (and any space this exposes):
-     "Author:" and "Author" must agree. *)
-  let n = String.length s in
-  let rec last i =
-    if i > 0
-    && (s.[i - 1] = ':' || s.[i - 1] = '?' || s.[i - 1] = '*'
-        || s.[i - 1] = '.' || s.[i - 1] = ' ')
-    then last (i - 1)
-    else i
-  in
-  String.sub s 0 (last n)
+  let b = Bytes.create (normalized_length s) in
+  ignore (blit_normalized s b 0 : int);
+  Bytes.unsafe_to_string b
 
 let equal_attribute a b =
   normalize_label a.attribute = normalize_label b.attribute

@@ -30,8 +30,17 @@ val make : ?operators:string list -> attribute:string -> domain -> t
 
 val normalize_label : string -> string
 (** [normalize_label s] canonicalizes an attribute or operator label for
-    comparison: lowercase, trailing punctuation ([:], [?], [*]) removed,
-    internal whitespace collapsed. *)
+    comparison: lowercase, trailing punctuation ([:], [?], [*], [.])
+    removed, internal whitespace collapsed.  One allocation: the result. *)
+
+val normalized_length : string -> int
+(** [String.length (normalize_label s)], computed without building it. *)
+
+val blit_normalized : string -> Bytes.t -> int -> int
+(** [blit_normalized s b off] writes [normalize_label s] into [b] at
+    [off] and returns the offset past it; [b] must have
+    {!normalized_length}[ s] bytes free there.  Keys that embed labels
+    are built in one exact-size string this way. *)
 
 val equal_attribute : t -> t -> bool
 (** Attribute labels match after {!normalize_label}. *)

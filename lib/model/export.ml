@@ -6,31 +6,56 @@ module Budget = Wqi_budget.Budget
 
 let hex = "0123456789abcdef"
 
+(* The first index at or after [i] whose byte JSON must escape, or
+   [String.length s]. *)
+let rec plain_until s i =
+  if i >= String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> plain_until s (i + 1)
+
+(* From the escapable byte at [i] on: plain runs are copied one blit
+   each, each escapable byte as its escape. *)
+let rec add_escaped b s i =
+  let n = String.length s in
+  if i < n then begin
+    (match String.unsafe_get s i with
+     | '"' -> Buffer.add_string b "\\\""
+     | '\\' -> Buffer.add_string b "\\\\"
+     | '\n' -> Buffer.add_string b "\\n"
+     | '\r' -> Buffer.add_string b "\\r"
+     | '\t' -> Buffer.add_string b "\\t"
+     | c ->
+       Buffer.add_string b "\\u00";
+       Buffer.add_char b hex.[Char.code c lsr 4];
+       Buffer.add_char b hex.[Char.code c land 0xf]);
+    let j = plain_until s (i + 1) in
+    Buffer.add_substring b s (i + 1) (j - i - 1);
+    add_escaped b s j
+  end
+
+(* A string with nothing to escape — nearly every label — is one blit,
+   after one scan and no closure. *)
 let add_string b s =
   Buffer.add_char b '"';
-  (* Plain bytes are copied in runs, one blit per run. *)
-  let start = ref 0 in
-  let escape i e =
-    if i > !start then Buffer.add_substring b s !start (i - !start);
-    Buffer.add_string b e;
-    start := i + 1
-  in
-  for i = 0 to String.length s - 1 do
-    match String.unsafe_get s i with
-    | '"' -> escape i "\\\""
-    | '\\' -> escape i "\\\\"
-    | '\n' -> escape i "\\n"
-    | '\r' -> escape i "\\r"
-    | '\t' -> escape i "\\t"
-    | c when Char.code c < 0x20 ->
-      escape i "\\u00";
-      Buffer.add_char b hex.[Char.code c lsr 4];
-      Buffer.add_char b hex.[Char.code c land 0xf]
-    | _ -> ()
-  done;
-  let n = String.length s in
-  if n > !start then Buffer.add_substring b s !start (n - !start);
+  let i = plain_until s 0 in
+  Buffer.add_substring b s 0 i;
+  add_escaped b s i;
   Buffer.add_char b '"'
+
+(* Decimal digits straight into the buffer, no string per number. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (Int.to_string n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
 
 let add_field b ~first key =
   if not first then Buffer.add_string b ", ";
@@ -98,7 +123,7 @@ let add_error b (e : Semantic_model.error) =
   match e with
   | Semantic_model.Conflict (tok, x, y) ->
     Buffer.add_string b {|{"kind": "conflict", "token": |};
-    Buffer.add_string b (Int.to_string tok);
+    add_int b tok;
     Buffer.add_string b {|, "between": [|};
     add_string b x;
     Buffer.add_string b ", ";
@@ -106,7 +131,7 @@ let add_error b (e : Semantic_model.error) =
     Buffer.add_string b "]}"
   | Semantic_model.Missing (tok, descr) ->
     Buffer.add_string b {|{"kind": "missing", "token": |};
-    Buffer.add_string b (Int.to_string tok);
+    add_int b tok;
     Buffer.add_string b {|, "element": |};
     add_string b descr;
     Buffer.add_char b '}'
@@ -142,9 +167,9 @@ let add_trip b (t : Budget.trip) =
   Buffer.add_string b {|, "reason": |};
   add_string b (Budget.reason_name t.reason);
   Buffer.add_string b {|, "limit": |};
-  Buffer.add_string b (Int.to_string t.limit);
+  add_int b t.limit;
   Buffer.add_string b {|, "consumed": |};
-  Buffer.add_string b (Int.to_string t.consumed);
+  add_int b t.consumed;
   Buffer.add_char b '}'
 
 let trip t = render add_trip t
@@ -175,7 +200,7 @@ let add_cap b first name = function
   | None -> first
   | Some v ->
     add_field b ~first name;
-    Buffer.add_string b (Int.to_string v);
+    add_int b v;
     false
 
 let add_budget b (t : Budget.t) =
@@ -194,7 +219,7 @@ let extraction_version = 2
 
 let add_extraction b ~name ?url ?diagnostics ~outcome:o m =
   Buffer.add_string b {|{"wqi_extraction_version": |};
-  Buffer.add_string b (Int.to_string extraction_version);
+  add_int b extraction_version;
   Buffer.add_string b {|, "source": |};
   add_string b name;
   add_url b url;
@@ -210,8 +235,40 @@ let add_extraction b ~name ?url ?diagnostics ~outcome:o m =
      Buffer.add_char b '}');
   Buffer.add_char b '}'
 
+(* Above the bytes of every document of the generated corpora: the
+   envelope and a diagnostics object in 512, then each member with its
+   punctuation.  Only escapes can outgrow it. *)
+let rec domain_size = function
+  | Condition.Text | Condition.Datetime -> 24
+  | Condition.Range d -> 24 + domain_size d
+  | Condition.Enumeration vs -> values_size 48 vs
+
+and values_size acc = function
+  | [] -> acc
+  | v :: rest -> values_size (acc + 4 + String.length v) rest
+
+let rec conditions_size acc = function
+  | [] -> acc
+  | (c : Condition.t) :: rest ->
+    conditions_size
+      (acc + 56 + String.length c.attribute + values_size 0 c.operators
+       + domain_size c.domain)
+      rest
+
+let rec errors_size acc = function
+  | [] -> acc
+  | Semantic_model.Conflict (_, x, y) :: rest ->
+    errors_size (acc + 48 + String.length x + String.length y) rest
+  | Semantic_model.Missing (_, d) :: rest ->
+    errors_size (acc + 48 + String.length d) rest
+
+let size_hint ~name ?url (m : Semantic_model.t) =
+  512 + String.length name
+  + (match url with Some u -> 12 + String.length u | None -> 0)
+  + conditions_size 0 m.conditions + errors_size 0 m.errors
+
 let extraction ~name ?url ~outcome m =
-  let b = Buffer.create 1024 in
+  let b = Buffer.create (size_hint ~name ?url m) in
   add_extraction b ~name ?url ~outcome m;
   Buffer.contents b
 

@@ -88,8 +88,16 @@ val add_field : Buffer.t -> first:bool -> string -> unit
 (** [add_field b ~first key] writes an object member's key and colon,
     preceded by the [", "] separator unless [first]. *)
 
+val add_int : Buffer.t -> int -> unit
+(** [Buffer.add_string b (Int.to_string n)], without the string. *)
+
 val add_budget : Buffer.t -> Wqi_budget.Budget.t -> unit
 (** {!budget}. *)
+
+val size_hint : name:string -> ?url:string -> Semantic_model.t -> int
+(** A buffer size that holds the {!extraction} of [m] with a
+    diagnostics object, so the buffer is not regrown on the way (over
+    3000 generated forms it is never short, and about 10% long). *)
 
 val add_extraction :
   Buffer.t ->

@@ -24,7 +24,9 @@ val merge :
     parses (deduplicating equivalent conditions), detects conflicts, and
     reports as missing every token of [tokens] whose [id] no parse
     covers and that is not deemed [ignorable] (the default ignores
-    nothing).  Missing reports follow the order of [tokens].
+    nothing).  Missing reports follow the order of [tokens].  Token ids
+    are non-negative (a universe's token positions): the merge records
+    claims and coverage in per-call arrays indexed by them.
 
     Error text is produced on demand: [describe] is called once for each
     token reported missing and for no other, and a condition's

@@ -262,22 +262,31 @@ let token_cover t id =
 
 (* Bulk reset: clear lengths, drop every boxed-instance reference (a
    reused slot must not pin last parse's trees), zero the watermarks and
-   flags.  Int scratch (coordinates, id maps, probe buffers) is left
-   stale — nothing reads past the freshly-zeroed lengths. *)
+   flags.  Only what the parse touched is cleared: a column nothing was
+   pushed to has nothing registered, indexed or sized, and a binding
+   row whose slot 0 still holds the filler was never bound (every
+   production has a slot 0, and the enumeration binds it before any
+   other).  Int scratch
+   (coordinates, id maps, probe buffers) is left stale — nothing reads
+   past the freshly-zeroed lengths. *)
 let reset t =
   Array.iter
     (fun col ->
        if col.len > 0 then begin
          Array.fill col.inst 0 col.len t.filler;
-         col.len <- 0
-       end;
-       col.indexed <- 0;
-       col.max_w <- 0;
-       col.max_h <- 0;
-       Spatial_index.reset col.index)
+         col.len <- 0;
+         col.max_w <- 0;
+         col.max_h <- 0;
+         if col.indexed > 0 then begin
+           col.indexed <- 0;
+           Spatial_index.reset col.index
+         end
+       end)
     t.cols;
   Array.iter
-    (fun row -> Array.fill row 0 (Array.length row) t.filler)
+    (fun row ->
+       if row.(0) != t.filler then
+         Array.fill row 0 (Array.length row) t.filler)
     t.chosen;
   Array.fill t.marks 0 (Array.length t.marks) 0;
   Bytes.fill t.deltas 0 (Bytes.length t.deltas) '\000'

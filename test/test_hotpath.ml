@@ -321,6 +321,264 @@ let prop_date_combo =
          (Lexicon.plausible_date_combo lists)
          (old_plausible_date_combo lists))
 
+(* The text classifiers and splitters as they were before they worked
+   on index bounds: trim, lowercase and [String.sub] copies, naive
+   substring scans over the keyword list. *)
+let old_operator_keywords =
+  [ "contain"; "start"; "begin"; "end with"; "ends with"; "exact";
+    "equal"; "match"; "is exactly"; "keyword"; "phrase"; "all of";
+    "any of"; "at least"; "at most"; "greater"; "less"; "more than";
+    "fewer"; "before"; "after"; "between"; "similar"; "like";
+    "first name"; "last name"; "initials"; "whole word"; "substring";
+    "prefix"; "suffix" ]
+
+let old_is_operator_phrase s =
+  let s = String.lowercase_ascii (String.trim s) in
+  s <> ""
+  && List.exists
+       (fun kw -> old_contains_substring ~needle:kw s)
+       old_operator_keywords
+
+let old_all_operator_options options =
+  List.length options >= 2 && List.for_all old_is_operator_phrase options
+
+let old_is_bound_marker w =
+  List.mem (old_strip_label_punctuation w) bound_markers
+
+let old_is_unit_word w = List.mem (old_strip_label_punctuation w) unit_words
+
+let old_split_unit_prefix s =
+  let s = String.trim s in
+  match String.index_opt s ' ' with
+  | None -> None
+  | Some i ->
+    let first = String.sub s 0 i in
+    let rest = String.trim (String.sub s i (String.length s - i)) in
+    if not (old_is_unit_word first) || rest = "" then None
+    else begin
+      let label =
+        if String.length rest > 3
+           && String.lowercase_ascii (String.sub rest 0 3) = "of "
+        then String.trim (String.sub rest 3 (String.length rest - 3))
+        else rest
+      in
+      if label = "" then None else Some (first, label)
+    end
+
+let old_split_bound_suffix s =
+  let s = String.trim s in
+  match String.rindex_opt s ' ' with
+  | None -> None
+  | Some i ->
+    let prefix = String.trim (String.sub s 0 i) in
+    let suffix = String.sub s (i + 1) (String.length s - i - 1) in
+    if prefix <> "" && old_is_bound_marker suffix
+       && not (old_is_bound_marker prefix)
+    then Some (prefix, suffix)
+    else None
+
+let old_plausible_attribute s =
+  let s = String.trim s in
+  let n = String.length s in
+  n > 0 && n <= 60
+  && List.length
+       (List.filter (fun w -> w <> "") (String.split_on_char ' ' s))
+     <= 6
+  && old_as_int s = None
+  && String.exists
+       (fun c -> (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
+       s
+  && not (n > 1 && s.[n - 1] = '!')
+
+(* Label-like text assembled from pieces: whole keywords and markers,
+   fragments of keywords (so near-misses meet the first-byte index),
+   numbers, every byte [String.trim] strips, the label punctuation the
+   classifiers strip, and "of " for the unit splitter; then sometimes
+   upper-cased or capitalized. *)
+let lexical_text_gen =
+  let fragment_of w =
+    Gen.(
+      map2
+        (fun i j ->
+           let n = String.length w in
+           let i = i mod (n + 1) and j = j mod (n + 1) in
+           String.sub w (Int.min i j) (abs (i - j)))
+        nat nat
+      >>= fun frag -> return (if frag = "" then w else frag))
+  in
+  let words =
+    old_operator_keywords @ bound_markers @ unit_words @ month_names
+  in
+  let piece =
+    Gen.(
+      frequency
+        [ (6, oneofl words);
+          (3, oneofl words >>= fragment_of);
+          (3, oneofl [ " "; " "; "  "; "\012"; "\n"; "\r"; "\t" ]);
+          (2, oneofl [ ":"; "$"; "."; "("; "!"; "of "; "Of "; "-" ]);
+          (2, map string_of_int (int_range (-20) 2100));
+          (1, oneofl [ "Author"; "Title"; "Price"; "ZIP"; "Keywords" ]);
+          (1, string_size ~gen:printable (int_range 0 4)) ])
+  in
+  (* The shapes the splitters and the word limit look for, padded with
+     trim bytes: "[unit] [of] label", "label [marker]", runs of five to
+     eight words and labels of 58 to 62 bytes around
+     [plausible_attribute]'s limits of six words and 60 bytes. *)
+  let pad = Gen.oneofl [ ""; " "; "\t"; "\012 "; " \n" ] in
+  let gap = Gen.oneofl [ " "; "  "; " \t " ] in
+  let label = Gen.oneofl [ "ZIP"; "Author"; "Price:"; "the city"; "from"; "" ] in
+  let shaped =
+    Gen.(
+      oneof
+        [ map
+            (fun ((p, u), (g, (o, (l, q)))) -> p ^ u ^ g ^ o ^ l ^ q)
+            (pair (pair pad (oneofl unit_words))
+               (pair gap
+                  (pair (oneofl [ ""; "of "; "OF "; "of"; "of  " ])
+                     (pair label pad))));
+          map
+            (fun ((p, l), (g, (m, q))) -> p ^ l ^ g ^ m ^ q)
+            (pair (pair pad label)
+               (pair gap (pair (oneofl bound_markers) pad)));
+          map3
+            (fun p ws q -> p ^ String.concat " " ws ^ q)
+            pad
+            (list_size (int_range 5 8) (oneofl [ "a"; "Name"; "of"; "7"; "" ]))
+            pad;
+          map2 (fun p n -> p ^ String.make n 'a') pad (int_range 58 62) ])
+  in
+  let pieces =
+    Gen.(map (String.concat "") (list_size (int_range 0 5) piece))
+  in
+  Gen.(
+    map2
+      (fun case s ->
+         match case with
+         | 0 -> String.uppercase_ascii s
+         | 1 -> String.capitalize_ascii s
+         | _ -> s)
+      (int_bound 3)
+      (frequency [ (3, pieces); (2, shaped) ]))
+
+let text_prop name ~is ~old =
+  Q.Test.make ~name ~count:3000
+    (Q.make ~print:String.escaped lexical_text_gen)
+    (fun s -> Bool.equal (is s) (old s))
+
+let split_prop name ~split ~old =
+  Q.Test.make ~name ~count:3000
+    (Q.make ~print:String.escaped lexical_text_gen)
+    (fun s ->
+       Option.equal
+         (fun (a, b) (c, d) -> String.equal a c && String.equal b d)
+         (split s) (old s))
+
+let prop_lexical =
+  [ text_prop "is_operator_phrase = trim, lowercase and scan"
+      ~is:Lexicon.is_operator_phrase ~old:old_is_operator_phrase;
+    text_prop "is_bound_marker = stripped copy in the set (lexical text)"
+      ~is:Lexicon.is_bound_marker ~old:old_is_bound_marker;
+    text_prop "is_unit_word = stripped copy in the set (lexical text)"
+      ~is:Lexicon.is_unit_word ~old:old_is_unit_word;
+    text_prop "plausible_attribute = trimmed copy and split words"
+      ~is:Lexicon.plausible_attribute ~old:old_plausible_attribute;
+    split_prop "split_bound_suffix = trimmed copies"
+      ~split:Lexicon.split_bound_suffix ~old:old_split_bound_suffix;
+    split_prop "split_unit_prefix = trimmed copies"
+      ~split:Lexicon.split_unit_prefix ~old:old_split_unit_prefix;
+    Q.Test.make ~name:"all_operator_options = length and for_all" ~count:2000
+      (Q.make
+         ~print:Q.Print.(list string)
+         Gen.(list_size (int_range 0 4) lexical_text_gen))
+      (fun options ->
+         Bool.equal
+           (Lexicon.all_operator_options options)
+           (old_all_operator_options options));
+    (* Month names and placeholders in any case, with trim bytes around
+       them, through the date classification. *)
+    Q.Test.make ~name:"date_component = old (case and trim bytes)" ~count:2000
+      (Q.make ~print:Q.Print.(list string)
+         Gen.(
+           list_size (int_range 0 5)
+             (map3
+                (fun pre w post -> pre ^ w ^ post)
+                (oneofl [ ""; " "; "\012"; "\t" ])
+                (oneof
+                   [ oneofl (month_names @ header_placeholders);
+                     map String.uppercase_ascii
+                       (oneofl (month_names @ header_placeholders));
+                     map string_of_int (int_range 0 2100);
+                     oneofl [ "10AM"; "2 PM"; "12:30"; "0X1F"; "1_0" ] ])
+                (oneofl [ ""; " "; "\n"; "\r" ]))))
+      (fun options ->
+         String.equal
+           (show_component (Lexicon.date_component options))
+           (show_component (old_date_component options))) ]
+
+(* ------------------------------------------------------------------ *)
+(* Condition.normalize_label and Bitset.elements                      *)
+(* ------------------------------------------------------------------ *)
+
+let old_normalize_label s =
+  let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
+  let b = Buffer.create (String.length s) in
+  let pending_space = ref false in
+  String.iter
+    (fun c ->
+       if is_space c then begin
+         if Buffer.length b > 0 then pending_space := true
+       end else begin
+         if !pending_space then Buffer.add_char b ' ';
+         pending_space := false;
+         Buffer.add_char b (Char.lowercase_ascii c)
+       end)
+    s;
+  let s = Buffer.contents b in
+  let n = String.length s in
+  let rec last i =
+    if i > 0
+    && (s.[i - 1] = ':' || s.[i - 1] = '?' || s.[i - 1] = '*'
+        || s.[i - 1] = '.' || s.[i - 1] = ' ')
+    then last (i - 1)
+    else i
+  in
+  String.sub s 0 (last n)
+
+let prop_normalize_label =
+  Q.Test.make ~name:"normalize_label = Buffer collapse and strip" ~count:3000
+    (Q.make ~print:String.escaped
+       Gen.(
+         string_size
+           ~gen:
+             (oneof
+                [ oneofl [ ' '; '\t'; '\n'; '\r'; '\012'; ':'; '?'; '*'; '.' ];
+                  oneofl [ 'a'; 'B'; 'z'; 'Q'; '1'; '-' ];
+                  char ])
+           (int_range 0 14)))
+    (fun s ->
+       let got = Condition.normalize_label s in
+       String.equal got (old_normalize_label s)
+       && Condition.normalized_length s = String.length got)
+
+let old_elements t =
+  let module B = Wqi_grammar.Bitset in
+  let acc = ref [] in
+  for i = B.universe_size t - 1 downto 0 do
+    if B.mem t i then acc := i :: !acc
+  done;
+  !acc
+
+let prop_bitset_elements =
+  Q.Test.make ~name:"Bitset.elements = scan of every position" ~count:2000
+    (Q.make
+       ~print:Q.Print.(pair int (list int))
+       Gen.(
+         int_range 1 200 >>= fun n ->
+         pair (return n) (list_size (int_range 0 20) (int_bound (n - 1)))))
+    (fun (n, items) ->
+       let t = Wqi_grammar.Bitset.of_list n items in
+       List.equal Int.equal (Wqi_grammar.Bitset.elements t) (old_elements t))
+
 (* ------------------------------------------------------------------ *)
 (* Merger                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -555,9 +813,11 @@ let prop_spatial_query =
    21 505, the parser's copy-free instance assembly and column
    enforcement scan brought it to 18 078, and the one-pass front end
    (HTML scanned straight into the tree, widgets classified once at
-   layout) to 15 018.  The ceiling is that figure plus 3%, so a
-   polymorphic or Format detour put back on the path shows up here. *)
-let words_per_fixture_ceiling = 15_018. *. 1.03
+   layout) to 15 018.  The path measured 13 138 before the copy-free
+   lexical classifiers, merge keys and export writers, and 9 127 after.
+   The ceiling is that figure plus 3%, so a polymorphic or Format
+   detour, or a copy, put back on the path shows up here. *)
+let words_per_fixture_ceiling = 9_127. *. 1.03
 
 let test_alloc_ceiling () =
   let run_all () =
@@ -584,16 +844,115 @@ let test_alloc_ceiling () =
     true
     (per_doc <= words_per_fixture_ceiling)
 
+(* ------------------------------------------------------------------ *)
+(* Copy-free classifiers                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [Gc.minor_words] is unboxed, so reading it allocates nothing. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* A text that no class admits and no splitter splits still walks
+   every classifier to its end: these run on every text token a guard
+   meets, so a copy put back on the path shows up here. *)
+let test_classifiers_allocate_nothing () =
+  let label = "  Author Name:\t" and options = [ " Hardcover "; "Paperback" ] in
+  let zero name f =
+    Alcotest.(check (float 0.)) (name ^ " allocates nothing") 0. (minor_words f)
+  in
+  zero "is_operator_phrase" (fun () -> Lexicon.is_operator_phrase label);
+  zero "is_bound_marker" (fun () -> Lexicon.is_bound_marker label);
+  zero "is_unit_word" (fun () -> Lexicon.is_unit_word label);
+  zero "plausible_attribute" (fun () -> Lexicon.plausible_attribute label);
+  zero "all_operator_options" (fun () -> Lexicon.all_operator_options options);
+  zero "split_bound_suffix" (fun () -> Lexicon.split_bound_suffix label);
+  zero "split_unit_prefix" (fun () -> Lexicon.split_unit_prefix label);
+  zero "date_component" (fun () -> Lexicon.date_component options);
+  (* and the words that do match are found in place too *)
+  zero "is_bound_marker \"$From:\"" (fun () -> Lexicon.is_bound_marker " $From: ");
+  zero "is_operator_phrase \"Starts With\"" (fun () ->
+      Lexicon.is_operator_phrase "Starts With")
+
+(* ------------------------------------------------------------------ *)
+(* Pooled arenas                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* After a parse returns, the arena it used is back in the pack's pool
+   and references no instance of that parse: every binding-row slot and
+   every column slot holds the filler.  The reset clears only what the
+   parse touched, so each parse here follows one that touched more or
+   other rows and columns. *)
+let test_pooled_arena_retention () =
+  let module Engine = Wqi_parser.Engine in
+  let module Arena = Wqi_parser.Arena in
+  let pack = Engine.compile Wqi_stdgrammar.Std.grammar in
+  let tokens_of html =
+    (Extractor.run Extractor.Config.default (Extractor.Html html)).Extractor.tokens
+  in
+  let docs =
+    List.map (fun (f : Fixtures.fixture) -> (f.Fixtures.name, tokens_of f.html))
+      Fixtures.all
+  in
+  let check name =
+    match Atomic.get pack.Engine.pool with
+    | [ (a : Arena.t) ] ->
+      let filler = a.Arena.filler in
+      Array.iteri
+        (fun p row ->
+           Array.iteri
+             (fun i inst ->
+                if inst != filler then
+                  Alcotest.failf "%s: chosen row %d slot %d kept an instance"
+                    name p i)
+             row)
+        a.Arena.chosen;
+      Array.iteri
+        (fun c (col : Arena.col) ->
+           Array.iteri
+             (fun i inst ->
+                if inst != filler then
+                  Alcotest.failf "%s: column %d slot %d kept an instance" name
+                    c i)
+             col.Arena.inst)
+        a.Arena.cols
+    | arenas ->
+      Alcotest.failf "%s: %d arenas pooled, expected 1" name
+        (List.length arenas)
+  in
+  (* wide first, then narrow: leftovers of the wide parse would show *)
+  let by_size =
+    List.sort
+      (fun (_, a) (_, b) -> Int.compare (List.length b) (List.length a))
+      docs
+  in
+  List.iter
+    (fun (name, tokens) ->
+       let r = Engine.parse pack tokens in
+       check name;
+       ignore (Sys.opaque_identity r))
+    (by_size @ List.rev by_size)
+
 let suite =
   [ to_alcotest prop_reading_order;
     to_alcotest prop_dom_attr;
     to_alcotest prop_contains_substring ]
   @ List.map to_alcotest prop_sets
-  @ [ to_alcotest prop_as_int;
+  @ List.map to_alcotest prop_lexical
+  @ [ to_alcotest prop_normalize_label;
+      to_alcotest prop_bitset_elements;
+      to_alcotest prop_as_int;
       to_alcotest prop_date_component;
       to_alcotest prop_date_combo;
       to_alcotest prop_merge;
       to_alcotest prop_export_string;
       to_alcotest prop_describe;
       to_alcotest prop_spatial_query;
-      ("allocation ceiling: run + export", `Quick, test_alloc_ceiling) ]
+      ("allocation ceiling: run + export", `Quick, test_alloc_ceiling);
+      ( "classifiers allocate nothing on a non-matching label",
+        `Quick,
+        test_classifiers_allocate_nothing );
+      ( "pooled arena keeps no instance after a parse",
+        `Quick,
+        test_pooled_arena_retention ) ]
