@@ -7,6 +7,7 @@ let () =
       ("parser", Test_parser.suite);
       ("parser-equiv", Test_parser_equiv.suite);
       ("grammar-data", Test_grammar_data.suite);
+      ("grammar-load", Test_grammar_load.suite);
       ("corpus-pin", Test_corpus_pin.suite);
       ("model", Test_model.suite);
       ("stdgrammar", Test_stdgrammar.suite);
