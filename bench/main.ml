@@ -6,8 +6,10 @@
    Sections: fig4a fig4b fig15 perf batch120 ablation-ambiguity
              ablation-components baseline refinement derivation
              clustering.  No arguments = all of these.  The opt-in
-             section layers (per-layer us and minor words per document
-             of the ingest-cold path) runs only when named.
+             sections layers (per-layer us and minor words per document
+             of the ingest-cold path) and startup (us and minor words
+             of each grammar-load step and of a fresh store open) run
+             only when named.
 
    --json FILE writes the measurements of the perf and batch120 sections
    (Bechamel OLS ns/run per size, the lowest of 5 fits on full runs,
@@ -878,6 +880,79 @@ let layers () =
     (per_doc (Array.fold_left ( +. ) 0. words))
 
 (* ------------------------------------------------------------------ *)
+(* Start-up cost of the ingest path (opt-in)                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The set-up an ingest run pays before its first document, step by
+   step: reading examples/grammars/std.wqg, the s-expression reader,
+   [Loader.parse] (reader included), [Algebra.instantiate],
+   [Engine.compile], and opening a fresh store.  Each step runs [reps]
+   times on the previous step's output and reports its fastest run in
+   microseconds and its minor words (the same on every run; a store is
+   closed and removed outside its timing).
+   [Extractor.load_grammar] is file read + parse + instantiate +
+   compile; with the store open it is perfbench ingest-cold's
+   [setup_s]. *)
+let startup () =
+  header "Start-up cost of the ingest path (us best of runs, minor words)";
+  let module G = Wqi_grammar in
+  let module Std = Wqi_stdgrammar.Std in
+  let module Store = Wqi_store.Store in
+  let path = "examples/grammars/std.wqg" in
+  let path =
+    if Sys.file_exists path then path else Filename.concat ".." path
+  in
+  let reps = if !smoke then 5 else 300 in
+  let measure ?(after = ignore) f =
+    let best = ref infinity and words = ref 0. in
+    for _ = 1 to reps do
+      let w0 = Gc.minor_words () in
+      let t0 = Wqi_budget.Budget.now_s () in
+      let v = f () in
+      let t1 = Wqi_budget.Budget.now_s () in
+      words := Gc.minor_words () -. w0;
+      best := Float.min !best (t1 -. t0);
+      after v
+    done;
+    (1e6 *. !best, !words)
+  in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let text = read () in
+  let ok = function Ok v -> v | Error _ -> failwith "startup: std.wqg" in
+  let decl = ok (G.Loader.parse ~env:Std.env ~file:path text) in
+  let grammar = ok (G.Algebra.instantiate Std.env decl) in
+  let base =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wqi-startup-%d" (Unix.getpid ()))
+  in
+  let opens = ref 0 in
+  let open_store () =
+    incr opens;
+    let dir = Printf.sprintf "%s-%d" base !opens in
+    (dir, Store.open_ dir)
+  in
+  let close_store (dir, st) =
+    Store.close st;
+    rm_rf dir
+  in
+  let rows =
+    [ ("file read", measure read);
+      ("Sexp.parse_string", measure (fun () -> G.Sexp.parse_string text));
+      ("Loader.parse", measure (fun () -> G.Loader.parse ~env:Std.env ~file:path text));
+      ("Algebra.instantiate", measure (fun () -> G.Algebra.instantiate Std.env decl));
+      ("Engine.compile", measure (fun () -> Engine.compile grammar));
+      ("Extractor.load_grammar",
+       measure (fun () -> Wqi_core.Extractor.load_grammar path));
+      ("Store.open_ (fresh)", measure ~after:close_store open_store) ]
+  in
+  note "%d runs each; each store is closed and removed after its timing" reps;
+  Format.printf "  %-24s %10s %12s@." "step" "us" "minor words";
+  List.iter
+    (fun (name, (us, words)) ->
+       Format.printf "  %-24s %10.1f %12.0f@." name us words)
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -889,7 +964,7 @@ let sections =
     ("clustering", clustering) ]
 
 (* Run only when named: not part of the default "all sections" run. *)
-let opt_in_sections = [ ("layers", layers) ]
+let opt_in_sections = [ ("layers", layers); ("startup", startup) ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON regression record (--json)                                     *)

@@ -83,7 +83,7 @@ type env = {
   text_classes : (string * (string -> bool)) list;
   options_classes : (string * (string list -> bool)) list;
   splitters : (string * (string -> (string * string) option)) list;
-  combos : (string * (string list list -> bool)) list;
+  combos : (string * (int -> (int -> string list) -> bool)) list;
 }
 
 let empty_env =
@@ -128,8 +128,8 @@ let slot ~arity s =
   else s
 
 let lookup kind table name =
-  match List.assoc_opt name table with
-  | Some f -> f
+  match List.find_opt (fun (k, _) -> String.equal k name) table with
+  | Some (_, f) -> f
   | None -> err "unknown %s %S" kind name
 
 (* Conjunction chains compile to a flat closure array walked by index —
@@ -215,8 +215,9 @@ let rec c_pred env ~head ~components p : Scope.t -> Instance.t array -> bool =
     fun _ arr -> f (tok_options arr.(s))
   | P_combo (name, slots) ->
     let f = lookup "combo" env.combos name in
-    let slots = List.map (slot ~arity) slots in
-    fun _ arr -> f (List.map (fun s -> enum_options arr.(s)) slots)
+    let slots = Array.of_list (List.map (slot ~arity) slots) in
+    let n = Array.length slots in
+    fun _ arr -> f n (fun k -> enum_options arr.(slots.(k)))
 
 let c_str ~arity = function
   | S_lit s -> fun _ -> s
@@ -383,33 +384,42 @@ let compile_pref_kind ~resolve_symbol ~splitters kind :
 (* Whole-grammar instantiation                                         *)
 (* ------------------------------------------------------------------ *)
 
+module Names = Symtab.Names
+
+(* Names resolve through one table per class, each symbol built once: a
+   declared terminal first, then a production head. *)
 let instantiate env (g : grammar) =
   let errors = ref [] in
   let fail fmt = Format.kasprintf (fun m -> errors := m :: !errors) fmt in
-  let heads =
-    List.fold_left
-      (fun acc p ->
-         if List.mem p.p_head acc then acc else p.p_head :: acc)
-      [] g.g_productions
-    |> List.rev
-  in
-  let resolve ~ctx name =
-    if List.mem name g.g_terminals then Symbol.terminal name
-    else if List.mem name heads then Symbol.nonterminal name
-    else err "%s: unknown symbol %S" ctx name
+  let terminals = Names.create 16 and heads = Names.create 64 in
+  List.iter
+    (fun t -> Names.replace terminals t (Symbol.terminal t))
+    g.g_terminals;
+  List.iter
+    (fun p ->
+       if not (Names.mem heads p.p_head) then
+         Names.add heads p.p_head (Symbol.nonterminal p.p_head))
+    g.g_productions;
+  let resolve ~what ~owner name =
+    match Names.find_opt terminals name with
+    | Some sym -> sym
+    | None ->
+      (match Names.find_opt heads name with
+       | Some sym -> sym
+       | None -> err "%s %s: unknown symbol %S" what owner name)
   in
   let productions =
     List.filter_map
       (fun p ->
-         let ctx = Printf.sprintf "production %s" p.p_name in
          match
            let head =
-             if List.mem p.p_head g.g_terminals then
-               err "%s: head %S is a terminal" ctx p.p_head
-             else Symbol.nonterminal p.p_head
+             if Names.mem terminals p.p_head then
+               err "production %s: head %S is a terminal" p.p_name p.p_head
+             else Names.find heads p.p_head
            in
            let components =
-             List.map (resolve ~ctx) p.p_components
+             List.map (resolve ~what:"production" ~owner:p.p_name)
+               p.p_components
            in
            let arity = List.length components in
            let guard = c_pred env ~head ~components p.p_guard in
@@ -423,24 +433,19 @@ let instantiate env (g : grammar) =
            fail "%s" m;
            None
          | exception Invalid_argument m ->
-           fail "%s: %s" ctx m;
+           fail "production %s: %s" p.p_name m;
            None)
       g.g_productions
-  in
-  let resolve_symbol_total ~ctx name =
-    (* For preference sides and K_assoc parameters. *)
-    resolve ~ctx name
   in
   let preferences =
     List.filter_map
       (fun r ->
-         let ctx = Printf.sprintf "preference %s" r.r_name in
+         let resolve = resolve ~what:"preference" ~owner:r.r_name in
          match
-           let winner = resolve_symbol_total ~ctx r.r_winner in
-           let loser = resolve_symbol_total ~ctx r.r_loser in
+           let winner = resolve r.r_winner in
+           let loser = resolve r.r_loser in
            let conflict, wins =
-             compile_pref_kind
-               ~resolve_symbol:(resolve_symbol_total ~ctx)
+             compile_pref_kind ~resolve_symbol:resolve
                ~splitters:env.splitters r.r_kind
            in
            Preference.make ~name:r.r_name ~winner ~loser ?conflict ?wins ()
@@ -452,17 +457,17 @@ let instantiate env (g : grammar) =
       g.g_preferences
   in
   let start =
-    if List.mem g.g_start heads then Some (Symbol.nonterminal g.g_start)
-    else begin
+    match Names.find_opt heads g.g_start with
+    | Some _ as start -> start
+    | None ->
       fail "start symbol %S is not the head of any production" g.g_start;
       None
-    end
   in
   match (!errors, start) with
   | [], Some start ->
     let grammar =
       Grammar.make
-        ~terminals:(List.map Symbol.terminal g.g_terminals)
+        ~terminals:(List.map (Names.find terminals) g.g_terminals)
         ~start ~productions ~preferences ()
     in
     (match Grammar.validate grammar with

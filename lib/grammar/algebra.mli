@@ -149,7 +149,10 @@ type env = {
   text_classes : (string * (string -> bool)) list;
   options_classes : (string * (string list -> bool)) list;
   splitters : (string * (string -> (string * string) option)) list;
-  combos : (string * (string list list -> bool)) list;
+  combos : (string * (int -> (int -> string list) -> bool)) list;
+      (** [f n option_list] judges the enumeration options of a
+          [P_combo]'s [n] slots, [option_list k] being the [k]-th
+          slot's: the guard hands them over without building a list *)
 }
 
 val empty_env : env
@@ -163,8 +166,10 @@ val derived_hints : pred -> Hint.t list
 val instantiate : env -> grammar -> (Grammar.t, string list) result
 (** Compile the whole declarative grammar: every production through
     {!Production.make} (with {!derived_hints}), every preference
-    through {!Preference.make}, the result through {!Grammar.make} and
-    {!Grammar.validate}.  Errors carry the production/preference name
+    through {!Preference.make}, the result through {!Grammar.make},
+    whose one validation {!Grammar.validate} reports.  Symbol names
+    resolve through a string table, declared terminals before
+    production heads.  Errors carry the production/preference name
     they arose in. *)
 
 val pp_pred : Format.formatter -> pred -> unit

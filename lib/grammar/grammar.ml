@@ -3,10 +3,68 @@ type t = {
   start : Symbol.t;
   productions : Production.t list;
   preferences : Preference.t list;
+  symtab : Symtab.t;
+  errors : string list;
 }
 
+module Names = Symtab.Names
+
+(* Validation on the interned table.  Errors come in a fixed order: the
+   start symbol, then each production (name, head, components), then the
+   first d-edge cycle found by a depth-first search from each head in
+   production order, children in symbol order, ignoring self-loops. *)
+let check (tab : Symtab.t) (productions : Production.t list) =
+  let errors = ref [] in
+  let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
+  let sym i = tab.syms.(i) in
+  let terminal = Symtab.is_terminal tab in
+  if terminal tab.start then
+    err "start symbol %a is a terminal" Symbol.pp (sym tab.start)
+  else if not tab.is_head.(tab.start) then
+    err "start symbol %a has no production" Symbol.pp (sym tab.start);
+  let names = Names.create 64 in
+  List.iteri
+    (fun k (p : Production.t) ->
+       if Names.mem names p.name then
+         err "duplicate production name %s" p.name
+       else Names.add names p.name ();
+       if terminal tab.heads.(k) then
+         err "%s: terminal head %a" p.name Symbol.pp p.head;
+       Array.iter
+         (fun c ->
+            if terminal c then begin
+              if not tab.declared.(c) then
+                err "%s: undeclared terminal %a" p.name Symbol.pp (sym c)
+            end
+            else if not tab.is_head.(c) then
+              err "%s: component %a has no production" p.name Symbol.pp
+                (sym c))
+         tab.components.(k))
+    productions;
+  (* 0 unvisited, 1 on the DFS stack, 2 done *)
+  let color = Array.make (Array.length tab.syms) 0 in
+  let exception Cycle of int in
+  let rec visit i =
+    match color.(i) with
+    | 2 -> ()
+    | 1 -> raise (Cycle i)
+    | _ ->
+      color.(i) <- 1;
+      Array.iter visit tab.children.(i);
+      color.(i) <- 2
+  in
+  (match Array.iter visit tab.heads with
+   | () -> ()
+   | exception Cycle i ->
+     err "d-edge cycle through %a (mutual recursion between distinct \
+          symbols is not schedulable)"
+       Symbol.pp (sym i));
+  List.rev !errors
+
 let make ~terminals ~start ~productions ?(preferences = []) () =
-  { terminals; start; productions; preferences }
+  let symtab = Symtab.make ~terminals ~start ~productions ~preferences in
+  { terminals; start; productions; preferences; symtab;
+    errors = check symtab productions }
 
 let nonterminals g =
   let seen = ref Symbol.Set.empty in
@@ -29,88 +87,16 @@ let productions_with_head g sym =
   List.filter (fun (p : Production.t) -> Symbol.equal p.head sym) g.productions
 
 let parents_of g sym =
-  List.filter_map
-    (fun (p : Production.t) ->
-       if (not (Symbol.equal p.head sym))
-       && List.exists (Symbol.equal sym) p.components
-       then Some p.head
-       else None)
-    g.productions
-  |> List.sort_uniq Symbol.compare
+  match Symtab.id g.symtab sym with
+  | i -> List.map (fun j -> g.symtab.syms.(j)) (Array.to_list g.symtab.parents.(i))
+  | exception Not_found -> []
 
 let extend g ?(productions = []) ?(preferences = []) () =
-  { g with
-    productions = g.productions @ productions;
-    preferences = g.preferences @ preferences }
+  make ~terminals:g.terminals ~start:g.start
+    ~productions:(g.productions @ productions)
+    ~preferences:(g.preferences @ preferences) ()
 
-(* Depth-first cycle detection over the d-edge graph (head -> component),
-   ignoring self-loops. *)
-let d_graph_cycle g =
-  let color : (Symbol.t, [ `Grey | `Black ]) Hashtbl.t = Hashtbl.create 64 in
-  let children sym =
-    List.concat_map
-      (fun (p : Production.t) ->
-         if Symbol.equal p.head sym then
-           List.filter
-             (fun c -> not (Symbol.equal c sym) && not (Symbol.is_terminal c))
-             p.components
-         else [])
-      g.productions
-    |> List.sort_uniq Symbol.compare
-  in
-  let exception Cycle of Symbol.t in
-  let rec visit sym =
-    match Hashtbl.find_opt color sym with
-    | Some `Black -> ()
-    | Some `Grey -> raise (Cycle sym)
-    | None ->
-      Hashtbl.replace color sym `Grey;
-      List.iter visit (children sym);
-      Hashtbl.replace color sym `Black
-  in
-  try
-    List.iter (fun (p : Production.t) -> visit p.head) g.productions;
-    None
-  with Cycle sym -> Some sym
-
-let validate g =
-  let errors = ref [] in
-  let err fmt = Fmt.kstr (fun s -> errors := s :: !errors) fmt in
-  let heads =
-    List.fold_left
-      (fun acc (p : Production.t) -> Symbol.Set.add p.head acc)
-      Symbol.Set.empty g.productions
-  in
-  let terminal_set = Symbol.Set.of_list g.terminals in
-  if Symbol.is_terminal g.start then
-    err "start symbol %a is a terminal" Symbol.pp g.start
-  else if not (Symbol.Set.mem g.start heads) then
-    err "start symbol %a has no production" Symbol.pp g.start;
-  let names = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Production.t) ->
-       if Hashtbl.mem names p.name then
-         err "duplicate production name %s" p.name;
-       Hashtbl.replace names p.name ();
-       if Symbol.is_terminal p.head then
-         err "%s: terminal head %a" p.name Symbol.pp p.head;
-       List.iter
-         (fun c ->
-            if Symbol.is_terminal c then begin
-              if not (Symbol.Set.mem c terminal_set) then
-                err "%s: undeclared terminal %a" p.name Symbol.pp c
-            end
-            else if not (Symbol.Set.mem c heads) then
-              err "%s: component %a has no production" p.name Symbol.pp c)
-         p.components)
-    g.productions;
-  (match d_graph_cycle g with
-   | Some sym ->
-     err "d-edge cycle through %a (mutual recursion between distinct \
-          symbols is not schedulable)"
-       Symbol.pp sym
-   | None -> ());
-  match !errors with [] -> Ok () | errs -> Error (List.rev errs)
+let validate g = match g.errors with [] -> Ok () | errs -> Error errs
 
 let pp ppf g =
   Fmt.pf ppf "@[<v>terminals: %a@,start: %a@,@,productions:@,%a@,@,preferences:@,%a@]"

@@ -4,13 +4,21 @@
     with preferences (ambiguity-resolution knowledge).  Grammars are
     plain values: the standard derived grammar lives in
     [Wqi_stdgrammar], and applications may build their own (Section 7
-    discusses e-commerce navigation menus as another instance). *)
+    discusses e-commerce navigation menus as another instance).
 
-type t = {
+    {!make} interns the grammar's symbols once into a {!Symtab} and
+    validates the grammar on it, once: {!validate} reads the verdict,
+    and {!Schedule.build} builds its graph on the same table.  Loading
+    a grammar file therefore interns and validates once, and compiling
+    it ([Engine.compile]) adds no second pass. *)
+
+type t = private {
   terminals : Symbol.t list;
   start : Symbol.t;
   productions : Production.t list;
   preferences : Preference.t list;
+  symtab : Symtab.t;  (** the symbols above, interned *)
+  errors : string list;  (** what {!validate} reports, in its order *)
 }
 
 val make :
@@ -29,7 +37,8 @@ val productions_with_head : t -> Symbol.t -> Production.t list
 
 val parents_of : t -> Symbol.t -> Symbol.t list
 (** Symbols that appear as the head of a production having the given
-    symbol among its components (excluding self-recursion). *)
+    symbol among its components (excluding self-recursion), in
+    {!Symbol.compare} order. *)
 
 val extend :
   t ->
@@ -41,7 +50,7 @@ val extend :
     Section 4.1: parsing machinery is untouched. *)
 
 val validate : t -> (unit, string list) result
-(** Checks well-formedness: the start symbol is a nonterminal with at
+(** The well-formedness verdict {!make} reached: the start symbol is a nonterminal with at
     least one production; every component symbol is a declared terminal
     or the head of some production; production names are unique; the
     d-edge graph over distinct symbols is acyclic (self-recursion is

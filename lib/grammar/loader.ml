@@ -57,7 +57,8 @@ let required_clause pos name items =
 
 let check_name kind table sexp =
   let p, s = as_atom sexp in
-  if List.mem_assoc s table then s else fail p "unknown %s %S" kind s
+  if List.exists (fun (k, _) -> String.equal k s) table then s
+  else fail p "unknown %s %S" kind s
 
 let parse_slot ~arity sexp =
   let n = as_int sexp in
@@ -84,19 +85,21 @@ let parse_text_src sexp =
 
 (* Relation keywords: those taking a gap or tolerance before their
    slots, and those taking none. *)
-let param_relations =
-  [ ("left-of", ("gap", fun g -> Hint.Left_of g));
-    ("above", ("gap", fun g -> Hint.Above g));
-    ("below", ("gap", fun g -> Hint.Below g));
-    ("left-aligned", ("tolerance", fun t -> Hint.Left_aligned t));
-    ("top-aligned", ("tolerance", fun t -> Hint.Top_aligned t));
-    ("bottom-aligned", ("tolerance", fun t -> Hint.Bottom_aligned t)) ]
+let param_relation = function
+  | "left-of" -> Some ("gap", fun g -> Hint.Left_of g)
+  | "above" -> Some ("gap", fun g -> Hint.Above g)
+  | "below" -> Some ("gap", fun g -> Hint.Below g)
+  | "left-aligned" -> Some ("tolerance", fun t -> Hint.Left_aligned t)
+  | "top-aligned" -> Some ("tolerance", fun t -> Hint.Top_aligned t)
+  | "bottom-aligned" -> Some ("tolerance", fun t -> Hint.Bottom_aligned t)
+  | _ -> None
 
-let bare_relations =
-  [ ("same-row", Hint.Same_row);
-    ("same-column", Hint.Same_column);
-    ("adjacent-left", Hint.Adjacent_left);
-    ("adjacent-above", Hint.Adjacent_above) ]
+let bare_relation = function
+  | "same-row" -> Some Hint.Same_row
+  | "same-column" -> Some Hint.Same_column
+  | "adjacent-left" -> Some Hint.Adjacent_left
+  | "adjacent-above" -> Some Hint.Adjacent_above
+  | _ -> None
 
 let rec parse_pred (env : A.env) ~head ~components sexp =
   let arity = List.length components in
@@ -104,36 +107,32 @@ let rec parse_pred (env : A.env) ~head ~components sexp =
   | Sexp.Atom (_, "true") -> A.P_true
   | Sexp.Atom (p, s) -> fail p "malformed predicate: unexpected atom %S" s
   | Sexp.List (p, Sexp.Atom (_, kw) :: args) ->
-    (match kw with
-     | "and" -> A.P_and (List.map (parse_pred env ~head ~components) args)
-     | "not" ->
+    (match kw, param_relation kw, bare_relation kw with
+     | "and", _, _ -> A.P_and (List.map (parse_pred env ~head ~components) args)
+     | "not", _, _ ->
        nargs p kw 1 args;
        A.P_not (parse_pred env ~head ~components (List.hd args))
-     | _ when List.mem_assoc kw param_relations ->
-       let what, mk = List.assoc kw param_relations in
+     | _, Some (what, mk), _ ->
        (match args with
         | [ n; a; b ] ->
           let n = as_int n in
           let a, b = parse_slot_pair ~arity p kw a b in
           A.P_rel (mk n, a, b)
         | _ -> fail p "%s expects a %s and two slots" kw what)
-     | _ when List.mem_assoc kw bare_relations ->
+     | _, None, Some rel ->
        (match args with
         | [ a; b ] ->
           let a, b = parse_slot_pair ~arity p kw a b in
-          A.P_rel (List.assoc kw bare_relations, a, b)
+          A.P_rel (rel, a, b)
         | _ -> fail p "%s expects two slots" kw)
-     | "none" ->
+     | "none", _, _ ->
        let usage () = fail p "none expects a relation, a symbol and a slot" in
        let rel, rest =
          match args with
          | [] -> usage ()
          | r :: rest ->
            let rp, rkw = as_atom r in
-           (match
-              (List.assoc_opt rkw param_relations,
-               List.assoc_opt rkw bare_relations, rest)
-            with
+           (match (param_relation rkw, bare_relation rkw, rest) with
             | Some (_, mk), _, n :: rest -> (mk (as_int n), rest)
             | None, Some rel, rest -> (rel, rest)
             | Some _, _, [] -> usage ()
@@ -142,13 +141,13 @@ let rec parse_pred (env : A.env) ~head ~components sexp =
        (match rest with
         | [ sym; s ] ->
           let sp, name = as_atom sym in
-          if not (List.mem name components) then
+          if not (List.exists (String.equal name) components) then
             fail sp "none: %S is not a component of the production" name;
           if name = head then
             fail sp "none: %S is the production's own head" name;
           A.P_none (rel, name, parse_slot ~arity s)
         | _ -> usage ())
-     | "text-class" ->
+     | "text-class", _, _ ->
        nargs p kw 3 args;
        (match args with
         | [ name; src; s ] ->
@@ -157,7 +156,7 @@ let rec parse_pred (env : A.env) ~head ~components sexp =
               parse_text_src src,
               parse_slot ~arity s )
         | _ -> assert false)
-     | "splits" ->
+     | "splits", _, _ ->
        nargs p kw 2 args;
        (match args with
         | [ name; s ] ->
@@ -165,7 +164,7 @@ let rec parse_pred (env : A.env) ~head ~components sexp =
             ( check_name "splitter" env.A.splitters name,
               parse_slot ~arity s )
         | _ -> assert false)
-     | "ops-exist" | "ops-all" ->
+     | ("ops-exist" | "ops-all"), _, _ ->
        nargs p kw 2 args;
        (match args with
         | [ name; s ] ->
@@ -174,12 +173,12 @@ let rec parse_pred (env : A.env) ~head ~components sexp =
           if kw = "ops-exist" then A.P_ops_exists (name, s)
           else A.P_ops_forall (name, s)
         | _ -> assert false)
-     | "ops-count>=" ->
+     | "ops-count>=", _, _ ->
        nargs p kw 2 args;
        (match args with
         | [ n; s ] -> A.P_ops_count_ge (as_int n, parse_slot ~arity s)
         | _ -> assert false)
-     | "options-class" ->
+     | "options-class", _, _ ->
        nargs p kw 2 args;
        (match args with
         | [ name; s ] ->
@@ -187,14 +186,14 @@ let rec parse_pred (env : A.env) ~head ~components sexp =
             ( check_name "options class" env.A.options_classes name,
               parse_slot ~arity s )
         | _ -> assert false)
-     | "combo" ->
+     | "combo", _, _ ->
        (match args with
         | name :: (_ :: _ as slots) ->
           A.P_combo
             ( check_name "combo" env.A.combos name,
               List.map (parse_slot ~arity) slots )
         | _ -> fail p "combo expects a name and at least one slot")
-     | _ -> fail p "unknown predicate %S" kw)
+     | _, None, None -> fail p "unknown predicate %S" kw)
   | Sexp.List (p, _) -> fail p "malformed predicate: expected (keyword ...)"
 
 (* ------------------------------------------------------------------ *)
@@ -318,12 +317,29 @@ let parse_build (env : A.env) ~arity sexp =
 (* Productions and preferences                                         *)
 (* ------------------------------------------------------------------ *)
 
-type symtab = { terminals : string list; heads : string list }
+module Names = Symtab.Names
+
+(* The symbol table: every declared terminal and every production head,
+   by name.  Heads are numbered densely in the order their productions
+   appear, for the cycle check. *)
+type entry = { mutable terminal : bool; mutable head : int (* -1: none *) }
+
+type symtab = { names : entry Names.t; mutable heads : int }
+
+let entry tab name =
+  match Names.find_opt tab.names name with
+  | Some e -> e
+  | None ->
+    let e = { terminal = false; head = -1 } in
+    Names.add tab.names name e;
+    e
+
+let head_id tab name =
+  match Names.find_opt tab.names name with Some e -> e.head | None -> -1
 
 let check_symbol tab sexp =
   let p, s = as_atom sexp in
-  if List.mem s tab.terminals || List.mem s tab.heads then s
-  else fail p "unknown symbol %S" s
+  if Names.mem tab.names s then s else fail p "unknown symbol %S" s
 
 let parse_production env tab form =
   match form with
@@ -332,8 +348,9 @@ let parse_production env tab form =
     let hp, hargs = required_clause p "head" items in
     nargs hp "head" 1 hargs;
     let hpos, p_head = as_atom (List.hd hargs) in
-    if List.mem p_head tab.terminals then
-      fail hpos "head %S is a terminal" p_head;
+    (match Names.find_opt tab.names p_head with
+     | Some { terminal = true; _ } -> fail hpos "head %S is a terminal" p_head
+     | Some _ | None -> ());
     let cp, cargs = required_clause p "components" items in
     if cargs = [] then fail cp "production needs at least one component";
     let p_components = List.map (check_symbol tab) cargs in
@@ -374,7 +391,7 @@ let parse_preference (env : A.env) tab form =
         (fun s ->
            match s with
            | Sexp.List (kp, Sexp.Atom (_, kw) :: args)
-             when List.mem kw pref_kinds ->
+             when List.exists (String.equal kw) pref_kinds ->
              Some (kp, kw, args)
            | _ -> None)
         items
@@ -436,60 +453,75 @@ let parse_header form =
     (name, version, terminals, (start_pos, start))
   | f -> fail (Sexp.pos f) "expected a (wqi-grammar ...) header form"
 
-(* First pass: collect the symbol table (declared terminals plus every
+(* First pass: the symbol table (declared terminals plus every
    production head) so forward references check cleanly in one further
    pass. *)
-let collect_heads forms =
-  List.filter_map
+let symtab terminals forms =
+  let tab = { names = Names.create 64; heads = 0 } in
+  List.iter (fun t -> (entry tab t).terminal <- true) terminals;
+  List.iter
     (fun form ->
        match form with
        | Sexp.List (_, Sexp.Atom (_, "production") :: _ :: items) ->
          (match clause "head" items with
-          | Some (_, [ Sexp.Atom (_, h) ]) -> Some h
-          | _ -> None
-          | exception E _ -> None)
-       | _ -> None)
-    forms
+          | Some (_, [ Sexp.Atom (_, h) ]) ->
+            let e = entry tab h in
+            if e.head < 0 then begin
+              e.head <- tab.heads;
+              tab.heads <- tab.heads + 1
+            end
+          | _ -> ()
+          | exception E _ -> ())
+       | _ -> ())
+    forms;
+  tab
 
 (* Cycle check over the d-edge graph (head -> distinct nonterminal
    component), attributed to the production that introduces the closing
    edge.  Self-recursion is the fix-point engine's normal diet and is
-   allowed, matching Grammar.validate. *)
-let check_acyclic heads prods_with_pos =
-  let edges =
-    List.concat_map
-      (fun ((p : A.production), pos) ->
-         List.filter_map
-           (fun c ->
-              if c <> p.A.p_head && List.mem c heads then
-                Some (p.A.p_head, c, pos, p.A.p_name)
-              else None)
-           p.A.p_components)
-      prods_with_pos
-  in
-  let color = Hashtbl.create 16 in
-  let rec dfs stack sym =
-    Hashtbl.replace color sym `Grey;
-    List.iter
-      (fun (src, dst, pos, pname) ->
-         if src = sym then
-           match Hashtbl.find_opt color dst with
-           | Some `Grey ->
-             let chain = List.rev (sym :: stack) in
-             let rec from_dst = function
-               | [] -> []
-               | x :: rest -> if x = dst then x :: rest else from_dst rest
-             in
-             fail pos "production %s: cyclic productions: %s" pname
-               (String.concat " -> " (from_dst chain @ [ dst ]))
-           | Some `Black -> ()
-           | None -> dfs (sym :: stack) dst)
-      edges;
-    Hashtbl.replace color sym `Black
-  in
+   allowed, matching Grammar.validate.  The search starts from each head
+   in order of first appearance and follows a head's edges in
+   production and component order. *)
+let check_acyclic tab prods_with_pos =
+  let n = tab.heads in
+  let names = Array.make n "" in
+  Names.iter (fun name e -> if e.head >= 0 then names.(e.head) <- name) tab.names;
+  let edges = Array.make n [] in
   List.iter
-    (fun h -> if not (Hashtbl.mem color h) then dfs [] h)
-    heads
+    (fun ((p : A.production), pos) ->
+       let src = head_id tab p.A.p_head in
+       List.iter
+         (fun c ->
+            let dst = head_id tab c in
+            if dst >= 0 && dst <> src then
+              edges.(src) <- (dst, pos, p.A.p_name) :: edges.(src))
+         p.A.p_components)
+    prods_with_pos;
+  let edges = Array.map List.rev edges in
+  (* 0 unvisited, 1 on the search path, 2 done *)
+  let color = Array.make n 0 in
+  let rec dfs stack i =
+    color.(i) <- 1;
+    List.iter
+      (fun (dst, pos, pname) ->
+         match color.(dst) with
+         | 1 ->
+           let chain = List.rev (i :: stack) in
+           let rec from_dst = function
+             | [] -> []
+             | x :: rest -> if x = dst then x :: rest else from_dst rest
+           in
+           fail pos "production %s: cyclic productions: %s" pname
+             (String.concat " -> "
+                (List.map (fun k -> names.(k)) (from_dst chain @ [ dst ])))
+         | 2 -> ()
+         | _ -> dfs (i :: stack) dst)
+      edges.(i);
+    color.(i) <- 2
+  in
+  for i = 0 to n - 1 do
+    if color.(i) = 0 then dfs [] i
+  done
 
 let parse ~env ?(file = "<string>") text =
   try
@@ -501,18 +533,17 @@ let parse ~env ?(file = "<string>") text =
       let g_name, g_version, g_terminals, (start_pos, g_start) =
         parse_header header
       in
-      let heads = collect_heads rest in
-      let tab = { terminals = g_terminals; heads } in
-      let seen = Hashtbl.create 64 in
+      let tab = symtab g_terminals rest in
+      let seen = Names.create 64 in
       let productions = ref [] and preferences = ref [] in
       List.iter
         (fun form ->
            match form with
            | Sexp.List (_, Sexp.Atom (np, "production") :: _) ->
              let p = parse_production env tab form in
-             if Hashtbl.mem seen p.A.p_name then
+             if Names.mem seen p.A.p_name then
                fail np "duplicate production name %S" p.A.p_name;
-             Hashtbl.add seen p.A.p_name ();
+             Names.add seen p.A.p_name ();
              productions := (p, np) :: !productions
            | Sexp.List (_, Sexp.Atom (_, "preference") :: _) ->
              preferences := parse_preference env tab form :: !preferences
@@ -521,10 +552,10 @@ let parse ~env ?(file = "<string>") text =
                "expected a (production ...) or (preference ...) form")
         rest;
       let productions = List.rev !productions in
-      if not (List.mem g_start heads) then
+      if head_id tab g_start < 0 then
         fail start_pos "start symbol %S is not the head of any production"
           g_start;
-      check_acyclic heads productions;
+      check_acyclic tab productions;
       Ok
         { A.g_name; g_version; g_terminals; g_start;
           g_productions = List.map fst productions;

@@ -34,6 +34,13 @@
     instantiates cleanly; {!Algebra.instantiate} re-checks as a
     belt-and-braces layer.
 
+    The checks run on one symbol table per parse: declared terminals
+    and production heads by name in a monomorphic string table, heads
+    numbered as first met, so symbol references cost one lookup and the
+    cycle check is a depth-first search over per-head adjacency arrays
+    (each head's edges in production and component order, which fixes
+    the cycle a diagnostic names).
+
     {!dump} is canonical — one fixed rendering per grammar, one form
     per line — so dump → {!parse} → dump is byte-identical. *)
 

@@ -5,7 +5,13 @@
     before losers (r-edges).  R-edges that would create a cycle are first
     *transformed* into indirect r-edges (winner before each parent of the
     loser); if a cycle persists they are *relaxed* (dropped) and the
-    parser compensates with rollback. *)
+    parser compensates with rollback.
+
+    One graph per grammar, on the int ids of its {!Symtab}: the d-edges
+    give the d-edge-only order, and the r-edges added to the same graph
+    give the 2P order.  The cycle test before each r-edge is a
+    depth-first search with a stamped visited set, and Kahn's sort breaks
+    ties by {!Symbol.compare}, which the ids already follow. *)
 
 type t = {
   order : Symbol.t list;
@@ -17,6 +23,10 @@ type t = {
   relaxed : Preference.t list;
       (** Preferences contributing no scheduling constraint; their late
           pruning relies on rollback. *)
+  d_order : Symbol.t list;
+      (** Nonterminals in topological order over the d-edges alone: the
+          order of the late-pruning ablation, which schedules no
+          preference. *)
 }
 
 val build : Grammar.t -> t
@@ -24,3 +34,4 @@ val build : Grammar.t -> t
     raises [Invalid_argument] otherwise. *)
 
 val pp : Format.formatter -> t -> unit
+(** [order], [transformed] and [relaxed]. *)

@@ -96,39 +96,36 @@ let read_bare c =
   c.col <- c.col + (c.off - off);
   Atom (start, String.sub c.src off (c.off - off))
 
+(* A form starts under the cursor (whitespace already skipped, input
+   left).  A list's items are read by plain recursion, in order: lists
+   are short, and no reversed copy is built. *)
 let rec read_form c =
+  match cur c with
+  | '(' ->
+    let start = here c in
+    advance c;
+    List (start, read_items c start)
+  | ')' -> error (here c) "unexpected ')'"
+  | '"' -> read_string c
+  | ch when is_bare_char ch -> read_bare c
+  | ch -> error (here c) "unexpected character %C" ch
+
+and read_items c start =
   skip_ws c;
-  if at_end c then None
+  if at_end c then error start "unclosed '('";
+  if cur c = ')' then begin
+    advance c;
+    []
+  end
   else
-    match cur c with
-    | '(' ->
-      let start = here c in
-      advance c;
-      let items = ref [] in
-      let rec go () =
-        skip_ws c;
-        if at_end c then error start "unclosed '('";
-        if cur c = ')' then advance c
-        else
-          match read_form c with
-          | Some f ->
-            items := f :: !items;
-            go ()
-          | None -> error start "unclosed '('"
-      in
-      go ();
-      Some (List (start, List.rev !items))
-    | ')' -> error (here c) "unexpected ')'"
-    | '"' -> Some (read_string c)
-    | ch when is_bare_char ch -> Some (read_bare c)
-    | ch -> error (here c) "unexpected character %C" ch
+    let f = read_form c in
+    f :: read_items c start
 
 let parse_string src =
   let c = { src; off = 0; line = 1; col = 1 } in
   let rec go acc =
-    match read_form c with
-    | Some f -> go (f :: acc)
-    | None -> List.rev acc
+    skip_ws c;
+    if at_end c then List.rev acc else go (read_form c :: acc)
   in
   go []
 

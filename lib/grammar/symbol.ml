@@ -31,5 +31,15 @@ let pp ppf = function
   | Terminal n -> Fmt.pf ppf "'%s'" n
   | Nonterminal n -> Fmt.string ppf n
 
+let hash = function
+  | Terminal n -> String.hash n
+  | Nonterminal n -> String.hash n lxor 0x2f0f
+
 module Set = Set.Make (Self)
 module Map = Map.Make (Self)
+
+module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+    let equal = equal
+    let hash = hash
+  end)

@@ -64,7 +64,7 @@ type fpref = {
 type t = {
   syms : Symbol.t array;
   nsyms : int;
-  ids : (Symbol.t, int) Hashtbl.t;
+  ids : int Symbol.Tbl.t;
       (* read-only after [build]: guards' scope queries resolve their
          symbol through it at parse time *)
   prods : fprod array;
@@ -77,7 +77,7 @@ type t = {
   max_arity : int;
 }
 
-let sym_id t sym = Hashtbl.find t.ids sym
+let sym_id t sym = Symbol.Tbl.find t.ids sym
 
 let all_token_kinds =
   [ Token.Text; Token.Textbox; Token.Selection; Token.Radio; Token.Checkbox;
@@ -118,16 +118,16 @@ let pack_hint (h : Hint.t) =
   (max h.a h.b, tag lor (other lsl 4), param)
 
 let build (g : G.Grammar.t) =
-  let ids = Hashtbl.create 64 in
+  let ids = Symbol.Tbl.create 64 in
   let rev = ref [] in
   let count = ref 0 in
   let intern sym =
-    match Hashtbl.find_opt ids sym with
+    match Symbol.Tbl.find_opt ids sym with
     | Some i -> i
     | None ->
       let i = !count in
       incr count;
-      Hashtbl.add ids sym i;
+      Symbol.Tbl.add ids sym i;
       rev := sym :: !rev;
       i
   in
@@ -207,8 +207,8 @@ let build (g : G.Grammar.t) =
       (List.map
          (fun (r : G.Preference.t) ->
             { pref = r;
-              wsid = Hashtbl.find ids r.winner;
-              lsid = Hashtbl.find ids r.loser })
+              wsid = Symbol.Tbl.find ids r.winner;
+              lsid = Symbol.Tbl.find ids r.loser })
          g.preferences)
   in
   let prefs_by_sym = Array.make nsyms [] in

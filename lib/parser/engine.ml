@@ -346,7 +346,7 @@ let probe_candidates st (col : Arena.col) i mb checks ~start ~stop =
    is scanned; [test] implies the region, so both walks give the same
    answer. *)
 let scope_exists st sym (r : G.Hint.region) test =
-  match Hashtbl.find_opt st.tables.Dispatch.ids sym with
+  match Symbol.Tbl.find_opt st.tables.Dispatch.ids sym with
   | None -> false
   | Some sid ->
     let a = st.arena in
@@ -843,14 +843,6 @@ let enforce st (fr : Dispatch.fpref) =
           [ ("pruned", Trace.Int (st.pruned - pruned0));
             ("rolled_back", Trace.Int (st.rolled_back - rolled0)) ]
 
-(* d-edge-only topological order, used when scheduling is disabled. *)
-let d_only_order (g : G.Grammar.t) =
-  let bare =
-    G.Grammar.make ~terminals:g.terminals ~start:g.start
-      ~productions:g.productions ()
-  in
-  (G.Schedule.build bare).G.Schedule.order
-
 (* ------------------------------------------------------------------ *)
 (* Result assembly                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -959,14 +951,13 @@ type compiled = {
    it is a lock-free Atomic stack.) *)
 let compile ?(name = "anonymous") ?(version = "0") grammar =
   let schedule = G.Schedule.build grammar in
-  let d_order = d_only_order grammar in
   let tables = Dispatch.build grammar in
   let ids order = Array.of_list (List.map (Dispatch.sym_id tables) order) in
   { grammar;
     name;
     version;
     order_ids = ids schedule.G.Schedule.order;
-    d_order_ids = ids d_order;
+    d_order_ids = ids schedule.G.Schedule.d_order;
     relaxed =
       Array.of_list
         (List.map

@@ -199,80 +199,98 @@ let int_within s lo hi a b =
     | None -> false
   else a <= v && v <= b
 
-(* Case folding never changes what an integer literal reads as (OCaml
-   takes "0X1F" as "0x1f"), so the month and time tests read the
-   original bytes. *)
-let is_month s =
-  let lo = trim_lo s in
-  let hi = trim_hi s lo in
-  in_set month_names s lo hi || int_within s lo hi 1 12
-
-let is_day s =
-  let lo = trim_lo s in
-  int_within s lo (trim_hi s lo) 1 31
-
-let is_year s =
-  let lo = trim_lo s in
-  int_within s lo (trim_hi s lo) 1900 2100
-
 let rec occurs_ci s i hi w = i < hi && (prefix_ci s i hi w || occurs_ci s (i + 1) hi w)
-
-let is_hour_or_minute s =
-  let lo = trim_lo s in
-  let hi = trim_hi s lo in
-  int_within s lo hi 0 59
-  || occurs_ci s lo hi "am" || occurs_ci s lo hi "pm" || occurs_ci s lo hi ":"
 
 let header_placeholders =
   by_length
     [ "mm"; "dd"; "yy"; "yyyy"; "month"; "day"; "year"; "hour"; "minute";
       "time"; "hh"; "mi"; "--" ]
 
-let is_header_placeholder o =
-  let lo = trim_lo o in
-  in_set header_placeholders o lo (trim_hi o lo)
+(* The date classes an option can belong to, as bits: a month name or
+   number that cannot be a day, a year, a day, an hour or minute. *)
+let c_month = 1
+let c_year = 2
+let c_day = 4
+let c_time = 8
 
-(* The options that are not header placeholders, counted and tested in
-   place instead of filtered into a list. *)
-let rec significant_count n = function
-  | [] -> n
+let within v a b = a <= v && v <= b
+
+(* Which of the classes [live] the trimmed option [s.[lo .. hi)] is in.
+   Its integer reading is scanned once for all of them, and case
+   folding never changes what an integer literal reads as (OCaml takes
+   "0X1F" as "0x1f"), so the tests read the original bytes. *)
+let date_classes s lo hi live =
+  let v = scan_int s lo hi in
+  let v =
+    if v <> ask then v
+    else
+      match int_of_string_opt (String.sub s lo (hi - lo)) with
+      | Some v -> v
+      | None -> not_int
+  in
+  (* [not_int] is [min_int], below every range tested here *)
+  let day = within v 1 31 in
+  (if live land c_month <> 0
+      && (not day)
+      && (in_set month_names s lo hi || within v 1 12)
+   then c_month
+   else 0)
+  lor (if live land c_year <> 0 && within v 1900 2100 then c_year else 0)
+  lor (if live land c_day <> 0 && day then c_day else 0)
+  lor
+  if live land c_time <> 0
+     && (within v 0 59 || occurs_ci s lo hi "am" || occurs_ci s lo hi "pm"
+         || occurs_ci s lo hi ":")
+  then c_time
+  else 0
+
+(* One pass over the options: header placeholders ("mm", "--", ...) are
+   skipped, and every other option narrows the classes all of them share.
+   Returns the number of those options, capped at 2, times 16 plus the
+   shared classes; once no class is shared the answer is [`None]
+   whatever follows, and the pass stops. *)
+let rec date_scan count live = function
+  | [] -> (Int.min count 2 lsl 4) lor live
   | o :: rest ->
-    significant_count (if is_header_placeholder o then n else n + 1) rest
-
-let rec all_significant pred = function
-  | [] -> true
-  | o :: rest ->
-    (is_header_placeholder o || pred o) && all_significant pred rest
-
-let month_not_day s = is_month s && not (is_day s)
+    let lo = trim_lo o in
+    let hi = trim_hi o lo in
+    if in_set header_placeholders o lo hi then date_scan count live rest
+    else
+      let live = date_classes o lo hi live in
+      if live = 0 then 1 lsl 4 else date_scan (count + 1) live rest
 
 let date_component options =
-  match significant_count 0 options with
+  let scan = date_scan 0 (c_month lor c_year lor c_day lor c_time) options in
+  match scan lsr 4 with
   | 0 -> (match options with [] -> `None | _ :: _ -> `Day)
   | 1 -> `None
   | _ ->
-    if all_significant month_not_day options then `Month
-    else if all_significant is_year options then `Year
-    else if all_significant is_day options then `Day
-    else if all_significant is_hour_or_minute options then `Time
+    if scan land c_month <> 0 then `Month
+    else if scan land c_year <> 0 then `Year
+    else if scan land c_day <> 0 then `Day
+    else if scan land c_time <> 0 then `Time
     else `None
 
-let plausible_date_combo option_lists =
-  match option_lists with
-  | [ a; b; c ] ->
+let is_month = function `Month -> 1 | `Day | `Year | `Time | `None -> 0
+let is_day = function `Day -> 1 | `Month | `Year | `Time | `None -> 0
+let is_year = function `Year -> 1 | `Month | `Day | `Time | `None -> 0
+
+let plausible_date_combo n option_list =
+  match n with
+  | 3 ->
     (* A composite date: month, day and year in any order.  Numeric month
        lists (1..12) classify as `Day, hence the second form. *)
-    let a = date_component a and b = date_component b
-    and c = date_component c in
-    let count is = Bool.to_int (is a) + Bool.to_int (is b) + Bool.to_int (is c) in
-    let months = count (function `Month -> true | _ -> false)
-    and days = count (function `Day -> true | _ -> false)
-    and years = count (function `Year -> true | _ -> false) in
+    let a = date_component (option_list 0)
+    and b = date_component (option_list 1)
+    and c = date_component (option_list 2) in
+    let months = is_month a + is_month b + is_month c
+    and days = is_day a + is_day b + is_day c
+    and years = is_year a + is_year b + is_year c in
     years = 1 && ((months = 1 && days = 1) || days = 2)
-  | [ a; b ] ->
+  | 2 ->
     (* Month/day, month/year, day/year pairs or an hour/minute pair; two
        generic number lists (e.g. passenger counts) do not qualify. *)
-    (match date_component a, date_component b with
+    (match date_component (option_list 0), date_component (option_list 1) with
      | (`Day, `Month | `Month, `Day) | (`Month, `Year | `Year, `Month)
      | (`Day, `Year | `Year, `Day) | `Time, `Time ->
        true

@@ -46,17 +46,20 @@ val as_int : string -> int option
     the scan leaves to [int_of_string_opt], a trimmed copy). *)
 
 val date_component : string list -> [ `Month | `Day | `Year | `Time | `None ]
-(** Classify a selection list's options as one date/time component.
-    Header placeholders ("mm", "--", "Year", ...) are skipped in place,
-    not filtered into a list; allocates nothing but the trimmed copy of
-    a literal left to [int_of_string_opt] ([0x1f], [1_000], ...). *)
+(** Classify a selection list's options as one date/time component, in
+    one pass: header placeholders ("mm", "--", "Year", ...) are skipped,
+    each other option is trimmed and read as an integer once for all the
+    month, year, day and time tests, and the pass stops as soon as no
+    component fits every option.  Allocates nothing but the trimmed copy
+    of a literal left to [int_of_string_opt] ([0x1f], [1_000], ...). *)
 
-val plausible_date_combo : string list list -> bool
-(** Do these adjacent selection lists form a credible composite date or
-    time?  Requires a month/day/year style combination (or a pair of
-    time components); rejects e.g. two generic small-number lists
-    (passenger counts) that would otherwise masquerade as day lists.
-    Allocates as {!date_component}. *)
+val plausible_date_combo : int -> (int -> string list) -> bool
+(** [plausible_date_combo n option_list]: do the [n] adjacent selection
+    lists [option_list 0], ..., [option_list (n - 1)] form a credible
+    composite date or time?  Requires a month/day/year style
+    combination (or a pair of time components); rejects e.g. two
+    generic small-number lists (passenger counts) that would otherwise
+    masquerade as day lists.  Allocates as {!date_component}. *)
 
 val split_unit_prefix : string -> (string * string) option
 (** [split_unit_prefix "miles of ZIP"] = [Some ("miles", "ZIP")]: a text

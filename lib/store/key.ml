@@ -75,10 +75,27 @@ let make ~html ~spec =
   done;
   { hash = !h; len = !len; spec }
 
+(* Written straight into one buffer sized for the fixed parts, the
+   names and an unlimited budget's [{}] (a capped budget grows it once):
+   the spec is built for every document a front end keys. *)
 let spec ~grammar_name ~grammar_version ~name budget =
-  Printf.sprintf "v%d|grammar=%s@%s|name=%s|budget=%s"
-    Wqi_model.Export.extraction_version grammar_name grammar_version name
-    (Wqi_model.Export.budget budget)
+  let module E = Wqi_model.Export in
+  let b =
+    Buffer.create
+      (32 + String.length grammar_name + String.length grammar_version
+       + String.length name)
+  in
+  Buffer.add_char b 'v';
+  E.add_int b E.extraction_version;
+  Buffer.add_string b "|grammar=";
+  Buffer.add_string b grammar_name;
+  Buffer.add_char b '@';
+  Buffer.add_string b grammar_version;
+  Buffer.add_string b "|name=";
+  Buffer.add_string b name;
+  Buffer.add_string b "|budget=";
+  E.add_budget b budget;
+  Buffer.contents b
 
 let equal a b =
   Int64.equal a.hash b.hash && a.len = b.len && String.equal a.spec b.spec

@@ -162,7 +162,17 @@ module Old_graph = struct
     List.rev !order
 end
 
-let old_schedule (g : Grammar.t) =
+let old_parents_of (g : Grammar.t) sym =
+  List.filter_map
+    (fun (p : Production.t) ->
+       if (not (Symbol.equal p.head sym))
+       && List.exists (Symbol.equal sym) p.components
+       then Some p.head
+       else None)
+    g.productions
+  |> List.sort_uniq Symbol.compare
+
+let old_build (g : Grammar.t) =
   (match old_validate g with
    | Ok () -> ()
    | Error errs ->
@@ -191,7 +201,7 @@ let old_schedule (g : Grammar.t) =
            let parents =
              List.filter
                (fun p -> not (Symbol.equal p r.winner))
-               (Grammar.parents_of g r.loser)
+               (old_parents_of g r.loser)
            in
            let ok =
              parents <> []
@@ -207,15 +217,20 @@ let old_schedule (g : Grammar.t) =
          end
        end)
     g.preferences;
-  { Schedule.order = Old_graph.topological_order graph;
-    transformed = List.rev !transformed;
-    relaxed = List.rev !relaxed }
+  ( Old_graph.topological_order graph,
+    List.rev !transformed,
+    List.rev !relaxed )
 
-let old_d_only_order (g : Grammar.t) =
-  (old_schedule
-     (Grammar.make ~terminals:g.terminals ~start:g.start
-        ~productions:g.productions ()))
-    .Schedule.order
+(* The d-edge-only order was the order of the same grammar without its
+   preferences. *)
+let old_schedule (g : Grammar.t) =
+  let order, transformed, relaxed = old_build g in
+  let d_order, _, _ =
+    old_build
+      (Grammar.make ~terminals:g.terminals ~start:g.start
+         ~productions:g.productions ())
+  in
+  { Schedule.order; transformed; relaxed; d_order }
 
 (* ------------------------------------------------------------------ *)
 (* Random grammars                                                    *)
@@ -234,7 +249,11 @@ let grammar_gen ~layered =
   int_range 2 (Array.length nt_names) >>= fun n ->
   let nt i = Symbol.nonterminal nt_names.(i) in
   let declared = List.map Symbol.terminal [ t_names.(0); t_names.(1) ] in
-  let terminal = map (fun i -> Symbol.terminal t_names.(i)) (int_bound 2) in
+  (* now and then a terminal the grammar does not declare *)
+  let terminal =
+    map (fun i -> Symbol.terminal t_names.(i))
+      (frequency [ (12, int_bound 1); (1, return 2) ])
+  in
   let component i =
     frequency
       [ (3, terminal);
@@ -260,7 +279,7 @@ let grammar_gen ~layered =
   productions 0 >>= fun productions ->
   (* an occasional duplicated name or terminal head *)
   frequency
-    [ (6, return productions);
+    [ (12, return productions);
       ( 1,
         return
           (productions
@@ -272,7 +291,7 @@ let grammar_gen ~layered =
            @ [ Production.make ~name:"tail" ~head:(Symbol.terminal "box")
                  ~components:[ Symbol.terminal "text" ] () ]) ) ]
   >>= fun productions ->
-  list_size (int_bound 8) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+  list_size (int_bound 10) (pair (int_bound (n - 1)) (int_bound (n - 1)))
   >>= fun pairs ->
   let preferences =
     List.mapi
@@ -282,7 +301,7 @@ let grammar_gen ~layered =
       pairs
   in
   frequency
-    [ (8, return (nt 0)); (1, return (Symbol.terminal "text"));
+    [ (16, return (nt 0)); (1, return (Symbol.terminal "text"));
       (1, return (Symbol.nonterminal "Missing")) ]
   >|= fun start ->
   Grammar.make ~terminals:declared ~start ~productions ~preferences ()
@@ -294,12 +313,12 @@ let show_result = function
   | Ok () -> "ok"
   | Error errs -> String.concat "\n" errs
 
+let syms_text l = Fmt.str "%a" Fmt.(list ~sep:(any " ") Symbol.pp) l
+
 let schedule_text build g =
   match build g with
-  | s -> Fmt.str "%a" Schedule.pp s
+  | s -> Fmt.str "%a@.d-order: %s" Schedule.pp s (syms_text s.Schedule.d_order)
   | exception Invalid_argument m -> "Invalid_argument: " ^ m
-
-let syms_text l = Fmt.str "%a" Fmt.(list ~sep:(any " ") Symbol.pp) l
 
 let prop_validate ~layered =
   Q.Test.make
@@ -340,7 +359,7 @@ let prop_compiled_orders =
          String.equal (syms_text (syms pack.Engine.order_ids)) (syms_text s.Schedule.order)
          && String.equal
               (syms_text (syms pack.Engine.d_order_ids))
-              (syms_text (old_d_only_order g))
+              (syms_text s.Schedule.d_order)
          && List.equal String.equal
               (Array.to_list
                  (Array.map
@@ -349,8 +368,60 @@ let prop_compiled_orders =
                     pack.Engine.relaxed))
               (List.map (fun (r : Preference.t) -> r.name) s.Schedule.relaxed))
 
+(* The properties above see every branch of the r-edge loop: over the
+   grammars they draw, the reference transforms some preferences and
+   relaxes others. *)
+let test_generator_reaches_every_branch () =
+  let rand = Random.State.make [| 2004 |] in
+  let transformed = ref 0 and relaxed = ref 0 and invalid = ref 0 in
+  for _ = 1 to 500 do
+    let g = grammar_gen ~layered:(Random.State.bool rand) rand in
+    match old_schedule g with
+    | s ->
+      if s.Schedule.transformed <> [] then incr transformed;
+      if s.Schedule.relaxed <> [] then incr relaxed
+    | exception Invalid_argument _ -> incr invalid
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d transformed, %d relaxed, %d invalid of 500"
+       !transformed !relaxed !invalid)
+    true
+    (!transformed > 0 && !relaxed > 0 && !invalid > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation ceiling                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words of one [Extractor.load_grammar] of the committed std.wqg
+   (read, parse, instantiate, compile), after one warm-up load.  Loading
+   on symbol sets, maps, polymorphic hash tables and list scans
+   allocated 142 850 words here; on interned ids, with the reader
+   building each list in order, it allocates 85 515.  The ceiling
+   is that figure plus 3%, so a per-reference list scan, a polymorphic
+   table or a second schedule graph put back on the load path shows up
+   without a wall-clock gate. *)
+let load_words_ceiling = 85_515. *. 1.03
+
+let test_load_words () =
+  let load () =
+    match Wqi_core.Extractor.load_grammar "../examples/grammars/std.wqg" with
+    | Ok pack -> pack
+    | Error m -> Alcotest.fail m
+  in
+  ignore (load ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (load ()));
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" words load_words_ceiling)
+    true
+    (words <= load_words_ceiling)
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  ("allocation ceiling: load_grammar std.wqg", `Quick, test_load_words)
+  :: ("random grammars reach every schedule branch", `Quick,
+      test_generator_reaches_every_branch)
+  :: List.map QCheck_alcotest.to_alcotest
     [ prop_validate ~layered:false;
       prop_validate ~layered:true;
       prop_schedule ~layered:false;

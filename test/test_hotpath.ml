@@ -311,15 +311,182 @@ let prop_as_int =
     (Q.make ~print:String.escaped as_int_gen)
     (fun s -> Lexicon.as_int s = old_as_int s)
 
+let date_combo lists =
+  Lexicon.plausible_date_combo (List.length lists) (List.nth lists)
+
 let prop_date_combo =
   Q.Test.make ~name:"plausible_date_combo = old polymorphic sort" ~count:2000
     (Q.make
        ~print:Q.Print.(list (list string))
        Gen.(list_size (int_range 0 4) option_list_gen))
     (fun lists ->
-       Bool.equal
-         (Lexicon.plausible_date_combo lists)
-         (old_plausible_date_combo lists))
+       Bool.equal (date_combo lists) (old_plausible_date_combo lists))
+
+(* The date classification as it was before it took one pass: a count
+   of the options that are not header placeholders, then up to four
+   passes (month, year, day, time), each re-testing every option for a
+   placeholder and re-reading it as an integer; and the combo over a
+   list of option lists.  Its index-bound helpers are copied with it. *)
+module Prev_date = struct
+  let is_space = function
+    | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+    | _ -> false
+
+  let rec skip_space s lo hi =
+    if lo < hi && is_space (String.unsafe_get s lo) then skip_space s (lo + 1) hi
+    else lo
+
+  let rec drop_space s lo hi =
+    if hi > lo && is_space (String.unsafe_get s (hi - 1)) then
+      drop_space s lo (hi - 1)
+    else hi
+
+  let trim_lo s = skip_space s 0 (String.length s)
+  let trim_hi s lo = drop_space s lo (String.length s)
+
+  let rec agree_ci s i w j =
+    j >= String.length w
+    || Char.lowercase_ascii (String.unsafe_get s (i + j)) = String.unsafe_get w j
+       && agree_ci s i w (j + 1)
+
+  let prefix_ci s i hi w = i + String.length w <= hi && agree_ci s i w 0
+
+  let rec mem_ci s lo hi = function
+    | [] -> false
+    | w :: ws -> prefix_ci s lo hi w || mem_ci s lo hi ws
+
+  let by_length words =
+    let longest = List.fold_left (fun m w -> Int.max m (String.length w)) 0 words in
+    let table = Array.make (longest + 1) [] in
+    List.iter (fun w -> table.(String.length w) <- w :: table.(String.length w)) words;
+    table
+
+  let in_set table s lo hi =
+    let n = hi - lo in
+    n > 0 && n < Array.length table && mem_ci s lo hi (Array.unsafe_get table n)
+
+  let month_names = by_length month_names
+  let is_digit c = c >= '0' && c <= '9'
+  let not_int = min_int
+  let ask = max_int
+
+  let scan_int s lo hi =
+    let start =
+      if lo < hi && (s.[lo] = '-' || s.[lo] = '+') then lo + 1 else lo
+    in
+    if start >= hi || not (is_digit s.[start]) then not_int
+    else begin
+      let i = ref start and v = ref 0 in
+      while !i < hi && is_digit (String.unsafe_get s !i) do
+        v := (10 * !v) + Char.code (String.unsafe_get s !i) - 48;
+        incr i
+      done;
+      if !i = hi && hi - start <= 18 then (if s.[lo] = '-' then - !v else !v)
+      else begin
+        while
+          !i < hi
+          && (match String.unsafe_get s !i with
+              | '0' .. '9' | 'a' .. 'z' | 'A' .. 'Z' | '_' -> true
+              | _ -> false)
+        do incr i done;
+        if !i < hi then not_int else ask
+      end
+    end
+
+  let int_within s lo hi a b =
+    let v = scan_int s lo hi in
+    if v = not_int then false
+    else if v = ask then
+      match int_of_string_opt (String.sub s lo (hi - lo)) with
+      | Some v -> a <= v && v <= b
+      | None -> false
+    else a <= v && v <= b
+
+  let is_month s =
+    let lo = trim_lo s in
+    let hi = trim_hi s lo in
+    in_set month_names s lo hi || int_within s lo hi 1 12
+
+  let is_day s =
+    let lo = trim_lo s in
+    int_within s lo (trim_hi s lo) 1 31
+
+  let is_year s =
+    let lo = trim_lo s in
+    int_within s lo (trim_hi s lo) 1900 2100
+
+  let rec occurs_ci s i hi w = i < hi && (prefix_ci s i hi w || occurs_ci s (i + 1) hi w)
+
+  let is_hour_or_minute s =
+    let lo = trim_lo s in
+    let hi = trim_hi s lo in
+    int_within s lo hi 0 59
+    || occurs_ci s lo hi "am" || occurs_ci s lo hi "pm" || occurs_ci s lo hi ":"
+
+  let header_placeholders = by_length header_placeholders
+
+  let is_header_placeholder o =
+    let lo = trim_lo o in
+    in_set header_placeholders o lo (trim_hi o lo)
+
+  let rec significant_count n = function
+    | [] -> n
+    | o :: rest ->
+      significant_count (if is_header_placeholder o then n else n + 1) rest
+
+  let rec all_significant pred = function
+    | [] -> true
+    | o :: rest ->
+      (is_header_placeholder o || pred o) && all_significant pred rest
+
+  let month_not_day s = is_month s && not (is_day s)
+
+  let date_component options =
+    match significant_count 0 options with
+    | 0 -> (match options with [] -> `None | _ :: _ -> `Day)
+    | 1 -> `None
+    | _ ->
+      if all_significant month_not_day options then `Month
+      else if all_significant is_year options then `Year
+      else if all_significant is_day options then `Day
+      else if all_significant is_hour_or_minute options then `Time
+      else `None
+
+  let plausible_date_combo option_lists =
+    match option_lists with
+    | [ a; b; c ] ->
+      let a = date_component a and b = date_component b
+      and c = date_component c in
+      let count is = Bool.to_int (is a) + Bool.to_int (is b) + Bool.to_int (is c) in
+      let months = count (function `Month -> true | _ -> false)
+      and days = count (function `Day -> true | _ -> false)
+      and years = count (function `Year -> true | _ -> false) in
+      years = 1 && ((months = 1 && days = 1) || days = 2)
+    | [ a; b ] ->
+      (match date_component a, date_component b with
+       | (`Day, `Month | `Month, `Day) | (`Month, `Year | `Year, `Month)
+       | (`Day, `Year | `Year, `Day) | `Time, `Time ->
+         true
+       | _ -> false)
+    | _ -> false
+end
+
+let prop_date_one_pass =
+  Q.Test.make ~name:"one-pass date_component = multi-pass" ~count:3000
+    (Q.make ~print:Q.Print.(list string) option_list_gen)
+    (fun options ->
+       String.equal
+         (show_component (Lexicon.date_component options))
+         (show_component (Prev_date.date_component options)))
+
+let prop_date_combo_one_pass =
+  Q.Test.make ~name:"plausible_date_combo = multi-pass over a list of lists"
+    ~count:2000
+    (Q.make
+       ~print:Q.Print.(list (list string))
+       Gen.(list_size (int_range 0 4) option_list_gen))
+    (fun lists ->
+       Bool.equal (date_combo lists) (Prev_date.plausible_date_combo lists))
 
 (* The text classifiers and splitters as they were before they worked
    on index bounds: trim, lowercase and [String.sub] copies, naive
@@ -876,6 +1043,63 @@ let test_classifiers_allocate_nothing () =
       Lexicon.is_operator_phrase "Starts With")
 
 (* ------------------------------------------------------------------ *)
+(* Key.spec                                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Key = Wqi_store.Key
+module Budget = Wqi_budget.Budget
+
+let old_spec ~grammar_name ~grammar_version ~name budget =
+  Printf.sprintf "v%d|grammar=%s@%s|name=%s|budget=%s"
+    Wqi_model.Export.extraction_version grammar_name grammar_version name
+    (Wqi_model.Export.budget budget)
+
+let budget_gen =
+  let cap = Gen.(opt (oneof [ int_range 0 1000; int_range 0 max_int ])) in
+  Gen.(
+    map
+      (fun ((deadline_ms, max_html_nodes, max_boxes),
+            (max_tokens, max_instances, max_rounds)) ->
+         { Budget.deadline_ms; max_html_nodes; max_boxes; max_tokens;
+           max_instances; max_rounds })
+      (pair (triple cap cap cap) (triple cap cap cap)))
+
+let prop_key_spec =
+  let name =
+    Gen.(
+      frequency
+        [ (3, map (Printf.sprintf "doc-%05d") (int_bound 99_999));
+          (2, string_size ~gen:char (int_range 0 40));
+          (1, oneofl [ ""; "std"; "airline"; "@|="; "1" ]) ])
+  in
+  Q.Test.make ~name:"Key.spec = Printf rendering" ~count:2000
+    (Q.make
+       ~print:(fun ((g, v, n), b) ->
+           old_spec ~grammar_name:g ~grammar_version:v ~name:n b)
+       Gen.(pair (triple name name name) budget_gen))
+    (fun ((grammar_name, grammar_version, name), budget) ->
+       String.equal
+         (Key.spec ~grammar_name ~grammar_version ~name budget)
+         (old_spec ~grammar_name ~grammar_version ~name budget))
+
+(* Minor words of one spec for a batch document under the unlimited
+   budget: the [Printf] rendering allocated 114, the sized buffer
+   allocates 21 (the buffer, its bytes and the returned string).  The
+   ceiling is that figure plus 3%. *)
+let key_spec_words_ceiling = 21. *. 1.03
+
+let test_key_spec_words () =
+  let words =
+    minor_words (fun () ->
+        Key.spec ~grammar_name:"std" ~grammar_version:"1" ~name:"doc-00042"
+          Budget.unlimited)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= %.0f" words key_spec_words_ceiling)
+    true
+    (words <= key_spec_words_ceiling)
+
+(* ------------------------------------------------------------------ *)
 (* Pooled arenas                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -945,6 +1169,8 @@ let suite =
       to_alcotest prop_as_int;
       to_alcotest prop_date_component;
       to_alcotest prop_date_combo;
+      to_alcotest prop_date_one_pass;
+      to_alcotest prop_date_combo_one_pass;
       to_alcotest prop_merge;
       to_alcotest prop_export_string;
       to_alcotest prop_describe;
@@ -953,6 +1179,8 @@ let suite =
       ( "classifiers allocate nothing on a non-matching label",
         `Quick,
         test_classifiers_allocate_nothing );
+      to_alcotest prop_key_spec;
+      ("Key.spec allocation ceiling", `Quick, test_key_spec_words);
       ( "pooled arena keeps no instance after a parse",
         `Quick,
         test_pooled_arena_retention ) ]

@@ -68,6 +68,9 @@ let test_split_unit_prefix () =
     "bare unit" None
     (Lexicon.split_unit_prefix "miles")
 
+let date_combo lists =
+  Lexicon.plausible_date_combo (List.length lists) (List.nth lists)
+
 let test_date_components () =
   let months = [ "January"; "February"; "December" ] in
   let days = List.init 31 (fun i -> string_of_int (i + 1)) in
@@ -77,18 +80,18 @@ let test_date_components () =
   check_bool "years" true (Lexicon.date_component years = `Year);
   check_bool "none" true (Lexicon.date_component [ "red"; "blue" ] = `None);
   check_bool "mdy combo" true
-    (Lexicon.plausible_date_combo [ months; days; years ]);
+    (date_combo [ months; days; years ]);
   check_bool "numeric mdy combo" true
-    (Lexicon.plausible_date_combo
+    (date_combo
        [ List.init 12 (fun i -> string_of_int (i + 1)); days; years ]);
   check_bool "month-year pair" true
-    (Lexicon.plausible_date_combo [ months; years ]);
+    (date_combo [ months; years ]);
   (* Passenger-count pairs must not register as dates. *)
   check_bool "two count lists rejected" false
-    (Lexicon.plausible_date_combo
+    (date_combo
        [ [ "1"; "2"; "3" ]; [ "0"; "1"; "2" ] ]);
   check_bool "hour-minute pair" true
-    (Lexicon.plausible_date_combo
+    (date_combo
        [ [ "1 am"; "2 pm" ]; [ "00"; "15"; "30"; "45" ] ])
 
 let test_plausible_attribute () =
