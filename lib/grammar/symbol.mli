@@ -19,12 +19,11 @@ val of_token_kind : Wqi_token.Token.kind -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables on symbols that hash and compare with {!hash} and
-    {!equal}, never polymorphically. *)
+(** Hash tables on symbols that hash a symbol's name as a string and
+    compare with {!equal}, never polymorphically. *)
