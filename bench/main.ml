@@ -970,20 +970,6 @@ let opt_in_sections = [ ("layers", layers); ("startup", startup) ]
 (* JSON regression record (--json)                                     *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
 
 let write_json file =
@@ -999,13 +985,13 @@ let write_json file =
      List.iteri
        (fun i r ->
           p
-            "    {\"name\": \"%s\", \"tokens\": %d, \"ns_per_run\": %s, \
+            "    {\"name\": %s, \"tokens\": %d, \"ns_per_run\": %s, \
              \"r_square\": %s, \"created\": %d, \"live\": %d, \
              \"guards_tried\": %d, \"guards_admitted\": %d, \
              \"index_probes\": %d, \"index_pruned\": %d, \
              \"guards_tried_nohints\": %d, \"minor_words\": %s, \
              \"major_words\": %s}%s\n"
-            (json_escape r.row_name) r.row_tokens
+            (Wqi_json.Json.string r.row_name) r.row_tokens
             (json_float r.row_ns_per_run)
             (json_float r.row_r_square)
             r.row_created r.row_live

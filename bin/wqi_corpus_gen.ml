@@ -103,7 +103,7 @@ let run_gen n out_dir seed dup_prob =
         incr unique
       end
     done;
-    let str = Wqi_model.Export.string in
+    let str = Wqi_json.Json.string in
     let b = Buffer.create 1024 in
     Buffer.add_string b
       (Printf.sprintf

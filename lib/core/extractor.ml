@@ -314,13 +314,14 @@ let conditions e = e.model.Semantic_model.conditions
 
 let export ?(timings = true) ~name ?url e =
   let module E = Wqi_model.Export in
+  let module Json = Wqi_json.Json in
   let d = e.diagnostics in
   let stats = d.parse_stats in
   let diagnostics b =
-    let field ?(first = false) key = E.add_field b ~first key in
+    let field ?(first = false) key = Json.add_field b ~first key in
     let int ?first key v =
       field ?first key;
-      E.add_int b v
+      Json.add_int b v
     in
     let bool key v =
       field key;

@@ -1,99 +1,14 @@
-(* Minimal JSON emission — only what export needs, no dependency.  Every
-   value is written straight into one buffer; the string-returning
-   functions wrap the writers. *)
+(* The model's JSON, written through [Json]'s primitives.  Every value
+   is written straight into one buffer; the string-returning functions
+   wrap the writers. *)
 
 module Budget = Wqi_budget.Budget
+module Json = Wqi_json.Json
 
-let hex = "0123456789abcdef"
-
-(* The first index at or after [i] whose byte JSON must escape, or
-   [String.length s]. *)
-let rec plain_until s i =
-  if i >= String.length s then i
-  else
-    match String.unsafe_get s i with
-    | '"' | '\\' | '\000' .. '\031' -> i
-    | _ -> plain_until s (i + 1)
-
-(* From the escapable byte at [i] on: plain runs are copied one blit
-   each, each escapable byte as its escape. *)
-let rec add_escaped b s i =
-  let n = String.length s in
-  if i < n then begin
-    (match String.unsafe_get s i with
-     | '"' -> Buffer.add_string b "\\\""
-     | '\\' -> Buffer.add_string b "\\\\"
-     | '\n' -> Buffer.add_string b "\\n"
-     | '\r' -> Buffer.add_string b "\\r"
-     | '\t' -> Buffer.add_string b "\\t"
-     | c ->
-       Buffer.add_string b "\\u00";
-       Buffer.add_char b hex.[Char.code c lsr 4];
-       Buffer.add_char b hex.[Char.code c land 0xf]);
-    let j = plain_until s (i + 1) in
-    Buffer.add_substring b s (i + 1) (j - i - 1);
-    add_escaped b s j
-  end
-
-(* A string with nothing to escape — nearly every label — is one blit,
-   after one scan and no closure. *)
-let add_string b s =
-  Buffer.add_char b '"';
-  let i = plain_until s 0 in
-  Buffer.add_substring b s 0 i;
-  add_escaped b s i;
-  Buffer.add_char b '"'
-
-(* Decimal digits straight into the buffer, no string per number. *)
-let rec add_digits b n =
-  if n >= 10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-
-let add_int b n =
-  if n >= 0 then add_digits b n
-  else if n = min_int then Buffer.add_string b (Int.to_string n)
-  else begin
-    Buffer.add_char b '-';
-    add_digits b (-n)
-  end
-
-let add_field b ~first key =
-  if not first then Buffer.add_string b ", ";
-  add_string b key;
-  Buffer.add_string b ": "
-
-let add_list b add items =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-       if i > 0 then Buffer.add_string b ", ";
-       add b x)
-    items;
-  Buffer.add_char b ']'
-
-(* [size] is the initial buffer: these values are mostly short, and
-   some (a store manifest line's fields, a key's budget spec) are
-   rendered for every document. *)
-let render ?(size = 64) add v =
-  let b = Buffer.create size in
-  add b v;
-  Buffer.contents b
-
-let string s = render ~size:(String.length s + 2) add_string s
-
-let array items = render (fun b -> add_list b Buffer.add_string) items
-
-let obj fields =
-  render
-    (fun b fields ->
-       Buffer.add_char b '{';
-       List.iteri
-         (fun i (k, v) ->
-            add_field b ~first:(i = 0) k;
-            Buffer.add_string b v)
-         fields;
-       Buffer.add_char b '}')
-    fields
+let add_string = Json.add_string
+let add_int = Json.add_int
+let add_list = Json.add_list
+let render = Json.render
 
 let rec add_domain b (d : Condition.domain) =
   match d with
@@ -199,7 +114,7 @@ let outcome o = render add_outcome o
 let add_cap b first name = function
   | None -> first
   | Some v ->
-    add_field b ~first name;
+    Json.add_field b ~first name;
     add_int b v;
     false
 

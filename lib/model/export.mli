@@ -24,23 +24,6 @@ val source_description :
     version-1 format; governed extractions are exported with
     {!extraction}. *)
 
-(** {1 JSON building blocks}
-
-    Exposed so layers above can render their own JSON values with the
-    same escaping and layout. *)
-
-val string : string -> string
-(** A JSON string literal with escaping. *)
-
-val add_string : Buffer.t -> string -> unit
-(** {!string}, appended to a buffer instead of returned. *)
-
-val array : string list -> string
-(** A JSON array of pre-rendered values. *)
-
-val obj : (string * string) list -> string
-(** A JSON object of pre-rendered values. *)
-
 (** {1 Versioned extraction export (version 2)}
 
     Renders the resource-governance side of an extraction: its
@@ -82,14 +65,8 @@ val failed_source :
 
     The bytes of the functions above, appended to a caller's buffer, so
     a whole document is written through one [Buffer.t] with no
-    intermediate strings. *)
-
-val add_field : Buffer.t -> first:bool -> string -> unit
-(** [add_field b ~first key] writes an object member's key and colon,
-    preceded by the [", "] separator unless [first]. *)
-
-val add_int : Buffer.t -> int -> unit
-(** [Buffer.add_string b (Int.to_string n)], without the string. *)
+    intermediate strings.  The JSON primitives (strings, numbers,
+    members) are {!Wqi_json.Json}'s. *)
 
 val add_budget : Buffer.t -> Wqi_budget.Budget.t -> unit
 (** {!budget}. *)

@@ -1,4 +1,5 @@
 module Budget = Wqi_budget.Budget
+module Json = Wqi_json.Json
 
 type value = Int of int | Float of float | Bool of bool | Str of string
 
@@ -119,37 +120,17 @@ let iter t f =
 (* Chrome trace-event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-let escape_into b s =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s
-
 let value_into b = function
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> Json.add_int b i
   | Float f -> Buffer.add_string b (Printf.sprintf "%.6g" f)
   | Bool v -> Buffer.add_string b (string_of_bool v)
-  | Str s ->
-    Buffer.add_char b '"';
-    escape_into b s;
-    Buffer.add_char b '"'
+  | Str s -> Json.add_string b s
 
 let args_into b args =
   Buffer.add_string b "{";
   List.iteri
     (fun i (k, v) ->
-       if i > 0 then Buffer.add_string b ", ";
-       Buffer.add_char b '"';
-       escape_into b k;
-       Buffer.add_string b "\": ";
+       Json.add_field b ~first:(i = 0) k;
        value_into b v)
     args;
   Buffer.add_string b "}"
@@ -160,11 +141,11 @@ let to_chrome_json ?(scrub_timestamps = false) t =
   let i = ref 0 in
   iter t (fun e ->
       if !i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n  {\"name\": \"";
-      escape_into b e.e_name;
-      Buffer.add_string b "\", \"cat\": \"";
-      escape_into b e.e_cat;
-      Buffer.add_string b "\", \"ph\": \"";
+      Buffer.add_string b "\n  {\"name\": ";
+      Json.add_string b e.e_name;
+      Buffer.add_string b ", \"cat\": ";
+      Json.add_string b e.e_cat;
+      Buffer.add_string b ", \"ph\": \"";
       Buffer.add_string b (match e.e_phase with Span -> "X" | Instant -> "i");
       Buffer.add_string b "\", \"ts\": ";
       let ts_us, dur_us =

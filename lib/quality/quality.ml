@@ -96,157 +96,102 @@ let of_meta (m : Store.meta) =
 (* Canonical JSON                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* %.12g round-trips through of_json → to_json byte-stably for the
-   small-integer ratios scores are made of, while keeping the line
-   readable; integers render without a decimal point. *)
-let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.12g" f
+module Json = Wqi_json.Json
 
+(* Floats in [Json]'s manifest form: %.12g round-trips through of_json
+   → to_json byte-stably for the small-integer ratios scores are made
+   of, while keeping the line readable; integers render without a
+   decimal point. *)
 let to_json r =
-  let str = Wqi_model.Export.string in
+  let str = Json.string and num = Json.float in
   Printf.sprintf
     "{\"wqi_quality_version\":%d,\"source\":%s,\"grammar\":%s,\
      \"domain\":%s,\"outcome\":%s,\"score\":%s,\"coverage\":%s,\
      \"tokens\":%d,\"covered\":%d,\"conflicts\":%d,\"missing\":%d,\
      \"trees\":%d,\"ambiguity\":%d,\"trips\":%d}"
     version (str r.source) (str r.grammar) (str r.domain) (str r.outcome)
-    (float_repr r.score) (float_repr r.coverage) r.tokens r.covered
-    r.conflicts r.missing r.trees r.ambiguity r.trips
+    (num r.score) (num r.coverage) r.tokens r.covered r.conflicts r.missing
+    r.trees r.ambiguity r.trips
 
-(* Hand-rolled reader for exactly the subset [to_json] emits (flat
-   object, string and number values) — the build environment has no
-   JSON library, and the store manifest reader sets the precedent. *)
-exception Bad of string
+(* The record's schema on [Json]'s reader, as the store manifest's is:
+   each member's value lands in its field's slot, so a duplicated key's
+   last value counts, and unknown keys are skipped.  Field ids are the
+   indices of [names]: the strings, then the integers, then the
+   floats. *)
+let names =
+  [| "source"; "grammar"; "domain"; "outcome"; "wqi_quality_version";
+     "tokens"; "covered"; "conflicts"; "missing"; "trees"; "ambiguity";
+     "trips"; "coverage"; "score" |]
 
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let bad msg = raise (Bad msg) in
-  let peek () = if !pos < n then line.[!pos] else bad "truncated" in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then bad (Printf.sprintf "expected %c" c);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then bad "unterminated string";
-      match line.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        (match peek () with
-         | 'n' -> Buffer.add_char b '\n'; incr pos
-         | 't' -> Buffer.add_char b '\t'; incr pos
-         | 'r' -> Buffer.add_char b '\r'; incr pos
-         | '"' -> Buffer.add_char b '"'; incr pos
-         | '\\' -> Buffer.add_char b '\\'; incr pos
-         | '/' -> Buffer.add_char b '/'; incr pos
-         | 'u' ->
-           if !pos + 4 >= n then bad "bad escape";
-           let hex = String.sub line (!pos + 1) 4 in
-           (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 256 -> Buffer.add_char b (Char.chr code)
-            | _ -> bad "bad escape");
-           pos := !pos + 5
-         | _ -> bad "bad escape");
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
+let f_version = 4
+let f_coverage = 12
+let all_fields = 0x3fff
+
+type slots = {
+  mutable ok : int;  (* bit f: field f's last value was of its kind *)
+  strs : string array;   (* by field id *)
+  ints : int array;      (* by field id - [f_version] *)
+  nums : Float.Array.t;  (* by field id - [f_coverage] *)
+}
+
+(* From 2^53 on a float no longer holds every integer (2^53 + 1 reads
+   as 2^53), and past [max_int] [int_of_float] answers garbage: a count
+   of 2^53 or more, however written, is an error, not a wrong number. *)
+let member s (r : Json.reader) f =
+  if f >= 0 then begin
+    let good =
+      match r.kind with
+      | Json.Str ->
+        if f < f_version then s.strs.(f) <- Json.string_value r;
+        f < f_version
+      | Json.Int | Json.Num ->
+        let x = Json.float_value r in
+        if f >= f_coverage then begin
+          Float.Array.set s.nums (f - f_coverage) x;
+          true
+        end
+        else begin
+          let ok = f >= f_version && Float.is_integer x && Float.abs x < 0x1p53 in
+          if ok then s.ints.(f - f_version) <- int_of_float x;
+          ok
+        end
     in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    let numeric = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && numeric line.[!pos] do incr pos done;
-    if !pos = start then bad "expected number";
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some v -> v
-    | None -> bad "bad number"
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = '}' then incr pos
-  else begin
-    let rec members () =
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let value =
-        if peek () = '"' then `Str (parse_string ())
-        else `Num (parse_number ())
-      in
-      fields := (key, value) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' -> incr pos; skip_ws (); members ()
-      | '}' -> incr pos
-      | _ -> bad "expected , or }"
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing bytes");
-  !fields
+    s.ok <- (if good then s.ok lor (1 lsl f) else s.ok land lnot (1 lsl f))
+  end
+
+let rec first_bit m f = if m land (1 lsl f) <> 0 then f else first_bit m (f + 1)
+
+let bad fmt = Printf.ksprintf (fun msg -> Error ("bad quality record: " ^ msg)) fmt
 
 let of_json line =
-  match parse_fields (String.trim line) with
-  | exception Bad msg -> Error ("bad quality record: " ^ msg)
-  | fields ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (`Str s) -> s
-      | _ -> raise (Bad (k ^ ": expected string"))
-    in
-    let num k =
-      match List.assoc_opt k fields with
-      | Some (`Num v) when Float.is_finite v -> v
-      | _ -> raise (Bad (k ^ ": expected number"))
-    in
-    (* From 2^53 on a float no longer holds every integer (2^53 + 1
-       reads as 2^53), and past [max_int] [int_of_float] answers
-       garbage: an over-long count is an error, not a wrong number. *)
-    let int k =
-      let v = num k in
-      if Float.is_integer v && Float.abs v < 0x1p53 then int_of_float v
-      else raise (Bad (k ^ ": expected integer"))
-    in
-    (match
-       let v = int "wqi_quality_version" in
-       if v <> version then
-         raise (Bad (Printf.sprintf "unsupported version %d" v));
-       { source = str "source";
-         grammar = str "grammar";
-         domain = str "domain";
-         outcome = str "outcome";
-         tokens = int "tokens";
-         covered = int "covered";
-         conflicts = int "conflicts";
-         missing = int "missing";
-         trees = int "trees";
-         ambiguity = int "ambiguity";
-         trips = int "trips";
-         coverage = num "coverage";
-         score = num "score" }
-     with
-     | r -> Ok r
-     | exception Bad msg -> Error ("bad quality record: " ^ msg))
+  let line = String.trim line in
+  let s =
+    { ok = 0; strs = Array.make f_version "";
+      ints = Array.make (f_coverage - f_version) 0;
+      nums = Float.Array.make 2 0. }
+  in
+  match Json.read_object names member s line 0 (String.length line) with
+  | exception Json.Malformed -> bad "malformed JSON"
+  | () ->
+    let int f = s.ints.(f - f_version) in
+    let missing = lnot s.ok land all_fields in
+    let has_version = missing land (1 lsl f_version) = 0 in
+    if has_version && int f_version <> version then
+      bad "unsupported version %d" (int f_version)
+    else if missing <> 0 then
+      let f = if has_version then first_bit missing 0 else f_version in
+      bad "%s: expected %s" names.(f)
+        (if f < f_version then "string"
+         else if f < f_coverage then "integer"
+         else "number")
+    else
+      Ok
+        { source = s.strs.(0); grammar = s.strs.(1); domain = s.strs.(2);
+          outcome = s.strs.(3); tokens = int 5; covered = int 6;
+          conflicts = int 7; missing = int 8; trees = int 9;
+          ambiguity = int 10; trips = int 11;
+          coverage = Float.Array.get s.nums 0;
+          score = Float.Array.get s.nums 1 }
 
 (* ------------------------------------------------------------------ *)
 (* Streaming aggregation                                              *)

@@ -97,11 +97,12 @@ val to_json : t -> string
     a pure function of the record. *)
 
 val of_json : string -> (t, string) result
-(** Parse one record line.  Requires the version tag to match
-    {!version}; unknown fields are ignored so minor forward revisions
-    stay readable.  Never raises: a malformed line, a non-finite
-    [score] or [coverage], or a count of 2{^53} or more is an
-    [Error]. *)
+(** Parse one record line, surrounding whitespace ignored, on
+    {!Wqi_json.Json}'s reader (the store manifest's).  Requires the
+    version tag to match {!version}; unknown fields are ignored so minor
+    forward revisions stay readable.  Never raises: a malformed line, a
+    number that overflows to infinity anywhere in it, or a count of
+    2{^53} or more is an [Error]. *)
 
 (** {1 Streaming aggregation}
 

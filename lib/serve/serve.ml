@@ -1,7 +1,7 @@
 module Extractor = Wqi_core.Extractor
 module Engine = Wqi_parser.Engine
 module Budget = Wqi_budget.Budget
-module Export = Wqi_model.Export
+module Json = Wqi_json.Json
 module Trace = Wqi_obs.Trace
 module Group = Wqi_parallel.Pool.Group
 module Store = Wqi_store.Store
@@ -267,7 +267,7 @@ let budget_of_query config req =
 (* ------------------------------------------------------------------ *)
 
 let json_error msg =
-  Export.obj [ ("error", Export.string msg) ]
+  Json.obj [ ("error", Json.string msg) ]
 
 let respond ?scratch fd ~status ?headers ?content_type body =
   try Http.write_response ?scratch fd ~status ?headers ?content_type body
@@ -329,10 +329,10 @@ let log_access t ~meth ~path ~status ~bytes ~seconds ~cache ~outcome ~id =
       Printf.sprintf
         "{\"ts\":%s,\"method\":%s,\"path\":%s,\"status\":%d,\"bytes\":%d,\
          \"ms\":%.3f,\"cache\":%s,\"outcome\":%s,\"id\":%s}"
-        (Export.string (iso8601 (Unix.gettimeofday ())))
-        (Export.string meth) (Export.string path) status bytes
-        (1000. *. seconds) (Export.string cache) (Export.string outcome)
-        (Export.string id)
+        (Json.string (iso8601 (Unix.gettimeofday ())))
+        (Json.string meth) (Json.string path) status bytes
+        (1000. *. seconds) (Json.string cache) (Json.string outcome)
+        (Json.string id)
     in
     Mutex.lock t.log_mutex;
     output_string oc line;

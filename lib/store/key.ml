@@ -86,7 +86,7 @@ let spec ~grammar_name ~grammar_version ~name budget =
        + String.length name)
   in
   Buffer.add_char b 'v';
-  E.add_int b E.extraction_version;
+  Wqi_json.Json.add_int b E.extraction_version;
   Buffer.add_string b "|grammar=";
   Buffer.add_string b grammar_name;
   Buffer.add_char b '@';

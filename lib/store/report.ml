@@ -1,10 +1,12 @@
+module Json = Wqi_json.Json
+
 type error = {
   path : string;
   outcome : string;
   error : string;
 }
 
-let str = Wqi_model.Export.string
+let str = Json.string
 
 let errors_json errors =
   let b = Buffer.create 256 in
@@ -27,13 +29,12 @@ let summary_json ~version fields =
   List.iter
     (fun (k, v) ->
        Buffer.add_string b ",";
-       Buffer.add_string b (str k);
+       Json.add_string b k;
        Buffer.add_string b ":";
-       Buffer.add_string b
-         (match v with
-          | Int n -> string_of_int n
-          | Float f -> Printf.sprintf "%.6f" f
-          | Str s -> str s))
+       match v with
+       | Int n -> Json.add_int b n
+       | Float f -> Buffer.add_string b (Printf.sprintf "%.6f" f)
+       | Str s -> Json.add_string b s)
     fields;
   Buffer.add_string b "}\n";
   Buffer.contents b

@@ -22,11 +22,12 @@ type meta = {
 (* Manifest lines                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One JSON object per line.  Emission reuses the export escaper so the
-   manifest is ordinary JSONL; parsing is a small hand-rolled reader
-   for exactly the subset emitted (string and number values).  Any
-   line that fails to parse — a torn tail from a crashed writer, a
-   stray editor artifact — is dropped and counted, never fatal. *)
+(* One JSON object per line, written and read through [Json]: this
+   module owns only the schema.  Any line that fails to parse — a torn
+   tail from a crashed writer, a stray editor artifact, a number that
+   overflows to infinity — is dropped and counted, never fatal. *)
+
+module Json = Wqi_json.Json
 
 type entry = {
   e_seg : int;
@@ -38,26 +39,8 @@ type entry = {
 
 (* --- writer ------------------------------------------------------- *)
 
-external format_float : string -> float -> string = "caml_format_float"
-
-(* Non-negative integers digit by digit, with no intermediate string. *)
-let rec add_int b n =
-  if n < 0 then Buffer.add_string b (string_of_int n)
-  else begin
-    if n >= 10 then add_int b (n / 10);
-    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-  end
-
-(* Floats (quality score/coverage) render integer-valued without a
-   decimal point; the reader accepts both forms. *)
-let add_float b f =
-  Buffer.add_string b
-    (format_float
-       (if Float.is_integer f && Float.abs f < 1e15 then "%.0f" else "%.12g")
-       f)
-
 let add_line b (k : Key.t) e =
-  let str = Wqi_model.Export.add_string in
+  let str = Json.add_string and int = Json.add_int in
   Buffer.add_string b "{\"k\":\"";
   for i = 15 downto 0 do
     Buffer.add_char b
@@ -66,17 +49,17 @@ let add_line b (k : Key.t) e =
                           land 15]
   done;
   Buffer.add_string b "\",\"len\":";
-  add_int b k.Key.len;
+  int b k.Key.len;
   Buffer.add_string b ",\"spec\":";
   str b k.Key.spec;
   Buffer.add_string b ",\"seg\":";
-  add_int b e.e_seg;
+  int b e.e_seg;
   Buffer.add_string b ",\"off\":";
-  add_int b e.e_off;
+  int b e.e_off;
   Buffer.add_string b ",\"bytes\":";
-  add_int b e.e_len;
+  int b e.e_len;
   Buffer.add_string b ",\"crc\":";
-  add_int b e.e_crc;
+  int b e.e_crc;
   Buffer.add_string b ",\"src\":";
   str b e.e_meta.source;
   Buffer.add_string b ",\"grammar\":";
@@ -89,11 +72,11 @@ let add_line b (k : Key.t) e =
    | None -> ()
    | Some q ->
      Buffer.add_string b ",\"score\":";
-     add_float b q.q_score;
+     Json.add_float b q.q_score;
      Buffer.add_string b ",\"coverage\":";
-     add_float b q.q_coverage;
+     Json.add_float b q.q_coverage;
      Buffer.add_string b ",\"conflicts\":";
-     add_int b q.q_conflicts);
+     int b q.q_conflicts);
   Buffer.add_char b '}'
 
 let render_line k e =
@@ -103,98 +86,68 @@ let render_line k e =
 
 (* --- reader ------------------------------------------------------- *)
 
-(* One pass over [line.[lo .. hi)], in the grammar the writer emits:
-   an object of string and number members, spaces and tabs between
-   tokens.  Field names are matched where they lie and each member's
-   value lands in its field's slot, so a duplicated key's last value is
-   the one that counts, whatever kind it is; unknown keys are skipped
-   once their value has been checked.  A string is one [String.sub]
-   unless it holds an escape; a plain run of at most 18 digits is
-   decoded in place, and any other number goes through
-   [int_of_string_opt], then [float_of_string_opt], as a substring. *)
+(* Each member's value lands in its field's slot, so a duplicated key's
+   last value is the one that counts, whatever kind it is; unknown keys
+   are skipped once [Json] has checked their value.  Field ids are the
+   indices of [names], in the order [add_line] writes them, which is the
+   order [Json] guesses them in. *)
+let names =
+  [| "k"; "len"; "spec"; "seg"; "off"; "bytes"; "crc"; "src"; "grammar";
+     "outcome"; "domain"; "score"; "coverage"; "conflicts" |]
 
-exception Bad_line
-
-(* Field ids: the strings, then the integers, then the floats.  -1 is a
-   key the reader skips. *)
 let f_k = 0
-let f_spec = 1
-let f_src = 2
-let f_grammar = 3
-let f_outcome = 4
-let f_domain = 5
-let f_len = 6
-let f_seg = 7
-let f_off = 8
-let f_bytes = 9
-let f_crc = 10
-let f_conflicts = 11
-let f_score = 12
-let f_coverage = 13
+let f_len = 1
+let f_spec = 2
+let f_seg = 3
+let f_off = 4
+let f_bytes = 5
+let f_crc = 6
+let f_src = 7
+let f_grammar = 8
+let f_outcome = 9
+let f_score = 11
 
-let required = 0x7ff         (* k .. crc *)
-let quality_fields = 0x3800  (* conflicts, score, coverage *)
+let strings = 0x785          (* k, spec, src, grammar, outcome, domain *)
+let floats = 0x1800          (* score, coverage *)
+let required = 0x7ff         (* k .. domain *)
+let quality_fields = 0x3800  (* score, coverage, conflicts *)
+let score_seen = 0x4000      (* a "score" key occurred, of any kind *)
 
-type reader = {
-  line : string;
-  hi : int;
-  mutable pos : int;
+let[@inline] is mask f = (mask lsr f) land 1 = 1
+
+(* One mutable field per member, so a line costs one record of slots. *)
+type slots = {
   mutable ok : int;  (* bit f: field f's last value was of its kind *)
-  mutable has_score : bool;  (* a "score" key occurred, of any kind *)
-  strs : string array;   (* by field id ([f_k] unused) *)
-  ints : int array;      (* by field id - [f_len] *)
-  nums : Float.Array.t;  (* by field id - [f_score] *)
-  mutable k_text : string;  (* the last "k": [k_len] bytes of [k_text] *)
+  mutable k_text : string;  (* the last "k": 16 bytes of [k_text] *)
   mutable k_at : int;       (* from [k_at] *)
-  mutable k_len : int;
+  mutable spec : string;
+  mutable src : string;
+  mutable grammar : string;
+  mutable outcome : string;
+  mutable domain : string;
+  mutable len : int;
+  mutable seg : int;
+  mutable off : int;
+  mutable bytes : int;
+  mutable crc : int;
+  mutable conflicts : int;
+  mutable score : float;
+  mutable coverage : float;
 }
 
-let[@inline] bad () = raise_notrace Bad_line
+let[@inline] bad () = raise_notrace Json.Malformed
 
-let[@inline] mark r f good =
-  r.ok <- (if good then r.ok lor (1 lsl f) else r.ok land lnot (1 lsl f))
-
-let[@inline] peek r =
-  if r.pos < r.hi then String.unsafe_get r.line r.pos else bad ()
-
-let skip_ws r =
-  while
-    r.pos < r.hi
-    && (match String.unsafe_get r.line r.pos with
-        | ' ' | '\t' -> true
-        | _ -> false)
-  do r.pos <- r.pos + 1 done
-
-let expect r c =
-  skip_ws r;
-  if peek r <> c then bad ();
-  r.pos <- r.pos + 1
-
+(* [Json]'s, repeated so that the per-digit loop below makes no call
+   across libraries. *)
 let hex_digit = function
   | '0' .. '9' as c -> Char.code c - 48
   | 'a' .. 'f' as c -> Char.code c - 87
   | 'A' .. 'F' as c -> Char.code c - 55
   | _ -> -1
 
-(* The value of [n] hex digits at [s.[i]], as [int_of_string] reads
-   them after a "0x": the first a digit, each later one a digit or an
-   ignored '_'.  -1 when they are not. *)
-let hex_run s i n =
-  if hex_digit (String.unsafe_get s i) < 0 then -1
-  else begin
-    let v = ref 0 and ok = ref true in
-    for j = i to i + n - 1 do
-      match String.unsafe_get s j with
-      | '_' -> ()
-      | c ->
-        let d = hex_digit c in
-        if d < 0 then ok := false else v := (!v lsl 4) lor d
-    done;
-    if !ok then !v else -1
-  end
-
-(* The 16 digits of a key hash, read by the same rule (as
-   [Int64.of_string] does). *)
+(* The 16 digits of a key hash, read as [Int64.of_string] reads them
+   after a "0x": the first a digit, each later one a digit or an
+   ignored '_'. *)
 let hash_of s i =
   if hex_digit (String.unsafe_get s i) < 0 then bad ();
   let h = ref 0L in
@@ -208,239 +161,101 @@ let hash_of s i =
   done;
   !h
 
-(* Advance past the string whose opening quote is at [r.pos]; true when
-   it holds an escape.  Escapes are checked here, decoded by
-   [unescape]. *)
-let scan_string r =
-  if peek r <> '"' then bad ();
-  let s = r.line and hi = r.hi in
-  let i = ref (r.pos + 1) and esc = ref false in
-  while
-    if !i >= hi then bad ();
-    String.unsafe_get s !i <> '"'
-  do
-    if String.unsafe_get s !i = '\\' then begin
-      esc := true;
-      incr i;
-      if !i >= hi then bad ();
-      match String.unsafe_get s !i with
-      | 'n' | 't' | 'r' | '"' | '\\' | '/' -> ()
-      | 'u' ->
-        if !i + 4 >= hi then bad ();
-        let code = hex_run s (!i + 1) 4 in
-        if code < 0 || code >= 256 then bad ();
-        i := !i + 4
-      | _ -> bad ()
-    end;
-    incr i
-  done;
-  r.pos <- !i + 1;
-  !esc
-
-(* The bytes of a checked string body [s.[lo .. hi)] with its escapes
-   decoded. *)
-let unescape s lo hi =
-  let b = Buffer.create (hi - lo) in
-  let i = ref lo in
-  while !i < hi do
-    (match String.unsafe_get s !i with
-     | '\\' ->
-       incr i;
-       (match String.unsafe_get s !i with
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'u' ->
-          Buffer.add_char b (Char.chr (hex_run s (!i + 1) 4));
-          i := !i + 4
-        | c -> Buffer.add_char b c)
-     | c -> Buffer.add_char b c);
-    incr i
-  done;
-  Buffer.contents b
-
-let rec same s at name j =
-  j = String.length name
-  || (String.unsafe_get s (at + j) = String.unsafe_get name j
-      && same s at name (j + 1))
-
-let is s at name = same s at name 0
-
-let field_id s at len =
-  match len with
-  | 1 -> if is s at "k" then f_k else -1
-  | 3 ->
-    if is s at "len" then f_len
-    else if is s at "seg" then f_seg
-    else if is s at "off" then f_off
-    else if is s at "crc" then f_crc
-    else if is s at "src" then f_src
-    else -1
-  | 4 -> if is s at "spec" then f_spec else -1
-  | 5 ->
-    if is s at "bytes" then f_bytes
-    else if is s at "score" then f_score
-    else -1
-  | 6 -> if is s at "domain" then f_domain else -1
-  | 7 ->
-    if is s at "grammar" then f_grammar
-    else if is s at "outcome" then f_outcome
-    else -1
-  | 8 -> if is s at "coverage" then f_coverage else -1
-  | 9 -> if is s at "conflicts" then f_conflicts else -1
-  | _ -> -1
-
-let int_value r f v =
-  if f >= f_score then begin
-    mark r f true;
-    Float.Array.set r.nums (f - f_score) (float_of_int v)
+(* The "k" string is kept as a window of the line when it holds no
+   escape; it is of its kind when it is 16 bytes long. *)
+let key_text s (r : Json.reader) =
+  if r.esc then begin
+    let d = Json.string_value r in
+    s.k_text <- d;
+    s.k_at <- 0;
+    String.length d = 16
   end
-  else if f >= f_len then begin
-    mark r f (v >= 0);
-    r.ints.(f - f_len) <- v
-  end
-  else if f >= 0 then mark r f false
-
-let float_value r f x =
-  if f >= f_score then begin
-    mark r f true;
-    Float.Array.set r.nums (f - f_score) x
-  end
-  else if f >= 0 then mark r f false
-
-(* A number token into field [f]: the bytes [0-9+-.eE] the old reader
-   took, decoded as [int_of_string_opt], else [float_of_string_opt],
-   would decode them.  [int_of_string] reads only a sign and digits, so
-   a token with '.', 'e' or 'E' goes straight to [float_of_string_opt]. *)
-let number r f =
-  let start = r.pos in
-  let shape = ref 0 (* 0 digits, 1 and a sign, 2 not an int *) in
-  let v = ref 0 in
-  while
-    r.pos < r.hi
-    &&
-    match String.unsafe_get r.line r.pos with
-    | '0' .. '9' as c ->
-      v := (!v * 10) + (Char.code c - 48);
-      true
-    | '-' | '+' ->
-      shape := max !shape 1;
-      true
-    | '.' | 'e' | 'E' ->
-      shape := 2;
-      true
-    | _ -> false
-  do r.pos <- r.pos + 1 done;
-  let n = r.pos - start in
-  if n = 0 then bad ();
-  if !shape = 0 && n <= 18 then int_value r f !v
   else begin
-    let s = String.sub r.line start n in
-    match if !shape = 2 then None else int_of_string_opt s with
-    | Some v -> int_value r f v
-    | None ->
-      (match float_of_string_opt s with
-       | Some x -> float_value r f x
-       | None -> bad ())
+    s.k_text <- r.src;
+    s.k_at <- r.lo;
+    r.stop - r.lo = 16
   end
 
-(* A string value, body [line.[lo .. hi)], into field [f]. *)
-let string_value r f lo hi esc =
-  if f = f_k then begin
-    mark r f true;
-    if esc then begin
-      let d = unescape r.line lo hi in
-      r.k_text <- d;
-      r.k_at <- 0;
-      r.k_len <- String.length d
-    end
-    else begin
-      r.k_text <- r.line;
-      r.k_at <- lo;
-      r.k_len <- hi - lo
-    end
-  end
-  else if f > f_k && f < f_len then begin
-    mark r f true;
-    r.strs.(f) <-
-      (if esc then unescape r.line lo hi else String.sub r.line lo (hi - lo))
-  end
-  else if f >= 0 then mark r f false
+let set_string s f v =
+  if f = f_spec then s.spec <- v
+  else if f = f_src then s.src <- v
+  else if f = f_grammar then s.grammar <- v
+  else if f = f_outcome then s.outcome <- v
+  else s.domain <- v
 
-let rec members r =
-  skip_ws r;
-  let lo = r.pos + 1 in
-  let esc = scan_string r in
-  let f =
-    if esc then
-      let name = unescape r.line lo (r.pos - 1) in
-      field_id name 0 (String.length name)
-    else field_id r.line lo (r.pos - 1 - lo)
-  in
-  if f = f_score then r.has_score <- true;
-  expect r ':';
-  skip_ws r;
-  if peek r = '"' then begin
-    let lo = r.pos + 1 in
-    let esc = scan_string r in
-    string_value r f lo (r.pos - 1) esc
+let set_int s f v =
+  if f = f_len then s.len <- v
+  else if f = f_seg then s.seg <- v
+  else if f = f_off then s.off <- v
+  else if f = f_bytes then s.bytes <- v
+  else if f = f_crc then s.crc <- v
+  else s.conflicts <- v
+
+let set_float s f v = if f = f_score then s.score <- v else s.coverage <- v
+
+let member s (r : Json.reader) f =
+  if f = f_score then s.ok <- s.ok lor score_seen;
+  if f >= 0 then begin
+    let good =
+      match r.kind with
+      | Json.Str ->
+        if f = f_k then key_text s r
+        else begin
+          if is strings f then set_string s f (Json.string_value r);
+          is strings f
+        end
+      | Json.Int ->
+        if is floats f then begin
+          set_float s f (float_of_int r.int);
+          true
+        end
+        else begin
+          if not (is strings f) then set_int s f r.int;
+          (not (is strings f)) && r.int >= 0
+        end
+      | Json.Num ->
+        if is floats f then set_float s f r.num;
+        is floats f
+    in
+    s.ok <- (if good then s.ok lor (1 lsl f) else s.ok land lnot (1 lsl f))
   end
-  else number r f;
-  skip_ws r;
-  match peek r with
-  | ',' ->
-    r.pos <- r.pos + 1;
-    members r
-  | '}' -> r.pos <- r.pos + 1
-  | _ -> bad ()
 
-let int r f = r.ints.(f - f_len)
-let num r f = Float.Array.get r.nums (f - f_score)
-
-let result r =
-  if r.ok land required <> required || r.k_len <> 16 then bad ();
+let result s =
+  if s.ok land required <> required then bad ();
   let quality =
-    if not r.has_score then None
-    else if r.ok land quality_fields = quality_fields then
+    if s.ok land score_seen = 0 then None
+    else if s.ok land quality_fields = quality_fields then
       Some
-        { q_score = num r f_score;
-          q_coverage = num r f_coverage;
-          q_conflicts = int r f_conflicts }
+        { q_score = s.score; q_coverage = s.coverage;
+          q_conflicts = s.conflicts }
     else bad ()
   in
-  ( { Key.hash = hash_of r.k_text r.k_at; len = int r f_len;
-      spec = r.strs.(f_spec) },
-    { e_seg = int r f_seg;
-      e_off = int r f_off;
-      e_len = int r f_bytes;
-      e_crc = int r f_crc;
+  ( { Key.hash = hash_of s.k_text s.k_at; len = s.len; spec = s.spec },
+    { e_seg = s.seg;
+      e_off = s.off;
+      e_len = s.bytes;
+      e_crc = s.crc;
       e_meta =
-        { source = r.strs.(f_src);
-          grammar = r.strs.(f_grammar);
-          outcome = r.strs.(f_outcome);
-          domain = r.strs.(f_domain);
+        { source = s.src;
+          grammar = s.grammar;
+          outcome = s.outcome;
+          domain = s.domain;
           quality } } )
 
 (* [line.[lo .. hi)] is only read, and nothing returned shares it, so
    replay can hand in a window of a reused read buffer. *)
 let parse_range line lo hi =
-  let r =
-    { line; hi; pos = lo; ok = 0; has_score = false;
-      strs = Array.make (f_domain + 1) "";
-      ints = Array.make (f_conflicts - f_len + 1) 0;
-      nums = Float.Array.make 2 0.;
-      k_text = ""; k_at = 0; k_len = 0 }
+  let s =
+    { ok = 0; k_text = ""; k_at = 0; spec = ""; src = ""; grammar = "";
+      outcome = ""; domain = ""; len = 0; seg = 0; off = 0; bytes = 0;
+      crc = 0; conflicts = 0; score = 0.; coverage = 0. }
   in
   match
-    expect r '{';
-    skip_ws r;
-    if peek r = '}' then r.pos <- r.pos + 1 else members r;
-    skip_ws r;
-    if r.pos <> hi then bad ();
-    result r
+    Json.read_object names member s line lo hi;
+    result s
   with
   | pair -> Some pair
-  | exception Bad_line -> None
+  | exception Json.Malformed -> None
 
 let parse_line line = parse_range line 0 (String.length line)
 

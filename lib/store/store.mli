@@ -59,16 +59,20 @@
     when the program is loaded, because a lazily built table raised
     when two domains made their first lookups at once.
 
-    {b Manifest codec.}  {!open_} reads the manifest in 64 KiB blocks
-    and parses each line where it lies in the block, in one pass: field
-    names are matched in place into per-field slots, a string value is
-    one [String.sub] unless it holds an escape, and plain integers and
-    the key's 16 hex digits are decoded without a substring.  {!put}
-    and {!close} write each line into one reused buffer.  The reader
-    accepts and rejects exactly the lines the earlier
-    [List.assoc]-based reader did, and the writer emits the same bytes
-    as the earlier [Printf] one, so manifests of either build replay
-    under the other ({!parse_line}, {!render_line}).
+    {b Manifest codec.}  The JSON syntax is {!Wqi_json.Json}'s, and this
+    module holds only the schema: field ids, one record of slots per
+    line, the required fields and the key's hash.  {!open_} reads the
+    manifest in 64 KiB blocks and parses each line where it lies in the
+    block, in one pass: each member's value lands in its field's slot,
+    a string value is one [String.sub] unless it holds an escape, and
+    plain integers and the key's 16 hex digits are decoded without a
+    substring.  {!put} and {!close} write each line into one reused
+    buffer.  The reader accepts and rejects the lines the earlier
+    [List.assoc]-based reader did, except that a number which overflows
+    to infinity (["score":1e999]) now makes its line malformed; the
+    writer emits the same bytes as the earlier [Printf] one, so
+    manifests of either build replay under the other ({!parse_line},
+    {!render_line}).
 
     {b Concurrency.}  All operations are safe from concurrent threads
     and domains of one process (per-segment mutexes for value I/O and
@@ -111,7 +115,8 @@ type meta = {
     entry has a quality record.  The writer emits exactly that; the
     reader takes any member order, spaces and tabs between tokens,
     JSON escapes ([\u] up to [00ff]), unknown members (skipped) and
-    duplicated ones (the last counts). *)
+    duplicated ones (the last counts).  A line with a non-finite number
+    anywhere is malformed. *)
 
 type entry = {
   e_seg : int;   (** segment shard *)

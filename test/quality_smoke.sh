@@ -6,7 +6,8 @@
 #   - wqi_crawl ingests it emitting quality.jsonl, and the summary
 #     carries the rolled-up mean score and the store's orphaned bytes;
 #   - wqi_report renders the threshold curves from the records alone,
-#     and from the store directory without re-extraction;
+#     and from the store directory without re-extraction, and a manifest
+#     line whose score overflows to infinity is dropped, not rolled up;
 #   - a second, identical crawl (all store hits) drifts against the
 #     first with zero regressions — exit 0;
 #   - a budget-starved crawl (--max-instances 40) degrades every
@@ -49,6 +50,21 @@ mean_store=$(grep -o '"mean_score":[0-9.e-]*' "$work/rs.json" | head -1)
 mean_jsonl=$(grep -o '"mean_score":[0-9.e-]*' "$work/rq.json" | head -1)
 [ -n "$mean_store" ] && [ "$mean_store" = "$mean_jsonl" ]
 echo "report ok: store rollup matches quality.jsonl"
+
+# A copy of a manifest line whose score overflows to infinity is
+# malformed: replay drops it, the entry it copies stands, and the
+# summary neither moves nor holds a bare inf or nan (not JSON).
+head -n 1 "$work/store/manifest.jsonl" \
+  | sed -E 's/"score":[^,}]*/"score":1e999/' >>"$work/store/manifest.jsonl"
+grep -q '"score":1e999' "$work/store/manifest.jsonl"
+"$report" "$work/store" --json "$work/rs_inf.json" >/dev/null
+mean_inf=$(grep -o '"mean_score":[^,}]*' "$work/rs_inf.json" | head -1)
+[ "$mean_inf" = "$mean_store" ]
+if grep -Eq '(^|[^A-Za-z_"])-?(inf|nan)([^A-Za-z_"]|$)' "$work/rs_inf.json"; then
+  echo "bare inf or nan in the summary" >&2
+  exit 1
+fi
+echo "report ok: a non-finite manifest line is dropped"
 
 # --- drift: identical warm crawl = zero regressions ----------------
 

@@ -864,9 +864,10 @@ let prop_merge =
        && List.rev !described = Semantic_model.missing_token_ids m)
 
 (* ------------------------------------------------------------------ *)
-(* Export                                                             *)
+(* Json.string                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The escaper Export and Trace each had before they shared [Json]'s. *)
 let old_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -883,14 +884,15 @@ let old_escape s =
     s;
   Buffer.contents b
 
-let prop_export_string =
-  Q.Test.make ~name:"Export.string = old escape" ~count:2000
+let prop_json_string =
+  Q.Test.make ~name:"Json.string = old escape" ~count:2000
     (Q.make ~print:Q.Print.string
        Gen.(
          string_size
            ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; 'a' ] ])
            (int_range 0 20)))
-    (fun s -> String.equal (Export.string s) ("\"" ^ old_escape s ^ "\""))
+    (fun s ->
+       String.equal (Wqi_json.Json.string s) ("\"" ^ old_escape s ^ "\""))
 
 (* ------------------------------------------------------------------ *)
 (* Token.describe                                                     *)
@@ -1172,7 +1174,7 @@ let suite =
       to_alcotest prop_date_one_pass;
       to_alcotest prop_date_combo_one_pass;
       to_alcotest prop_merge;
-      to_alcotest prop_export_string;
+      to_alcotest prop_json_string;
       to_alcotest prop_describe;
       to_alcotest prop_spatial_query;
       ("allocation ceiling: run + export", `Quick, test_alloc_ceiling);

@@ -108,6 +108,157 @@ let test_of_json_ignores_unknown_fields () =
   | Ok r -> Alcotest.(check bool) "unknown field skipped" true (r = golden_record)
   | Error e -> Alcotest.failf "forward-compat line rejected: %s" e
 
+(* --- the reader the shared JSON reader replaced ------------------- *)
+
+(* [parse_fields] and [of_json] as they were before the record moved
+   onto the shared JSON reader, kept as the reference: the reader must
+   accept and reject the same lines and decode them to the same
+   records.  One change from the original: a number that decodes to a
+   non-finite float makes the line malformed, as it does in the shared
+   reader (it used to be accepted on a member the record ignores or
+   overwrites). *)
+module Old = struct
+  open Quality
+
+  exception Bad of string
+
+  let parse_fields line =
+    let n = String.length line in
+    let pos = ref 0 in
+    let bad msg = raise (Bad msg) in
+    let peek () = if !pos < n then line.[!pos] else bad "truncated" in
+    let skip_ws () =
+      while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
+      do incr pos done
+    in
+    let expect c =
+      skip_ws ();
+      if peek () <> c then bad (Printf.sprintf "expected %c" c);
+      incr pos
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then bad "unterminated string";
+        match line.[!pos] with
+        | '"' -> incr pos
+        | '\\' ->
+          incr pos;
+          (match peek () with
+           | 'n' -> Buffer.add_char b '\n'; incr pos
+           | 't' -> Buffer.add_char b '\t'; incr pos
+           | 'r' -> Buffer.add_char b '\r'; incr pos
+           | '"' -> Buffer.add_char b '"'; incr pos
+           | '\\' -> Buffer.add_char b '\\'; incr pos
+           | '/' -> Buffer.add_char b '/'; incr pos
+           | 'u' ->
+             if !pos + 4 >= n then bad "bad escape";
+             let hex = String.sub line (!pos + 1) 4 in
+             (match int_of_string_opt ("0x" ^ hex) with
+              | Some code when code < 256 -> Buffer.add_char b (Char.chr code)
+              | _ -> bad "bad escape");
+             pos := !pos + 5
+           | _ -> bad "bad escape");
+          go ()
+        | c ->
+          Buffer.add_char b c;
+          incr pos;
+          go ()
+      in
+      go ();
+      Buffer.contents b
+    in
+    let parse_number () =
+      skip_ws ();
+      let start = !pos in
+      let numeric = function
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && numeric line.[!pos] do incr pos done;
+      if !pos = start then bad "expected number";
+      match float_of_string_opt (String.sub line start (!pos - start)) with
+      | Some v when Float.is_finite v -> v
+      | Some _ | None -> bad "bad number"
+    in
+    expect '{';
+    let fields = ref [] in
+    skip_ws ();
+    if peek () = '}' then incr pos
+    else begin
+      let rec members () =
+        let key = parse_string () in
+        expect ':';
+        skip_ws ();
+        let value =
+          if peek () = '"' then `Str (parse_string ())
+          else `Num (parse_number ())
+        in
+        fields := (key, value) :: !fields;
+        skip_ws ();
+        match peek () with
+        | ',' -> incr pos; skip_ws (); members ()
+        | '}' -> incr pos
+        | _ -> bad "expected , or }"
+      in
+      members ()
+    end;
+    skip_ws ();
+    if !pos <> n then raise (Bad "trailing bytes");
+    !fields
+
+  let of_json line =
+    match parse_fields (String.trim line) with
+    | exception Bad msg -> Error ("bad quality record: " ^ msg)
+    | fields ->
+      let str k =
+        match List.assoc_opt k fields with
+        | Some (`Str s) -> s
+        | _ -> raise (Bad (k ^ ": expected string"))
+      in
+      let num k =
+        match List.assoc_opt k fields with
+        | Some (`Num v) when Float.is_finite v -> v
+        | _ -> raise (Bad (k ^ ": expected number"))
+      in
+      (* From 2^53 on a float no longer holds every integer (2^53 + 1
+         reads as 2^53), and past [max_int] [int_of_float] answers
+         garbage: an over-long count is an error, not a wrong number. *)
+      let int k =
+        let v = num k in
+        if Float.is_integer v && Float.abs v < 0x1p53 then int_of_float v
+        else raise (Bad (k ^ ": expected integer"))
+      in
+      (match
+         let v = int "wqi_quality_version" in
+         if v <> version then
+           raise (Bad (Printf.sprintf "unsupported version %d" v));
+         { source = str "source";
+           grammar = str "grammar";
+           domain = str "domain";
+           outcome = str "outcome";
+           tokens = int "tokens";
+           covered = int "covered";
+           conflicts = int "conflicts";
+           missing = int "missing";
+           trees = int "trees";
+           ambiguity = int "ambiguity";
+           trips = int "trips";
+           coverage = num "coverage";
+           score = num "score" }
+       with
+       | r -> Ok r
+       | exception Bad msg -> Error ("bad quality record: " ^ msg))
+end
+
+(* The golden line with [key]'s value replaced by [v]. *)
+let with_member key v =
+  String.split_on_char ',' golden_line
+  |> List.map (fun m ->
+      if String.starts_with ~prefix:(key ^ ":") m then key ^ ":" ^ v else m)
+  |> String.concat ","
+
 (* --- of_extraction / of_rollup ----------------------------------- *)
 
 let extraction () =
@@ -309,12 +460,6 @@ let prop_of_json_never_raises =
    answers garbage past [max_int], and an overflowing score is
    infinite. *)
 let test_of_json_over_long_numbers () =
-  let with_member key v =
-    String.split_on_char ',' golden_line
-    |> List.map (fun m ->
-        if String.starts_with ~prefix:(key ^ ":") m then key ^ ":" ^ v else m)
-    |> String.concat ","
-  in
   let with_tokens = with_member "\"tokens\"" in
   List.iter
     (fun line ->
@@ -330,6 +475,76 @@ let test_of_json_over_long_numbers () =
     Alcotest.(check int) "2^53 - 1 still reads" ((1 lsl 53) - 1)
       r.Quality.tokens
   | Error e -> Alcotest.failf "2^53 - 1 rejected: %s" e
+
+(* The same record from both readers (its floats to the bit, as the
+   canonical line shows them), or an [Error] from both: error texts
+   differ. *)
+let same_result a b =
+  match (a, b) with
+  | Ok a, Ok b -> a = b && String.equal (Quality.to_json a) (Quality.to_json b)
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_of_json_matches_old =
+  Q.Test.make ~name:"of_json = old reader on mutated lines" ~count:2000
+    (Q.make ~print:(fun (r, _) -> Quality.to_json r)
+       Q.Gen.(pair gen_record int))
+    (fun (r, seed) ->
+       let rand = Random.State.make [| seed |] in
+       let check line =
+         if not (same_result (Quality.of_json line) (Old.of_json line)) then
+           Q.Test.fail_reportf "readers disagree on %s" (String.escaped line)
+       in
+       let line = ref (Quality.to_json r) in
+       check !line;
+       for _ = 0 to Random.State.int rand 3 do
+         line := mutate_line rand !line;
+         check !line
+       done;
+       true)
+
+(* Hand-picked edges of the old reader's number, escape and layout
+   rules. *)
+let test_of_json_edges () =
+  let values key vs = List.map (with_member key) vs in
+  let numbers =
+    [ "-0"; "+5"; "5.0"; "5e0"; "05"; "1e3"; "0.5"; "-5"; "1e999"; "-1e999";
+      "4611686018427387904"; "-4611686018427387904"; "9007199254740991";
+      "-9007199254740991"; "9007199254740992"; "\"3\""; "."; "e"; "--1"; "true" ]
+  in
+  let cases =
+    golden_line :: values "\"score\"" numbers @ values "\"tokens\"" numbers
+    @ values "\"wqi_quality_version\"" [ "1.0"; "1e0"; "+1"; "2"; "\"1\"" ]
+    @ values "\"source\""
+      [ "\"\\u0041\""; "\"\\u_041\""; "\"\\u0100\""; "\"\\x\""; "5" ]
+    @ [ with_member "\"trips\"" "0,\"zz\":1e999";
+        with_member "\"score\"" "1e999,\"score\":0.5";
+        with_member "\"score\"" "0.5,\"score\":\"x\"";
+        with_member "\"source\"" "\"x\",\"\\u0073ource\":\"y\"";
+        " \t" ^ golden_line ^ "\r\n\012"; "\012" ^ golden_line;
+        "\"x\"" ^ golden_line; golden_line ^ "}"; ""; "{}"; "{"; "not json" ]
+  in
+  List.iter
+    (fun l ->
+       Alcotest.(check bool) (String.escaped l) true
+         (same_result (Quality.of_json l) (Old.of_json l)))
+    cases
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* The golden line: the record, its four strings and its [Ok] (about
+   30 words), the cursor and the slots (32), and a float box for each
+   of its ten numbers.  The reader it replaced allocated 706 words on
+   this line. *)
+let test_of_json_alloc () =
+  ignore (Quality.of_json golden_line);
+  let w = minor_words (fun () -> Quality.of_json golden_line) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Quality.of_json allocates <= 87 words (got %.0f)" w)
+    true (w <= 87.)
 
 let test_agg_buckets () =
   let agg = Agg.create () in
@@ -382,4 +597,7 @@ let suite =
     to_alcotest prop_of_json_never_raises;
     Alcotest.test_case "of_json: over-long numbers" `Quick
       test_of_json_over_long_numbers;
+    to_alcotest prop_of_json_matches_old;
+    Alcotest.test_case "of_json: reader edges" `Quick test_of_json_edges;
+    Alcotest.test_case "of_json: allocation ceiling" `Quick test_of_json_alloc;
     Alcotest.test_case "trace doc file name" `Quick test_trace_doc_file_name ]

@@ -196,9 +196,11 @@ let test_crc_kernel_active () =
 (* --- manifest codec ----------------------------------------------- *)
 
 (* The Printf writer and the closure-based reader the manifest codec
-   replaced, kept verbatim as the reference: the codec must accept and
-   reject exactly the lines these did, decode them to the same entries,
-   and write the same bytes. *)
+   replaced, kept as the reference: the codec must accept and reject
+   exactly the lines these did, decode them to the same entries, and
+   write the same bytes.  One change from the original: a number that
+   decodes to a non-finite float makes the line malformed, as it does
+   in the shared JSON reader (it used to replay as an infinite score). *)
 module Old = struct
   open Store
 
@@ -207,7 +209,7 @@ module Old = struct
     else Printf.sprintf "%.12g" f
 
   let render_line (k : Key.t) e =
-    let str = Wqi_model.Export.string in
+    let str = Wqi_json.Json.string in
     let quality =
       match e.e_meta.quality with
       | None -> ""
@@ -286,8 +288,8 @@ module Old = struct
       | Some v -> `Int v
       | None ->
         (match float_of_string_opt s with
-         | Some v -> `Num v
-         | None -> raise Bad_line)
+         | Some v when Float.is_finite v -> `Num v
+         | Some _ | None -> raise Bad_line)
     in
     expect '{';
     let fields = ref [] in
@@ -588,6 +590,8 @@ let test_codec_edges () =
       set "\"src\"" "\"\\u00e9\\u0_4_\\u1___\""; set "\"src\"" "\"\\u_041\"";
       set "\"src\"" "\"\\u0100\""; set "\"src\"" "\"\\u00\"";
       set "\"src\"" "\"\\x\""; set "\"src\"" "5";
+      set "\"score\"" "1e999"; set "\"coverage\"" "-1e999";
+      join (members @ [ ("\"zz\"", "1e999") ]);
       " \t" ^ line ^ "\t "; "{}"; "{ }"; ""; "{"; "\"k\"" ]
   in
   List.iter
@@ -596,7 +600,28 @@ let test_codec_edges () =
          (same_parse (Store.parse_line l) (Old.parse_line l)))
     cases;
   Alcotest.(check bool) "canonical line parses" true
-    (same_parse (Store.parse_line line) (Some (k, e)))
+    (same_parse (Store.parse_line line) (Some (k, e)));
+  (* A score or coverage that overflows to infinity, even on a key the
+     reader skips, makes the line malformed: replay drops it as it
+     drops a torn line, so its key is a miss, and no infinite score
+     reaches a rollup. *)
+  List.iter
+    (fun l ->
+       Alcotest.(check bool) ("non-finite: " ^ l) true
+         (Option.is_none (Store.parse_line l)))
+    [ set "\"score\"" "1e999"; set "\"coverage\"" "-1e999";
+      join (members @ [ ("\"zz\"", "1e999") ]) ];
+  let dir = temp_dir () in
+  Store.close (Store.open_ dir);
+  Out_channel.with_open_bin (Filename.concat dir "manifest.jsonl") (fun oc ->
+      output_string oc (set "\"score\"" "1e999" ^ "\n"));
+  let st = Store.open_ dir in
+  let s = Store.stats st in
+  Alcotest.(check (pair int int)) "replay: dropped, not replayed" (1, 0)
+    (s.Store.dropped, s.Store.replayed);
+  Alcotest.(check bool) "its key is a miss" true
+    (Option.is_none (Store.find st k));
+  Store.close st
 
 (* --- allocation ceilings ------------------------------------------ *)
 
@@ -645,9 +670,10 @@ let test_alloc_ceilings () =
   Alcotest.(check (float 0.)) "Signature: same words at 100 B and 100 KB"
     (sig_words small) (sig_words large);
   (* One canonical manifest line with a quality record: the ~66 words
-     of strings, boxes and records the entry keeps, the reader's 29
-     words of slots, and the fractional score's substring, option and
-     box.  The reader it replaced allocated 829 words on this line. *)
+     of strings, boxes and records the entry keeps, the JSON cursor's
+     10 words and the schema's 17 of slots, and the fractional score's
+     substring, option and box.  The reader it replaced allocated 829
+     words on this line. *)
   let line =
     Store.render_line (Key.make ~html:small ~spec)
       { Store.e_seg = 3; e_off = 123_456; e_len = 2048; e_crc = 0xcbf43926;
