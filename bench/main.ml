@@ -8,8 +8,8 @@
              clustering.  No arguments = all of these.  The opt-in
              sections layers (per-layer us and minor words per document
              of the ingest-cold path) and startup (us and minor words
-             of each grammar-load step and of a fresh store open) run
-             only when named.
+             of each grammar-load step, of a fresh store open and of
+             a 3000-entry store's reopen) run only when named.
 
    --json FILE writes the measurements of the perf and batch120 sections
    (Bechamel OLS ns/run per size, the lowest of 5 fits on full runs,
@@ -892,7 +892,10 @@ let layers () =
    closed and removed outside its timing).
    [Extractor.load_grammar] is file read + parse + instantiate +
    compile; with the store open it is perfbench ingest-cold's
-   [setup_s]. *)
+   [setup_s].  The last row reopens a store of 3000 entries put from
+   the benchmark's ingest-warm mix (seed 1, the ingest-warm salt), as
+   [wqi_batch --store] puts them: its manifest replay is perfbench
+   ingest-warm's [setup_s]. *)
 let startup () =
   header "Start-up cost of the ingest path (us best of runs, minor words)";
   let module G = Wqi_grammar in
@@ -935,6 +938,27 @@ let startup () =
     Store.close st;
     rm_rf dir
   in
+  let warm = base ^ "-warm" in
+  let st = Store.open_ warm in
+  let g = Wqi_corpus.Prng.create (Int64.logxor 1L 0x3A53L) in
+  for i = 0 to 2999 do
+    let domain = Wqi_corpus.Prng.pick g Wqi_corpus.Vocabulary.all in
+    let complexity =
+      if Wqi_corpus.Prng.bernoulli g 0.5 then `Simple else `Rich
+    in
+    let s =
+      Generator.generate g ~id:(Printf.sprintf "doc-%05d" i) ~domain
+        ~complexity ~oog_prob:0.1 ~header_prob:0.2 ()
+    in
+    match
+      (Wqi_quality.Ingest.resolve ~store:st Wqi_core.Extractor.Config.default
+         ~name:s.id ~source:s.id s.html).Wqi_quality.Ingest.resolved
+    with
+    | Wqi_quality.Ingest.Fresh { put = Some (k, meta, bytes); _ } ->
+      Store.put st k ~meta bytes
+    | Wqi_quality.Ingest.Fresh _ | Wqi_quality.Ingest.Hit _ -> ()
+  done;
+  Store.close st;
   let rows =
     [ ("file read", measure read);
       ("Sexp.parse_string", measure (fun () -> G.Sexp.parse_string text));
@@ -943,13 +967,19 @@ let startup () =
       ("Engine.compile", measure (fun () -> Engine.compile grammar));
       ("Extractor.load_grammar",
        measure (fun () -> Wqi_core.Extractor.load_grammar path));
-      ("Store.open_ (fresh)", measure ~after:close_store open_store) ]
+      ("Store.open_ (fresh)", measure ~after:close_store open_store);
+      ("Store.open_ (3000-line manifest)",
+       measure ~after:Store.close (fun () -> Store.open_ warm)) ]
   in
-  note "%d runs each; each store is closed and removed after its timing" reps;
-  Format.printf "  %-24s %10s %12s@." "step" "us" "minor words";
+  rm_rf warm;
+  note
+    "%d runs each; each store is closed (a fresh one also removed) after \
+     its timing"
+    reps;
+  Format.printf "  %-32s %10s %12s@." "step" "us" "minor words";
   List.iter
     (fun (name, (us, words)) ->
-       Format.printf "  %-24s %10.1f %12.0f@." name us words)
+       Format.printf "  %-32s %10.1f %12.0f@." name us words)
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -113,6 +113,7 @@ type value = Str | Int | Num
 type reader = {
   src : string;
   hi : int;
+  eol : bool;  (* a '\n' ends the window: the line's end *)
   mutable pos : int;
   mutable lo : int;
   mutable stop : int;
@@ -127,15 +128,21 @@ let[@inline] malformed () = raise_notrace Malformed
 let[@inline] peek r =
   if r.pos < r.hi then String.unsafe_get r.src r.pos else malformed ()
 
-let skip_ws r =
-  while
-    r.pos < r.hi
-    && (match String.unsafe_get r.src r.pos with
-        | ' ' | '\t' -> true
-        | _ -> false)
-  do r.pos <- r.pos + 1 done
+let rec skip_run s i hi =
+  if i < hi
+  && (match String.unsafe_get s i with ' ' | '\t' -> true | _ -> false)
+  then skip_run s (i + 1) hi
+  else i
 
-let expect r c =
+(* Written lines hold no whitespace, so the usual cost is one test. *)
+let[@inline] skip_ws r =
+  let p = r.pos in
+  if p < r.hi then
+    match String.unsafe_get r.src p with
+    | ' ' | '\t' -> r.pos <- skip_run r.src (p + 1) r.hi
+    | _ -> ()
+
+let[@inline] expect r c =
   skip_ws r;
   if peek r <> c then malformed ();
   r.pos <- r.pos + 1
@@ -163,36 +170,47 @@ let hex_run s i n =
     if !ok then !v else -1
   end
 
+(* The first index at or after [i] of a '"', a '\\' or a '\n', or
+   [hi]: the plain run of a string body. *)
+let rec body_run s i hi =
+  if i < hi then
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\n' -> i
+    | _ -> body_run s (i + 1) hi
+  else i
+
+(* The rest of the body that starts at [lo], from [i]: plain runs
+   skipped in one loop each, escapes checked (and decoded later by
+   [unescape]), a '\n' malformed when it ends the line. *)
+let rec scan_body r lo i esc =
+  let s = r.src and hi = r.hi in
+  let i = body_run s i hi in
+  if i >= hi then malformed ();
+  match String.unsafe_get s i with
+  | '"' ->
+    r.lo <- lo;
+    r.stop <- i;
+    r.esc <- esc;
+    r.pos <- i + 1
+  | '\n' -> if r.eol then malformed () else scan_body r lo (i + 1) esc
+  | _ ->
+    let i = i + 1 in
+    if i >= hi then malformed ();
+    (match String.unsafe_get s i with
+     | 'n' | 't' | 'r' | '"' | '\\' | '/' -> scan_body r lo (i + 1) true
+     | 'u' ->
+       if i + 4 >= hi then malformed ();
+       let code = hex_run s (i + 1) 4 in
+       if code < 0 || code >= 256 then malformed ();
+       scan_body r lo (i + 5) true
+     | _ -> malformed ())
+
 (* Advance past the string whose opening quote is at [r.pos], leaving
    its body in [r.lo .. r.stop) and whether it holds an escape in
-   [r.esc].  Escapes are checked here, decoded by [unescape]. *)
+   [r.esc]. *)
 let scan_string r =
   if peek r <> '"' then malformed ();
-  let s = r.src and hi = r.hi in
-  let i = ref (r.pos + 1) and esc = ref false in
-  while
-    if !i >= hi then malformed ();
-    String.unsafe_get s !i <> '"'
-  do
-    if String.unsafe_get s !i = '\\' then begin
-      esc := true;
-      incr i;
-      if !i >= hi then malformed ();
-      match String.unsafe_get s !i with
-      | 'n' | 't' | 'r' | '"' | '\\' | '/' -> ()
-      | 'u' ->
-        if !i + 4 >= hi then malformed ();
-        let code = hex_run s (!i + 1) 4 in
-        if code < 0 || code >= 256 then malformed ();
-        i := !i + 4
-      | _ -> malformed ()
-    end;
-    incr i
-  done;
-  r.lo <- r.pos + 1;
-  r.stop <- !i;
-  r.esc <- !esc;
-  r.pos <- !i + 1
+  scan_body r (r.pos + 1) (r.pos + 1) false
 
 (* The bytes of a checked string body [s.[lo .. hi)] with its escapes
    decoded. *)
@@ -220,50 +238,85 @@ let string_value r =
   if r.esc then unescape r.src r.lo r.stop
   else String.sub r.src r.lo (r.stop - r.lo)
 
+(* 10^0 .. 10^22: every power of ten a double holds exactly. *)
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* Digits accumulate up to this bound and then stop: the bound times 10
+   plus 9 is still an [int], every 18-digit run stays below it, and a
+   value held at it is past 2^53. *)
+let saturated = max_int / 10
+
+let rec token_end s i hi =
+  if i < hi
+  && (match String.unsafe_get s i with
+      | '0' .. '9' | '+' | '-' | '.' | 'e' | 'E' -> true
+      | _ -> false)
+  then token_end s (i + 1) hi
+  else i
+
+(* The token in [r.src.[start .. stop)] through the stdlib: as
+   [int_of_string_opt], else [float_of_string_opt], would decode it. *)
+let slow_number r start stop =
+  let s = String.sub r.src start (stop - start) in
+  match int_of_string_opt s with
+  | Some v ->
+    r.int <- v;
+    Int
+  | None ->
+    (match float_of_string_opt s with
+     | Some x when Float.is_finite x ->
+       r.num <- x;
+       Num
+     | Some _ | None -> malformed ())
+
 (* A number token: the bytes [0-9+-.eE], decoded as [int_of_string_opt],
-   else [float_of_string_opt], would decode them.  A plain run of at
-   most 18 digits is decoded in place; [int_of_string] reads only a
-   sign and digits, so a token with '.', 'e' or 'E' goes straight to
-   [float_of_string_opt]. *)
+   else [float_of_string_opt], would decode them.  Two shapes are
+   decoded in place, with no substring:
+   - a run of at most 18 digits, an [Int];
+   - [digits.digits] with at most 22 fraction digits and all its digits,
+     read as one integer [w], at most 2^53: [float w /. 10^k] for [k]
+     fraction digits.  Both operands are exact doubles, so the one
+     correctly rounded division is the correctly rounded value of the
+     decimal (Clinger's fast path), which [float_of_string] returns.
+   Any other token goes through the stdlib.  The first loop reads the
+   digits and at most one '.' after a digit; [token_end] takes the rest
+   of the token, if any. *)
 let number r =
-  let start = r.pos in
-  let shape = ref 0 (* 0 digits, 1 and a sign, 2 not an int *) in
-  let v = ref 0 in
+  let s = r.src and hi = r.hi and start = r.pos in
+  let i = ref start and w = ref 0 and dot = ref (-1) in
   while
-    r.pos < r.hi
+    !i < hi
     &&
-    match String.unsafe_get r.src r.pos with
+    match String.unsafe_get s !i with
     | '0' .. '9' as c ->
-      v := (!v * 10) + (Char.code c - 48);
+      if !w < saturated then w := (!w * 10) + (Char.code c - 48);
       true
-    | '-' | '+' ->
-      shape := Int.max !shape 1;
-      true
-    | '.' | 'e' | 'E' ->
-      shape := 2;
+    | '.' when !dot < 0 && !i > start ->
+      dot := !i;
       true
     | _ -> false
-  do r.pos <- r.pos + 1 done;
-  let n = r.pos - start in
-  if n = 0 then malformed ();
+  do incr i done;
+  let run = !i in
+  let stop = token_end s run hi in
+  if stop = start then malformed ();
+  r.pos <- stop;
   r.lo <- start;
-  if !shape = 0 && n <= 18 then begin
-    r.int <- !v;
-    Int
-  end
-  else begin
-    let s = String.sub r.src start n in
-    match if !shape = 2 then None else int_of_string_opt s with
-    | Some v ->
-      r.int <- v;
+  if stop <> run then slow_number r start stop
+  else if !dot < 0 then
+    if run - start <= 18 then begin
+      r.int <- !w;
       Int
-    | None ->
-      (match float_of_string_opt s with
-       | Some x when Float.is_finite x ->
-         r.num <- x;
-         Num
-       | Some _ | None -> malformed ())
-  end
+    end
+    else slow_number r start stop
+  else
+    let k = run - !dot - 1 in
+    if k >= 1 && k <= 22 && !w <= 1 lsl 53 then begin
+      r.num <- float_of_int !w /. Array.unsafe_get pow10 k;
+      Num
+    end
+    else slow_number r start stop
 
 (* Whether [name] lies at [s.[at ..]], the length checked by the
    caller. *)
@@ -280,20 +333,51 @@ let rec find names s at len i =
     if String.length name = len && same s at name 0 then i
     else find names s at len (i + 1)
 
+(* Whether [name] lies at [s.[at ..]] and none of its bytes would end or
+   escape a string body there, the length checked by the caller.  Names
+   are words, so the usual byte passes the first test. *)
+let rec plain s at name j =
+  j = String.length name
+  ||
+  let c = String.unsafe_get s (at + j) in
+  c = String.unsafe_get name j
+  && (c > '\\' || (c <> '"' && c <> '\\' && c <> '\n'))
+  && plain s at name (j + 1)
+
 (* The id of the member name at [r.pos], tried first against
-   [names.(guess)]. *)
+   [names.(guess)]: when the guess's bytes and a closing quote lie
+   there, the name is read in that one pass, as [scan_string] would
+   have read it. *)
 let field names r guess =
-  scan_string r;
-  if r.esc then
-    let name = unescape r.src r.lo r.stop in
-    find names name 0 (String.length name) 0
-  else
-    let len = r.stop - r.lo in
-    if guess < Array.length names
-       && String.length (Array.unsafe_get names guess) = len
-       && same r.src r.lo (Array.unsafe_get names guess) 0
-    then guess
-    else find names r.src r.lo len 0
+  if peek r <> '"' then malformed ();
+  let s = r.src and at = r.pos + 1 in
+  let len =
+    if guess < Array.length names then
+      String.length (Array.unsafe_get names guess)
+    else -1
+  in
+  if len >= 0
+  && at + len < r.hi
+  && String.unsafe_get s (at + len) = '"'
+  && plain s at (Array.unsafe_get names guess) 0
+  then begin
+    r.lo <- at;
+    r.stop <- at + len;
+    r.esc <- false;
+    r.pos <- at + len + 1;
+    guess
+  end
+  else begin
+    scan_string r;
+    if r.esc then
+      let name = unescape r.src r.lo r.stop in
+      find names name 0 (String.length name) 0
+    else
+      let len' = r.stop - r.lo in
+      if len' = len && same r.src r.lo (Array.unsafe_get names guess) 0
+      then guess
+      else find names r.src r.lo len' 0
+  end
 
 (* Each name is guessed to follow the previous one in [names], so a line
    written in that order costs one name comparison per member, not a
@@ -320,16 +404,26 @@ let rec members names member st r guess =
   | '}' -> r.pos <- r.pos + 1
   | _ -> malformed ()
 
-let read_object names member st src lo hi =
+(* The object at [lo], and the spaces and tabs after it: [r.pos] is
+   left at the first byte past them. *)
+let read names member st src lo hi eol =
   let r =
-    { src; hi; pos = lo; lo = 0; stop = 0; esc = false; kind = Str; int = 0;
-      num = 0. }
+    { src; hi; eol; pos = lo; lo = 0; stop = 0; esc = false; kind = Str;
+      int = 0; num = 0. }
   in
   expect r '{';
   skip_ws r;
   if peek r = '}' then r.pos <- r.pos + 1 else members names member st r 0;
   skip_ws r;
-  if r.pos <> hi then malformed ()
+  r.pos
+
+let read_object names member st src lo hi =
+  if read names member st src lo hi false <> hi then malformed ()
+
+let read_line names member st src lo hi =
+  let e = read names member st src lo hi true in
+  if e < hi && String.unsafe_get src e <> '\n' then malformed ();
+  e
 
 let float_value r =
   match r.kind with

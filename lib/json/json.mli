@@ -68,10 +68,21 @@ val obj : (string * string) list -> string
     - A number is a run of the bytes [0-9+-.eE], decoded as
       [int_of_string_opt] would decode it ({!Int}), else as
       [float_of_string_opt] ({!Num}).  A run that decodes to neither,
-      or to a non-finite float (["1e999"]), is malformed.  A plain run
-      of at most 18 digits is decoded without a substring.
+      or to a non-finite float (["1e999"]), is malformed.  Two shapes
+      are decoded in place, without a substring: a plain run of at most
+      18 digits, and a fraction [digits.digits] whose digits, read as
+      one integer [w], are at most 2{^53} and whose fraction has [k]
+      digits, 1 to 22.  The latter is [float w /. 10{^k}], one division
+      of two exact doubles, which is the correctly rounded value of the
+      decimal (Clinger's fast path) and so bit for bit what
+      [float_of_string] returns.  Every other token (a sign, an
+      exponent, more digits) goes through the stdlib.
     - Arrays, nested objects, [true], [false] and [null] are
-      malformed. *)
+      malformed.
+
+    A string body is skipped one plain run at a time, up to its next
+    quote or backslash; whitespace costs one test where there is none,
+    as in every line this system writes. *)
 
 exception Malformed
 (** Raised (without a backtrace) by {!read_object} when the window is
@@ -85,6 +96,7 @@ type value =
 type reader = private {
   src : string;
   hi : int;
+  eol : bool;           (** reading a line: a ['\n'] ends the window *)
   mutable pos : int;
   mutable lo : int;     (** the last value's first byte (a string's body) *)
   mutable stop : int;   (** the end of the last string's body *)
@@ -108,6 +120,18 @@ val read_object :
     previous member's in [names], so [names] listed in the order the
     schema's writer emits them costs one comparison per member.  Raises
     {!Malformed}. *)
+
+val read_line :
+  string array -> ('a -> reader -> int -> unit) -> 'a -> string -> int ->
+  int -> int
+(** [read_line names member st src lo hi] reads the line that starts at
+    [lo]: [src.[lo .. e)], where [e] is the first ['\n'] at or after
+    [lo], or [hi] when there is none before it.  It makes the calls and
+    gives the verdict of [read_object names member st src lo e] and
+    returns [e], but finds [e] as it reads, with no second pass over the
+    line: a ['\n'] inside a string is the line's end, so the string is
+    unterminated.  Where a line may go on past [hi] (the end of a block
+    read so far), [e = hi] tells the caller so. *)
 
 val string_value : reader -> string
 (** The last string's bytes, escapes decoded. *)

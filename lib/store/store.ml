@@ -90,33 +90,32 @@ let render_line k e =
    last value is the one that counts, whatever kind it is; unknown keys
    are skipped once [Json] has checked their value.  Field ids are the
    indices of [names], in the order [add_line] writes them, which is the
-   order [Json] guesses them in. *)
+   order [Json] guesses them in; [member] matches on them as literals. *)
 let names =
   [| "k"; "len"; "spec"; "seg"; "off"; "bytes"; "crc"; "src"; "grammar";
      "outcome"; "domain"; "score"; "coverage"; "conflicts" |]
 
-let f_k = 0
-let f_len = 1
-let f_spec = 2
-let f_seg = 3
-let f_off = 4
-let f_bytes = 5
-let f_crc = 6
-let f_src = 7
-let f_grammar = 8
-let f_outcome = 9
 let f_score = 11
 
-let strings = 0x785          (* k, spec, src, grammar, outcome, domain *)
-let floats = 0x1800          (* score, coverage *)
 let required = 0x7ff         (* k .. domain *)
 let quality_fields = 0x3800  (* score, coverage, conflicts *)
 let score_seen = 0x4000      (* a "score" key occurred, of any kind *)
 
-let[@inline] is mask f = (mask lsr f) land 1 = 1
+(* The grammar, outcome and domain values that repeat from line to line,
+   kept once: a value equal to one of [seen] is that string, not a new
+   copy.  Replay shares one pool over its lines; at most [pool_max]
+   values are kept, so a manifest of distinct values costs a bounded
+   scan per line. *)
+type pool = { mutable seen : string list; mutable kept : int }
+
+let pool_max = 64
+
+(* A pool that keeps nothing: [parse_line] reads one line. *)
+let no_pool = { seen = []; kept = pool_max }
 
 (* One mutable field per member, so a line costs one record of slots. *)
 type slots = {
+  pool : pool;
   mutable ok : int;  (* bit f: field f's last value was of its kind *)
   mutable k_text : string;  (* the last "k": 16 bytes of [k_text] *)
   mutable k_at : int;       (* from [k_at] *)
@@ -134,6 +133,11 @@ type slots = {
   mutable score : float;
   mutable coverage : float;
 }
+
+let slots pool =
+  { pool; ok = 0; k_text = ""; k_at = 0; spec = ""; src = ""; grammar = "";
+    outcome = ""; domain = ""; len = 0; seg = 0; off = 0; bytes = 0;
+    crc = 0; conflicts = 0; score = 0.; coverage = 0. }
 
 let[@inline] bad () = raise_notrace Json.Malformed
 
@@ -176,52 +180,71 @@ let key_text s (r : Json.reader) =
     r.stop - r.lo = 16
   end
 
-let set_string s f v =
-  if f = f_spec then s.spec <- v
-  else if f = f_src then s.src <- v
-  else if f = f_grammar then s.grammar <- v
-  else if f = f_outcome then s.outcome <- v
-  else s.domain <- v
+(* [Json]'s [same], repeated for the reason [hex_digit] is. *)
+let rec same_at src at v j =
+  j = String.length v
+  || (String.unsafe_get src (at + j) = String.unsafe_get v j
+      && same_at src at v (j + 1))
 
-let set_int s f v =
-  if f = f_len then s.len <- v
-  else if f = f_seg then s.seg <- v
-  else if f = f_off then s.off <- v
-  else if f = f_bytes then s.bytes <- v
-  else if f = f_crc then s.crc <- v
-  else s.conflicts <- v
+let rec find_shared p src at len = function
+  | v :: rest ->
+    if String.length v = len && same_at src at v 0 then v
+    else find_shared p src at len rest
+  | [] ->
+    let v = String.sub src at len in
+    if p.kept < pool_max then begin
+      p.seen <- v :: p.seen;
+      p.kept <- p.kept + 1
+    end;
+    v
 
-let set_float s f v = if f = f_score then s.score <- v else s.coverage <- v
+(* The last string's value, from the pool when it holds no escape. *)
+let shared s (r : Json.reader) =
+  if r.esc then Json.string_value r
+  else find_shared s.pool r.src r.lo (r.stop - r.lo) s.pool.seen
 
 let member s (r : Json.reader) f =
-  if f = f_score then s.ok <- s.ok lor score_seen;
   if f >= 0 then begin
     let good =
       match r.kind with
       | Json.Str ->
-        if f = f_k then key_text s r
-        else begin
-          if is strings f then set_string s f (Json.string_value r);
-          is strings f
-        end
+        (match f with
+         | 0 -> key_text s r
+         | 2 -> s.spec <- Json.string_value r; true
+         | 7 -> s.src <- Json.string_value r; true
+         | 8 -> s.grammar <- shared s r; true
+         | 9 -> s.outcome <- shared s r; true
+         | 10 -> s.domain <- shared s r; true
+         | _ -> false)
       | Json.Int ->
-        if is floats f then begin
-          set_float s f (float_of_int r.int);
-          true
-        end
-        else begin
-          if not (is strings f) then set_int s f r.int;
-          (not (is strings f)) && r.int >= 0
-        end
+        let v = r.int in
+        (match f with
+         | 1 -> s.len <- v; v >= 0
+         | 3 -> s.seg <- v; v >= 0
+         | 4 -> s.off <- v; v >= 0
+         | 5 -> s.bytes <- v; v >= 0
+         | 6 -> s.crc <- v; v >= 0
+         | 11 -> s.score <- float_of_int v; true
+         | 12 -> s.coverage <- float_of_int v; true
+         | 13 -> s.conflicts <- v; v >= 0
+         | _ -> false)
       | Json.Num ->
-        if is floats f then set_float s f r.num;
-        is floats f
+        (match f with
+         | 11 -> s.score <- r.num; true
+         | 12 -> s.coverage <- r.num; true
+         | _ -> false)
     in
-    s.ok <- (if good then s.ok lor (1 lsl f) else s.ok land lnot (1 lsl f))
+    let bit = 1 lsl f in
+    s.ok <- (if good then s.ok lor bit else s.ok land lnot bit);
+    if f = f_score then s.ok <- s.ok lor score_seen
   end
 
-let result s =
+let key s =
   if s.ok land required <> required then bad ();
+  { Key.hash = hash_of s.k_text s.k_at; len = s.len; spec = s.spec }
+
+(* Called after [key], which checked the required fields. *)
+let entry s =
   let quality =
     if s.ok land score_seen = 0 then None
     else if s.ok land quality_fields = quality_fields then
@@ -230,29 +253,25 @@ let result s =
           q_conflicts = s.conflicts }
     else bad ()
   in
-  ( { Key.hash = hash_of s.k_text s.k_at; len = s.len; spec = s.spec },
-    { e_seg = s.seg;
-      e_off = s.off;
-      e_len = s.bytes;
-      e_crc = s.crc;
-      e_meta =
-        { source = s.src;
-          grammar = s.grammar;
-          outcome = s.outcome;
-          domain = s.domain;
-          quality } } )
+  { e_seg = s.seg;
+    e_off = s.off;
+    e_len = s.bytes;
+    e_crc = s.crc;
+    e_meta =
+      { source = s.src;
+        grammar = s.grammar;
+        outcome = s.outcome;
+        domain = s.domain;
+        quality } }
 
 (* [line.[lo .. hi)] is only read, and nothing returned shares it, so
    replay can hand in a window of a reused read buffer. *)
 let parse_range line lo hi =
-  let s =
-    { ok = 0; k_text = ""; k_at = 0; spec = ""; src = ""; grammar = "";
-      outcome = ""; domain = ""; len = 0; seg = 0; off = 0; bytes = 0;
-      crc = 0; conflicts = 0; score = 0.; coverage = 0. }
-  in
+  let s = slots no_pool in
   match
     Json.read_object names member s line lo hi;
-    result s
+    let k = key s in
+    (k, entry s)
   with
   | pair -> Some pair
   | exception Json.Malformed -> None
@@ -375,17 +394,23 @@ let seg_close seg =
 (* Store                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Live entries per source. *)
+module Sources = Hashtbl.Make (String)
+
 type t = {
   dir : string;
   segments : int;
   segs : seg array;
   manifest_path : string;
   mutable manifest_oc : out_channel option;
-  man_mutex : Mutex.t;  (* guards manifest_oc and line *)
+  man_mutex : Mutex.t;  (* guards manifest_oc, line and unterminated *)
   line : Buffer.t;      (* reused for each manifest line *)
+  mutable unterminated : bool;
+      (* the manifest's last byte at replay was not a newline: the next
+         append ends that line first *)
   idx_mutex : Mutex.t;  (* guards index, sources, counters, closed *)
   index : entry Key.Tbl.t;
-  sources : (string, int) Hashtbl.t;  (* live entries per source *)
+  sources : int ref Sources.t;
   mutable bytes : int;
   mutable orphaned : int;
   mutable hits : int;
@@ -440,21 +465,24 @@ let read_or_write_segments dir requested =
     requested
   end
 
+let forget_source t source =
+  match Sources.find_opt t.sources source with
+  | Some c -> if !c = 1 then Sources.remove t.sources source else decr c
+  | None -> ()
+
 (* Accept the entry into the index (replay and put share this). *)
 let index_accept t key e =
   (match Key.Tbl.find_opt t.index key with
    | Some old ->
      t.bytes <- t.bytes - old.e_len;
      t.orphaned <- t.orphaned + old.e_len;
-     (match Hashtbl.find_opt t.sources old.e_meta.source with
-      | Some 1 -> Hashtbl.remove t.sources old.e_meta.source
-      | Some c -> Hashtbl.replace t.sources old.e_meta.source (c - 1)
-      | None -> ())
+     forget_source t old.e_meta.source
    | None -> ());
   Key.Tbl.replace t.index key e;
   t.bytes <- t.bytes + e.e_len;
-  Hashtbl.replace t.sources e.e_meta.source
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.sources e.e_meta.source))
+  match Sources.find_opt t.sources e.e_meta.source with
+  | Some c -> incr c
+  | None -> Sources.add t.sources e.e_meta.source (ref 1)
 
 (* What [String.trim] would empty ('\n' never occurs inside a line). *)
 let blank s lo hi =
@@ -467,51 +495,73 @@ let blank s lo hi =
   do incr i done;
   !i = hi
 
+let replay_entry t key e =
+  if e.e_seg < t.segments then begin
+    index_accept t key e;
+    t.replayed <- t.replayed + 1
+  end
+  else t.dropped <- t.dropped + 1
+
+(* The line [s.[lo .. hi)] on its own: skipped when blank, else
+   replayed or dropped. *)
 let replay_line t s lo hi =
   if not (blank s lo hi) then
     match parse_range s lo hi with
-    | Some (key, e) when e.e_seg < t.segments ->
-      index_accept t key e;
-      t.replayed <- t.replayed + 1
-    | Some _ | None -> t.dropped <- t.dropped + 1
+    | Some (key, e) -> replay_entry t key e
+    | None -> t.dropped <- t.dropped + 1
 
-(* The manifest is read in 64 KiB blocks and parsed line by line where
-   it lies in the block; only a line that straddles two blocks is moved
-   (to the front, before the next read).  A line longer than the block
-   doubles it.  Blank lines are skipped without counting. *)
-let replay t =
-  if Sys.file_exists t.manifest_path then
-    In_channel.with_open_bin t.manifest_path (fun ic ->
-        let buf = ref (Bytes.create 65536) and held = ref 0 in
-        let eof = ref false in
-        while not !eof do
-          if !held = Bytes.length !buf then buf := Bytes.extend !buf 0 !held;
-          let got =
-            In_channel.input ic !buf !held (Bytes.length !buf - !held)
-          in
-          eof := got = 0;
-          held := !held + got;
-          (* The parser copies what it keeps, so the block may be read
-             as a string until the next read overwrites it. *)
-          let s = Bytes.unsafe_to_string !buf in
-          let lo = ref 0 and more = ref true in
-          while !more do
-            let nl = ref !lo in
-            while !nl < !held && String.unsafe_get s !nl <> '\n' do
-              incr nl
-            done;
-            if !nl < !held then begin
-              replay_line t s !lo !nl;
-              lo := !nl + 1
-            end
-            else begin
-              if !eof then replay_line t s !lo !held;
-              more := false
-            end
-          done;
-          Bytes.blit !buf !lo !buf 0 (!held - !lo);
-          held := !held - !lo
-        done)
+(* The lines of [s.[lo .. held)] from [lo], each read by
+   [Json.read_line], which finds the line's end as it reads; the index
+   of the first line left for the next block is returned.  A line that
+   [read_line] rejects (malformed, blank, or cut by the block's end) is
+   found by its newline and handed to [replay_line], so it is dropped
+   or skipped exactly as a line read on its own. *)
+let rec replay_lines t pool s lo held eof =
+  if lo >= held then held
+  else
+    let sl = slots pool in
+    match Json.read_line names member sl s lo held with
+    | e when e = held && not eof -> lo
+    | e ->
+      (match
+         let k = key sl in
+         replay_entry t k (entry sl)
+       with
+       | () -> ()
+       | exception Json.Malformed -> t.dropped <- t.dropped + 1);
+      replay_lines t pool s (e + 1) held eof
+    | exception Json.Malformed ->
+      (match String.index_from_opt s lo '\n' with
+       | Some nl when nl < held ->
+         replay_line t s lo nl;
+         replay_lines t pool s (nl + 1) held eof
+       | Some _ | None ->
+         if eof then begin
+           replay_line t s lo held;
+           held
+         end
+         else lo)
+
+(* The manifest is read from [ic] in 64 KiB blocks and parsed line by
+   line where it lies in the block; only a line that straddles two
+   blocks is moved (to the front, before the next read).  A line longer
+   than the block doubles it.  Blank lines are skipped without
+   counting. *)
+let replay t ic =
+  let pool = { seen = []; kept = 0 } in
+  let buf = ref (Bytes.create 65536) and held = ref 0 and eof = ref false in
+  while not !eof do
+    if !held = Bytes.length !buf then buf := Bytes.extend !buf 0 !held;
+    let got = In_channel.input ic !buf !held (Bytes.length !buf - !held) in
+    eof := got = 0;
+    held := !held + got;
+    if got > 0 then t.unterminated <- Bytes.get !buf (!held - 1) <> '\n';
+    (* The parser copies what it keeps, so the block may be read as a
+       string until the next read overwrites it. *)
+    let lo = replay_lines t pool (Bytes.unsafe_to_string !buf) 0 !held !eof in
+    Bytes.blit !buf lo !buf 0 (!held - lo);
+    held := !held - lo
+  done
 
 let open_ ?(segments = 16) dir =
   let requested = max 1 segments in
@@ -519,17 +569,30 @@ let open_ ?(segments = 16) dir =
   let seg_dir = Filename.concat dir "segments" in
   mkdir_p seg_dir;
   let segments = read_or_write_segments dir requested in
+  let manifest_path = Filename.concat dir "manifest.jsonl" in
+  let ic =
+    if Sys.file_exists manifest_path then Some (In_channel.open_bin manifest_path)
+    else None
+  in
+  (* Tables sized for the manifest's lines (about 200 to 260 bytes
+     each), so replay does not grow them as it goes. *)
+  let size =
+    match ic with
+    | Some ic -> max 1024 (Int64.to_int (In_channel.length ic) / 256)
+    | None -> 1024
+  in
   let t =
     { dir;
       segments;
       segs = Array.init segments (fun i -> seg_open (seg_path seg_dir i));
-      manifest_path = Filename.concat dir "manifest.jsonl";
+      manifest_path;
       manifest_oc = None;
       man_mutex = Mutex.create ();
       line = Buffer.create 512;
+      unterminated = false;
       idx_mutex = Mutex.create ();
-      index = Key.Tbl.create 1024;
-      sources = Hashtbl.create 1024;
+      index = Key.Tbl.create size;
+      sources = Sources.create size;
       bytes = 0;
       orphaned = 0;
       hits = 0;
@@ -540,7 +603,9 @@ let open_ ?(segments = 16) dir =
       corrupt = 0;
       closed = false }
   in
-  replay t;
+  Option.iter
+    (fun ic -> Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () -> replay t ic))
+    ic;
   (* Replay sees only overwrites the manifest still witnesses; a
      compacted manifest forgets them while the dead segment bytes
      remain.  The ground truth at open is segment file size minus live
@@ -597,10 +662,7 @@ let drop_corrupt t k e =
      t.bytes <- t.bytes - cur.e_len;
      t.orphaned <- t.orphaned + cur.e_len;
      Key.Tbl.remove t.index k;
-     (match Hashtbl.find_opt t.sources cur.e_meta.source with
-      | Some 1 -> Hashtbl.remove t.sources cur.e_meta.source
-      | Some c -> Hashtbl.replace t.sources cur.e_meta.source (c - 1)
-      | None -> ())
+     forget_source t cur.e_meta.source
    | _ -> ());
   t.corrupt <- t.corrupt + 1;
   Mutex.unlock t.idx_mutex
@@ -646,6 +708,10 @@ let put t k ~meta value =
   Mutex.lock t.man_mutex;
   (match
      let oc = manifest_appender t in
+     if t.unterminated then begin
+       output_char oc '\n';
+       t.unterminated <- false
+     end;
      output_line t oc k e;
      flush oc
    with
@@ -661,7 +727,7 @@ let put t k ~meta value =
 
 let source_known t source =
   lock_open t;
-  let r = Hashtbl.mem t.sources source in
+  let r = Sources.mem t.sources source in
   Mutex.unlock t.idx_mutex;
   r
 
@@ -731,13 +797,11 @@ let close t =
   if t.closed then Mutex.unlock t.idx_mutex
   else begin
     t.closed <- true;
-    (* A session that put nothing, dropped no corrupt entry and replayed
-       one line per live key, none of them malformed, leaves the
-       manifest as compact as it found it: no rewrite. *)
-    let unchanged =
-      t.puts = 0 && t.corrupt = 0 && t.dropped = 0
-      && t.replayed = Key.Tbl.length t.index
-    in
+    (* A session that put nothing and dropped no corrupt entry leaves
+       the manifest as it found it, bytes and inode, even when replay
+       dropped a line or met a key twice: another process may be
+       appending to it. *)
+    let unchanged = t.puts = 0 && t.corrupt = 0 in
     let entries =
       if unchanged then []
       else Key.Tbl.fold (fun k e acc -> (k, e) :: acc) t.index []

@@ -28,5 +28,6 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("pool", Test_pool.suite);
       ("quality", Test_quality.suite);
+      ("json", Test_json.suite);
       ("hot-path", Test_hotpath.suite);
       ("properties", Test_props.suite) ]
