@@ -113,7 +113,6 @@ type value = Str | Int | Num
 type reader = {
   src : string;
   hi : int;
-  eol : bool;  (* a '\n' ends the window: the line's end *)
   mutable pos : int;
   mutable lo : int;
   mutable stop : int;
@@ -181,8 +180,9 @@ let rec body_run s i hi =
 
 (* The rest of the body that starts at [lo], from [i]: plain runs
    skipped in one loop each, escapes checked (and decoded later by
-   [unescape]), a '\n' malformed when it ends the line. *)
-let rec scan_body r lo i esc =
+   [unescape]), a '\n' malformed when [eol] (reading a line: a '\n'
+   ends it). *)
+let rec scan_body eol r lo i esc =
   let s = r.src and hi = r.hi in
   let i = body_run s i hi in
   if i >= hi then malformed ();
@@ -192,25 +192,25 @@ let rec scan_body r lo i esc =
     r.stop <- i;
     r.esc <- esc;
     r.pos <- i + 1
-  | '\n' -> if r.eol then malformed () else scan_body r lo (i + 1) esc
+  | '\n' -> if eol then malformed () else scan_body eol r lo (i + 1) esc
   | _ ->
     let i = i + 1 in
     if i >= hi then malformed ();
     (match String.unsafe_get s i with
-     | 'n' | 't' | 'r' | '"' | '\\' | '/' -> scan_body r lo (i + 1) true
+     | 'n' | 't' | 'r' | '"' | '\\' | '/' -> scan_body eol r lo (i + 1) true
      | 'u' ->
        if i + 4 >= hi then malformed ();
        let code = hex_run s (i + 1) 4 in
        if code < 0 || code >= 256 then malformed ();
-       scan_body r lo (i + 5) true
+       scan_body eol r lo (i + 5) true
      | _ -> malformed ())
 
 (* Advance past the string whose opening quote is at [r.pos], leaving
    its body in [r.lo .. r.stop) and whether it holds an escape in
    [r.esc]. *)
-let scan_string r =
+let scan_string eol r =
   if peek r <> '"' then malformed ();
-  scan_body r (r.pos + 1) (r.pos + 1) false
+  scan_body eol r (r.pos + 1) (r.pos + 1) false
 
 (* The bytes of a checked string body [s.[lo .. hi)] with its escapes
    decoded. *)
@@ -333,22 +333,13 @@ let rec find names s at len i =
     if String.length name = len && same s at name 0 then i
     else find names s at len (i + 1)
 
-(* Whether [name] lies at [s.[at ..]] and none of its bytes would end or
-   escape a string body there, the length checked by the caller.  Names
-   are words, so the usual byte passes the first test. *)
-let rec plain s at name j =
-  j = String.length name
-  ||
-  let c = String.unsafe_get s (at + j) in
-  c = String.unsafe_get name j
-  && (c > '\\' || (c <> '"' && c <> '\\' && c <> '\n'))
-  && plain s at name (j + 1)
-
 (* The id of the member name at [r.pos], tried first against
    [names.(guess)]: when the guess's bytes and a closing quote lie
    there, the name is read in that one pass, as [scan_string] would
-   have read it. *)
-let field names r guess =
+   have read it.  That holds because a schema's names hold no quote,
+   backslash or newline, so no byte equal to one of theirs ends or
+   escapes a string body. *)
+let field eol names r guess =
   if peek r <> '"' then malformed ();
   let s = r.src and at = r.pos + 1 in
   let len =
@@ -359,7 +350,7 @@ let field names r guess =
   if len >= 0
   && at + len < r.hi
   && String.unsafe_get s (at + len) = '"'
-  && plain s at (Array.unsafe_get names guess) 0
+  && same s at (Array.unsafe_get names guess) 0
   then begin
     r.lo <- at;
     r.stop <- at + len;
@@ -368,7 +359,7 @@ let field names r guess =
     guess
   end
   else begin
-    scan_string r;
+    scan_string eol r;
     if r.esc then
       let name = unescape r.src r.lo r.stop in
       find names name 0 (String.length name) 0
@@ -382,14 +373,14 @@ let field names r guess =
 (* Each name is guessed to follow the previous one in [names], so a line
    written in that order costs one name comparison per member, not a
    scan of [names]. *)
-let rec members names member st r guess =
+let rec members eol names member st r guess =
   skip_ws r;
-  let f = field names r guess in
+  let f = field eol names r guess in
   expect r ':';
   skip_ws r;
   let v =
     if peek r = '"' then begin
-      scan_string r;
+      scan_string eol r;
       Str
     end
     else number r
@@ -400,7 +391,7 @@ let rec members names member st r guess =
   match peek r with
   | ',' ->
     r.pos <- r.pos + 1;
-    members names member st r (f + 1)
+    members eol names member st r (f + 1)
   | '}' -> r.pos <- r.pos + 1
   | _ -> malformed ()
 
@@ -408,12 +399,12 @@ let rec members names member st r guess =
    left at the first byte past them. *)
 let read names member st src lo hi eol =
   let r =
-    { src; hi; eol; pos = lo; lo = 0; stop = 0; esc = false; kind = Str;
+    { src; hi; pos = lo; lo = 0; stop = 0; esc = false; kind = Str;
       int = 0; num = 0. }
   in
   expect r '{';
   skip_ws r;
-  if peek r = '}' then r.pos <- r.pos + 1 else members names member st r 0;
+  if peek r = '}' then r.pos <- r.pos + 1 else members eol names member st r 0;
   skip_ws r;
   r.pos
 

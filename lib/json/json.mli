@@ -96,7 +96,6 @@ type value =
 type reader = private {
   src : string;
   hi : int;
-  eol : bool;           (** reading a line: a ['\n'] ends the window *)
   mutable pos : int;
   mutable lo : int;     (** the last value's first byte (a string's body) *)
   mutable stop : int;   (** the end of the last string's body *)
@@ -118,8 +117,8 @@ val read_object :
     over each time, so a schema that overwrites a slot keeps the last
     value.  Each name is looked for first where it would follow the
     previous member's in [names], so [names] listed in the order the
-    schema's writer emits them costs one comparison per member.  Raises
-    {!Malformed}. *)
+    schema's writer emits them costs one comparison per member.  The
+    names must hold no ['"'], ['\\'] or ['\n'].  Raises {!Malformed}. *)
 
 val read_line :
   string array -> ('a -> reader -> int -> unit) -> 'a -> string -> int ->

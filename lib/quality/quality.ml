@@ -144,14 +144,6 @@ let member s (r : Json.reader) f =
       | Json.Str ->
         if f < f_version then s.strs.(f) <- Json.string_value r;
         f < f_version
-      | Json.Int when f < f_coverage ->
-        (* What the float path below decides, without boxing the
-           float: an integer is below 2^53 in magnitude as a float
-           exactly when it is as an integer. *)
-        let v = r.int in
-        let ok = f >= f_version && v > - 0x20000000000000 && v < 0x20000000000000 in
-        if ok then s.ints.(f - f_version) <- v;
-        ok
       | Json.Int | Json.Num ->
         let x = Json.float_value r in
         if f >= f_coverage then begin

@@ -264,19 +264,15 @@ let entry s =
         domain = s.domain;
         quality } }
 
-(* [line.[lo .. hi)] is only read, and nothing returned shares it, so
-   replay can hand in a window of a reused read buffer. *)
-let parse_range line lo hi =
+let parse_line line =
   let s = slots no_pool in
   match
-    Json.read_object names member s line lo hi;
+    Json.read_object names member s line 0 (String.length line);
     let k = key s in
     (k, entry s)
   with
   | pair -> Some pair
   | exception Json.Malformed -> None
-
-let parse_line line = parse_range line 0 (String.length line)
 
 (* ------------------------------------------------------------------ *)
 (* Segments                                                           *)
@@ -410,7 +406,7 @@ type t = {
          append ends that line first *)
   idx_mutex : Mutex.t;  (* guards index, sources, counters, closed *)
   index : entry Key.Tbl.t;
-  sources : int ref Sources.t;
+  sources : int Sources.t;
   mutable bytes : int;
   mutable orphaned : int;
   mutable hits : int;
@@ -467,7 +463,8 @@ let read_or_write_segments dir requested =
 
 let forget_source t source =
   match Sources.find_opt t.sources source with
-  | Some c -> if !c = 1 then Sources.remove t.sources source else decr c
+  | Some 1 -> Sources.remove t.sources source
+  | Some c -> Sources.replace t.sources source (c - 1)
   | None -> ()
 
 (* Accept the entry into the index (replay and put share this). *)
@@ -480,9 +477,10 @@ let index_accept t key e =
    | None -> ());
   Key.Tbl.replace t.index key e;
   t.bytes <- t.bytes + e.e_len;
-  match Sources.find_opt t.sources e.e_meta.source with
-  | Some c -> incr c
-  | None -> Sources.add t.sources e.e_meta.source (ref 1)
+  let source = e.e_meta.source in
+  match Sources.find_opt t.sources source with
+  | Some c -> Sources.replace t.sources source (c + 1)
+  | None -> Sources.add t.sources source 1
 
 (* What [String.trim] would empty ('\n' never occurs inside a line). *)
 let blank s lo hi =
@@ -495,49 +493,41 @@ let blank s lo hi =
   do incr i done;
   !i = hi
 
-let replay_entry t key e =
-  if e.e_seg < t.segments then begin
-    index_accept t key e;
-    t.replayed <- t.replayed + 1
-  end
-  else t.dropped <- t.dropped + 1
-
-(* The line [s.[lo .. hi)] on its own: skipped when blank, else
-   replayed or dropped. *)
-let replay_line t s lo hi =
-  if not (blank s lo hi) then
-    match parse_range s lo hi with
-    | Some (key, e) -> replay_entry t key e
-    | None -> t.dropped <- t.dropped + 1
+let drop t = t.dropped <- t.dropped + 1
 
 (* The lines of [s.[lo .. held)] from [lo], each read by
    [Json.read_line], which finds the line's end as it reads; the index
-   of the first line left for the next block is returned.  A line that
-   [read_line] rejects (malformed, blank, or cut by the block's end) is
-   found by its newline and handed to [replay_line], so it is dropped
-   or skipped exactly as a line read on its own. *)
+   of the first line left for the next block is returned.  [read_line]
+   rejects a line exactly when [Json.read_object] over the line alone
+   would, so a rejected line is found by its newline and is skipped when
+   blank, else dropped. *)
 let rec replay_lines t pool s lo held eof =
   if lo >= held then held
   else
     let sl = slots pool in
     match Json.read_line names member sl s lo held with
-    | e when e = held && not eof -> lo
-    | e ->
+    | nl when nl = held && not eof -> lo
+    | nl ->
       (match
          let k = key sl in
-         replay_entry t k (entry sl)
+         let e = entry sl in
+         if e.e_seg < t.segments then begin
+           index_accept t k e;
+           t.replayed <- t.replayed + 1
+         end
+         else drop t
        with
        | () -> ()
-       | exception Json.Malformed -> t.dropped <- t.dropped + 1);
-      replay_lines t pool s (e + 1) held eof
+       | exception Json.Malformed -> drop t);
+      replay_lines t pool s (nl + 1) held eof
     | exception Json.Malformed ->
       (match String.index_from_opt s lo '\n' with
        | Some nl when nl < held ->
-         replay_line t s lo nl;
+         if not (blank s lo nl) then drop t;
          replay_lines t pool s (nl + 1) held eof
        | Some _ | None ->
          if eof then begin
-           replay_line t s lo held;
+           if not (blank s lo held) then drop t;
            held
          end
          else lo)
@@ -570,16 +560,12 @@ let open_ ?(segments = 16) dir =
   mkdir_p seg_dir;
   let segments = read_or_write_segments dir requested in
   let manifest_path = Filename.concat dir "manifest.jsonl" in
-  let ic =
-    if Sys.file_exists manifest_path then Some (In_channel.open_bin manifest_path)
-    else None
-  in
   (* Tables sized for the manifest's lines (about 200 to 260 bytes
      each), so replay does not grow them as it goes. *)
   let size =
-    match ic with
-    | Some ic -> max 1024 (Int64.to_int (In_channel.length ic) / 256)
-    | None -> 1024
+    match Unix.stat manifest_path with
+    | st -> max 1024 (st.Unix.st_size / 256)
+    | exception Unix.Unix_error _ -> 1024
   in
   let t =
     { dir;
@@ -603,9 +589,8 @@ let open_ ?(segments = 16) dir =
       corrupt = 0;
       closed = false }
   in
-  Option.iter
-    (fun ic -> Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () -> replay t ic))
-    ic;
+  if Sys.file_exists manifest_path then
+    In_channel.with_open_bin manifest_path (replay t);
   (* Replay sees only overwrites the manifest still witnesses; a
      compacted manifest forgets them while the dead segment bytes
      remain.  The ground truth at open is segment file size minus live

@@ -86,7 +86,7 @@
     decoded without a substring.  The index and the per-source table
     are sized from the manifest's length, so replay does not grow
     them.  On a 3000-line, 783 KB manifest of the ingest-warm mix, an
-    open allocates 79 minor words per line and takes about 4.8 ms in
+    open allocates 76 minor words per line and takes about 4.8 ms in
     [bench/main.exe startup] and 3.9 ms in perfbench ingest-warm on a
     2-vCPU host (95 words and 9.0 and 7.6 ms before these changes):
     about 2.5 ms of parsing, then the index inserts, the reads and the
